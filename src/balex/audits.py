@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cycles import find_cir_pareto_improving_cycle
 from .mechanism import run_ir_priority
@@ -26,14 +25,14 @@ from .model import (
     canon,
     domain_membership,
 )
-from .optimize import EnumerationLimitError
+# enumerate_matchings lives in optimize; audits re-exports it
+from .optimize import EnumerationLimitError, cached_matchings, enumerate_matchings
 from .responsive import (
-    BundleComparison,
     ResponsiveExtension,
     cir_trichotomous,
-    compare_unambiguous,
     exists_strict_preference,
     is_component_wise_IR,
+    prefix_counts,
     strict_witness_extension,
 )
 
@@ -90,78 +89,23 @@ class BlockWitness:
             raise ValueError("reallocation and certificates must cover the coalition")
 
 
-def enumerate_matchings(instance: Instance, bound: int = 10) -> Iterator[Matching]:
-    """Every matching of the instance exactly once, in canonical order."""
-    if len(instance.objects) > bound:
-        raise EnumerationLimitError(
-            f"instance has {len(instance.objects)} objects, enumeration bound is {bound}"
-        )
-    agents = instance.agents
-    sizes = instance.sizes
-
-    def rec(i: int, remaining: tuple[str, ...], acc: list[frozenset[str]]) -> Iterator[Matching]:
-        if i == len(agents):
-            yield Matching({a: acc[k] for k, a in enumerate(agents)})
-            return
-        for combo in itertools.combinations(remaining, sizes[i]):
-            bundle = frozenset(combo)
-            acc.append(bundle)
-            rest = tuple(o for o in remaining if o not in bundle)
-            yield from rec(i + 1, rest, acc)
-            acc.pop()
-
-    yield from rec(0, instance.object_ids, [])
-
-
 def marginal_profile(
-    instance: Instance, prefs: Profile
+    instance: Instance,
+    prefs: Mapping[str, TrichotomousPreference] | Mapping[str, MarginalPreference],
 ) -> dict[str, MarginalPreference]:
-    return {a: prefs[a].to_classes(instance.objects) for a in instance.agents}
+    """Class-based marginals; trichotomous preferences become [A, B, rest] and
+    class-based ones pass through."""
+    margs: dict[str, MarginalPreference] = {}
+    for a in instance.agents:
+        p = prefs[a]
+        margs[a] = p.to_classes(instance.objects) if isinstance(p, TrichotomousPreference) else p
+    return margs
 
 
 def welfare_vector(instance: Instance, mu: Matching, prefs: Profile) -> tuple[int, ...]:
     return tuple(
         len(mu.assignment[a] & prefs[a].attractive) for a in instance.agents
     )
-
-
-@lru_cache(maxsize=8)
-def _matchings_cached(
-    agents: tuple[str, ...], object_ids: tuple[str, ...], sizes: tuple[int, ...]
-) -> tuple[Matching, ...]:
-    out: list[Matching] = []
-
-    def rec(i: int, remaining: tuple[str, ...], acc: list[frozenset[str]]) -> None:
-        if i == len(agents):
-            out.append(Matching({a: acc[k] for k, a in enumerate(agents)}))
-            return
-        for combo in itertools.combinations(remaining, sizes[i]):
-            bundle = frozenset(combo)
-            acc.append(bundle)
-            rec(i + 1, tuple(o for o in remaining if o not in bundle), acc)
-            acc.pop()
-
-    rec(0, object_ids, [])
-    return tuple(out)
-
-
-def _matchings_list(instance: Instance, bound: int) -> tuple[Matching, ...]:
-    if len(instance.objects) > bound:
-        raise EnumerationLimitError(
-            f"instance has {len(instance.objects)} objects, enumeration bound is {bound}"
-        )
-    return _matchings_cached(instance.agents, instance.object_ids, instance.sizes)
-
-
-@lru_cache(maxsize=500_000)
-def _bundle_prefix(pref: MarginalPreference, bundle: frozenset[str]) -> tuple[int, ...]:
-    depth = len(pref.classes)
-    counts = [0] * (depth + 2)
-    for o in bundle:
-        counts[pref.ranks.get(o, depth + 1)] += 1
-    for k in range(1, depth + 2):
-        counts[k] += counts[k - 1]
-    return tuple(counts[1:])
 
 
 def _is_dominated(
@@ -178,12 +122,16 @@ def _is_dominated(
     preferring extension.
     """
     agents = instance.agents
-    mu_prefix = [_bundle_prefix(margs[a], mu.assignment[a]) for a in agents]
-    for nu in _matchings_list(instance, bound):
+    mu_prefix = [prefix_counts(margs[a], mu.assignment[a]) for a in agents]
+    memo: list[dict[frozenset[str], tuple[int, ...]]] = [{} for _ in agents]
+    for nu in cached_matchings(instance, bound):
         strict = False
         ok = True
         for i, a in enumerate(agents):
-            pv = _bundle_prefix(margs[a], nu.assignment[a])
+            bundle = nu.assignment[a]
+            pv = memo[i].get(bundle)
+            if pv is None:
+                pv = memo[i][bundle] = prefix_counts(margs[a], bundle)
             mv = mu_prefix[i]
             if pv == mv:
                 continue
@@ -215,11 +163,7 @@ def unambiguously_efficient(
         return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
     if mode != "brute":
         raise ValueError(f"unknown efficiency mode {mode!r}")
-    margs: dict[str, MarginalPreference] = {}
-    for a in instance.agents:
-        p = prefs[a]
-        margs[a] = p.to_classes(instance.objects) if isinstance(p, TrichotomousPreference) else p
-    return not _is_dominated(instance, mu, margs, bound)
+    return not _is_dominated(instance, mu, marginal_profile(instance, prefs), bound)
 
 
 def efficient_ir_set(
@@ -228,12 +172,9 @@ def efficient_ir_set(
     bound: int = 10,
 ) -> list[Matching]:
     """All matchings that are unambiguously individually rational and efficient."""
-    margs: dict[str, MarginalPreference] = {}
-    for a in instance.agents:
-        p = prefs[a]
-        margs[a] = p.to_classes(instance.objects) if isinstance(p, TrichotomousPreference) else p
+    margs = marginal_profile(instance, prefs)
     out = []
-    for mu in enumerate_matchings(instance, bound):
+    for mu in cached_matchings(instance, bound):
         if is_component_wise_IR(instance, mu, margs) and not _is_dominated(
             instance, mu, margs, bound
         ):
@@ -351,11 +292,7 @@ def check_truncation_proofness(
                 continue
             outcome = cache.final({**prefs, agent: mis})
             mis_bundle = outcome.assignment[agent]
-            verdict = compare_unambiguous(truth_bundle, mis_bundle, margs[agent])
-            if verdict in (
-                BundleComparison.ALWAYS_WEAKLY_BETTER,
-                BundleComparison.EQUIVALENT,
-            ):
+            if not exists_strict_preference(mis_bundle, truth_bundle, margs[agent]):
                 continue
             return ManipulationWitness(
                 agent=agent,
@@ -564,7 +501,7 @@ def find_efficient_core_matching(
     core under strict acceptability; None triggers a flagged report upstream
     (existence is guaranteed on this domain)."""
     cir: list[tuple[Matching, tuple[int, ...]]] = []
-    for mu in enumerate_matchings(instance, bound):
+    for mu in cached_matchings(instance, bound):
         if cir_trichotomous(instance, mu, prefs):
             cir.append((mu, welfare_vector(instance, mu, prefs)))
     vectors = [w for _, w in cir]

@@ -76,17 +76,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
     instance, raw_prefs = _load(args.input)
     if args.priority:
         instance = instance.with_priority(args.priority.split(","))
-    margs = {}
     for a in instance.agents:
         if a not in raw_prefs:
             raise ValidationError(f"no preference given for agent {a!r}")
-        p = raw_prefs[a]
-        margs[a] = (
-            p.to_classes(instance.objects)
-            if isinstance(p, model.TrichotomousPreference)
-            else p
-        )
-        margs[a].validate_universe(instance.objects)
+    margs = audits.marginal_profile(instance, raw_prefs)
+    for p in margs.values():
+        p.validate_universe(instance.objects)
 
     trichotomous = True
     try:
@@ -324,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
         InfeasibleError,
         FileNotFoundError,
         json.JSONDecodeError,
-        KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Instance, Matching, TrichotomousPreference
+from .mechanism import non_improvable_set
+from .model import Instance, Matching, MechanismInvariantError, TrichotomousPreference
 from .optimize import WelfareConstraints, max_attractive
 from .responsive import cir_trichotomous
 
@@ -197,31 +198,33 @@ def find_cir_pareto_improving_cycle(
     """Some CIR Pareto-improving cycle of `mu`, or None iff `mu` is unambiguously
     efficient (for component-wise individually rational `mu`).
 
-    A strictly improving witness matching is found by per-agent maximization
-    queries; the witness is then shrunk by discarding welfare-neutral subcycles
-    of the most-preferred-object graph until the remaining trade is itself a
+    One improvability network finds the first agent (in priority order) that
+    some CIR matching weakly improving `mu` makes strictly better off; that
+    agent's maximization query gives a strictly improving witness matching.  The
+    witness is then shrunk by discarding welfare-neutral subcycles of the
+    most-preferred-object graph until the remaining trade is itself a
     Pareto-improving cycle.
     """
     if not cir_trichotomous(instance, mu, prefs):
         raise ValueError("base matching must be component-wise individually rational")
-    welfare = {
-        a: len(mu.assignment[a] & prefs[a].attractive) for a in instance.agents
-    }
+    attractive = {a: prefs[a].attractive for a in instance.agents}
+    stuck = non_improvable_set(
+        instance, attractive, {a: prefs[a].bearable for a in instance.agents}, mu
+    )
+    target = next((a for a in instance.agents if a not in stuck), None)
+    if target is None:
+        return None
+    welfare = {a: len(mu.assignment[a] & attractive[a]) for a in instance.agents}
     constraints = WelfareConstraints(
         allowed={a: prefs[a].acceptable() for a in instance.agents},
-        attractive={a: prefs[a].attractive for a in instance.agents},
+        attractive=attractive,
         min_attractive=welfare,
     )
-    witness: Matching | None = None
-    for target in instance.agents:
-        best, candidate = max_attractive(instance, constraints, target)
-        if best > welfare[target]:
-            witness = candidate
-            break
-    if witness is None:
-        return None
-
-    nu = witness
+    best, nu = max_attractive(instance, constraints, target)
+    if best <= welfare[target]:
+        raise MechanismInvariantError(
+            f"agent {target!r} is improvable but its maximum does not exceed its welfare"
+        )
     while True:
         moved = sorted(a for a in instance.agents if mu.assignment[a] != nu.assignment[a])
         owner_mu = {o: a for a, b in mu.assignment.items() for o in b}
@@ -238,11 +241,11 @@ def find_cir_pareto_improving_cycle(
         effect = classify_cycle(cycle, mu, prefs)
         if effect.increases:
             if effect.decreases or not effect.cir:
-                raise AssertionError(
+                raise MechanismInvariantError(
                     "improving-cycle construction produced a non-CIR or non-Pareto cycle"
                 )
             return cycle
         # welfare-neutral trade: strip it from the witness and retry
         nu = apply_cycle(nu, reverse_cycle(cycle))
         if nu == mu:
-            raise AssertionError("witness degenerated to the base matching")
+            raise MechanismInvariantError("witness degenerated to the base matching")

@@ -17,27 +17,34 @@ Everything is integral; no floating point.
 
 from __future__ import annotations
 
+from .model import MechanismInvariantError
+
 INF = 1 << 30
 
 
 class ExchangeFlow:
-    """Flow network over agent tiers and objects for one constraint system."""
+    """Flow network over agent tiers and objects for one constraint system.
+
+    Per agent, `attractive` and `allowed` are object bitmasks; allowed objects
+    inside the attractive mask go to the attractive tier, the rest to the
+    bearable tier.
+    """
 
     def __init__(
         self,
         sizes: list[int],
-        allowed_a: list[int],
-        allowed_b: list[int],
+        attractive: list[int],
+        allowed: list[int],
         lo: list[int],
         hi: list[int] | None = None,
         n_objects: int | None = None,
     ) -> None:
         n = len(sizes)
+        allowed_a = [s & a for s, a in zip(allowed, attractive)]
+        allowed_b = [s & ~a for s, a in zip(allowed, attractive)]
         masks = 0
-        for m_a, m_b in zip(allowed_a, allowed_b):
-            if m_a & m_b:
-                raise ValueError("tier masks must be disjoint per agent")
-            masks |= m_a | m_b
+        for s in allowed:
+            masks |= s
         m = masks.bit_length() if n_objects is None else n_objects
         self.n = n
         self.m = m
@@ -284,6 +291,8 @@ class ExchangeFlow:
         for (tier, j), eid in self.obj_edge.items():
             if self.cap0[eid] - self.cap[eid] == 1:
                 cur_edge[j] = eid
+        if len(cur_edge) != self.m:
+            raise MechanismInvariantError("canonical extraction needs a feasible circulation")
         pinned = bytearray(self.m)
         bundles = [0] * self.n
         for i in order:
@@ -333,7 +342,7 @@ class ExchangeFlow:
                 reach_a = self._reach_to(self.tier_a0 + i)
                 reach_b = self._reach_to(self.tier_b0 + i)
             if got != need:
-                raise AssertionError("canonical extraction lost feasibility")
+                raise MechanismInvariantError("canonical extraction lost feasibility")
         return bundles
 
     def dump(self) -> str:

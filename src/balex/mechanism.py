@@ -21,12 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .flownet import ExchangeFlow
-from .model import Instance, Matching, TrichotomousPreference
+from .model import Instance, Matching, MechanismInvariantError, TrichotomousPreference
 from .responsive import cir_trichotomous
-
-
-class MechanismInvariantError(RuntimeError):
-    """The elicited set failed to grow — a bug signal, never a semantic branch."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,37 @@ def _welfare(mu_masks: list[int], a_masks: list[int]) -> list[int]:
     return [bin(mu & a).count("1") for mu, a in zip(mu_masks, a_masks)]
 
 
+def _query_masks(
+    instance: Instance,
+    attractive: Mapping[str, frozenset[str]],
+    bearable: Mapping[str, frozenset[str]],
+    mu: Matching,
+) -> tuple[list[int], list[int], list[int]]:
+    """Attractive masks, allowed (A ∪ B) masks and the attractive counts under `mu`."""
+    a_masks = [instance.mask(attractive[a]) for a in instance.agents]
+    allowed = [instance.mask(attractive[a] | bearable[a]) for a in instance.agents]
+    mu_masks = [instance.mask(mu.assignment[a]) for a in instance.agents]
+    return a_masks, allowed, _welfare(mu_masks, a_masks)
+
+
+def _feasible_flow(
+    sizes: list[int],
+    a_masks: list[int],
+    allowed: list[int],
+    baseline: list[int],
+    m: int,
+    purpose: str,
+) -> ExchangeFlow:
+    """The network of CIR matchings giving every agent at least `baseline`
+    attractive objects; the incumbent matching makes it feasible."""
+    flow = ExchangeFlow(sizes, a_masks, allowed, list(baseline), None, n_objects=m)
+    if not flow.solve_feasible():
+        raise MechanismInvariantError(
+            f"{purpose} constraint set is empty although the base matching satisfies it"
+        )
+    return flow
+
+
 def _refine_masks(
     sizes: list[int],
     a_masks: list[int],
@@ -73,18 +100,7 @@ def _refine_masks(
     m: int,
 ) -> tuple[list[int], ExchangeFlow]:
     """Serial dictatorship core: promises K^1..K^n over the constrained flow."""
-    flow = ExchangeFlow(
-        sizes,
-        [s & a for s, a in zip(allowed, a_masks)],
-        [s & ~a for s, a in zip(allowed, a_masks)],
-        list(baseline),
-        None,
-        n_objects=m,
-    )
-    if not flow.solve_feasible():
-        raise MechanismInvariantError(
-            "refinement constraint set is empty although the base matching satisfies it"
-        )
+    flow = _feasible_flow(sizes, a_masks, allowed, baseline, m, "refinement")
     promises = []
     for i in range(len(sizes)):
         promises.append(flow.maximize(i))
@@ -100,16 +116,7 @@ def _improvable_masks(
     m: int,
 ) -> tuple[set[int], int]:
     """Indices of agents whose attractive count can still rise; plus query count."""
-    flow = ExchangeFlow(
-        sizes,
-        [s & a for s, a in zip(allowed, a_masks)],
-        [s & ~a for s, a in zip(allowed, a_masks)],
-        list(baseline),
-        None,
-        n_objects=m,
-    )
-    if not flow.solve_feasible():
-        raise MechanismInvariantError("improvability constraint set is empty")
+    flow = _feasible_flow(sizes, a_masks, allowed, baseline, m, "improvability")
     out = {i for i in range(len(sizes)) if flow.can_improve(i)}
     return out, flow.queries
 
@@ -131,14 +138,10 @@ def serial_refine(
     }
     if not cir_trichotomous(instance, mu, prefs):
         raise ValueError("base matching must be CIR at the given (A, B) profile")
-    m = len(instance.object_ids)
-    a_masks = [instance.mask(attractive[a]) for a in instance.agents]
-    allowed = [
-        instance.mask(attractive[a] | bearable[a]) for a in instance.agents
-    ]
-    mu_masks = [instance.mask(mu.assignment[a]) for a in instance.agents]
-    baseline = _welfare(mu_masks, a_masks)
-    promises, flow = _refine_masks(list(instance.sizes), a_masks, allowed, baseline, m)
+    a_masks, allowed, baseline = _query_masks(instance, attractive, bearable, mu)
+    promises, flow = _refine_masks(
+        list(instance.sizes), a_masks, allowed, baseline, len(instance.object_ids)
+    )
     bundles = flow.extract_canonical(list(range(len(instance.agents))))
     matching = Matching(
         {a: instance.unmask(bundles[i]) for i, a in enumerate(instance.agents)}
@@ -154,15 +157,9 @@ def non_improvable_set(
 ) -> frozenset[str]:
     """Agents whose attractive count cannot rise in any CIR matching weakly
     improving `mu` under the given (maximal) bearable sets."""
-    m = len(instance.object_ids)
-    a_masks = [instance.mask(attractive[a]) for a in instance.agents]
-    allowed = [
-        instance.mask(attractive[a] | bearable_outer[a]) for a in instance.agents
-    ]
-    mu_masks = [instance.mask(mu.assignment[a]) for a in instance.agents]
-    baseline = _welfare(mu_masks, a_masks)
+    a_masks, allowed, baseline = _query_masks(instance, attractive, bearable_outer, mu)
     improvable, _ = _improvable_masks(
-        list(instance.sizes), a_masks, allowed, baseline, m
+        list(instance.sizes), a_masks, allowed, baseline, len(instance.object_ids)
     )
     return frozenset(
         a for i, a in enumerate(instance.agents) if i not in improvable

@@ -23,6 +23,10 @@ class NotTrichotomousError(ValidationError):
     """Raised when a marginal preference ranks an endowed object below class 2."""
 
 
+class MechanismInvariantError(RuntimeError):
+    """A broken internal invariant — a bug signal, never a semantic branch."""
+
+
 def canon(objects: Iterable[str]) -> tuple[str, ...]:
     """Canonical (sorted) tuple of identifiers, the iteration order used everywhere."""
     return tuple(sorted(objects))

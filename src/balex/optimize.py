@@ -9,16 +9,20 @@ is checked against.
 
 Counts are integral throughout; witnesses are tie-broken to the canonical
 lexicographic minimum (agent priority order, then object identifier order).
+
+This module also holds the library's one matching enumerator, which the
+brute-force oracle and the exhaustive audits share.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from functools import lru_cache
+from typing import Callable, Iterator, Mapping
 
 from .flownet import ExchangeFlow
-from .model import Instance, Matching, canon
+from .model import Instance, Matching
 
 
 class InfeasibleError(ValueError):
@@ -85,25 +89,76 @@ def max_attractive(
 
 def _make_flow(instance: Instance, constraints: WelfareConstraints) -> ExchangeFlow:
     constraints.check(instance)
-    m = len(instance.object_ids)
-    sizes = list(instance.sizes)
-    allowed_a: list[int] = []
-    allowed_b: list[int] = []
     lo: list[int] = []
     hi: list[int] = []
     for i, a in enumerate(instance.agents):
-        s_mask = instance.mask(constraints.allowed.get(a, frozenset()))
-        a_mask = instance.mask(constraints.attractive.get(a, frozenset()))
-        allowed_a.append(s_mask & a_mask)
-        allowed_b.append(s_mask & ~a_mask)
         if a in constraints.exact_attractive:
             lo.append(constraints.exact_attractive[a])
             hi.append(constraints.exact_attractive[a])
         else:
             lo.append(constraints.min_attractive.get(a, 0))
-            hi.append(sizes[i])
-    flow = ExchangeFlow(sizes, allowed_a, allowed_b, lo, hi, n_objects=m)
-    return flow
+            hi.append(instance.sizes[i])
+    return ExchangeFlow(
+        list(instance.sizes),
+        [instance.mask(constraints.attractive.get(a, frozenset())) for a in instance.agents],
+        [instance.mask(constraints.allowed.get(a, frozenset())) for a in instance.agents],
+        lo,
+        hi,
+        n_objects=len(instance.object_ids),
+    )
+
+
+def _matchings(
+    agents: tuple[str, ...],
+    object_ids: tuple[str, ...],
+    sizes: tuple[int, ...],
+    keep: Callable[[int, frozenset[str]], bool] | None = None,
+) -> Iterator[Matching]:
+    """Agents in priority order each take a combination of the remaining
+    objects in identifier order, so matchings come out in canonical order;
+    `keep(i, bundle)` prunes the bundles of agent i."""
+    acc: list[frozenset[str]] = []
+
+    def rec(i: int, remaining: tuple[str, ...]) -> Iterator[Matching]:
+        if i == len(agents):
+            yield Matching(dict(zip(agents, acc)))
+            return
+        for combo in itertools.combinations(remaining, sizes[i]):
+            bundle = frozenset(combo)
+            if keep is not None and not keep(i, bundle):
+                continue
+            acc.append(bundle)
+            yield from rec(i + 1, tuple(o for o in remaining if o not in bundle))
+            acc.pop()
+
+    return rec(0, object_ids)
+
+
+def _check_enumeration_bound(instance: Instance, bound: int) -> None:
+    if len(instance.objects) > bound:
+        raise EnumerationLimitError(
+            f"instance has {len(instance.objects)} objects, enumeration bound is {bound}"
+        )
+
+
+def enumerate_matchings(instance: Instance, bound: int = 10) -> Iterator[Matching]:
+    """Every matching of the instance exactly once, in canonical order."""
+    _check_enumeration_bound(instance, bound)
+    yield from _matchings(instance.agents, instance.object_ids, instance.sizes)
+
+
+@lru_cache(maxsize=8)
+def _matchings_cached(
+    agents: tuple[str, ...], object_ids: tuple[str, ...], sizes: tuple[int, ...]
+) -> tuple[Matching, ...]:
+    return tuple(_matchings(agents, object_ids, sizes))
+
+
+def cached_matchings(instance: Instance, bound: int = 10) -> tuple[Matching, ...]:
+    """enumerate_matchings as a tuple, shared by repeat calls on markets of the
+    same shape (agents, objects and endowment sizes)."""
+    _check_enumeration_bound(instance, bound)
+    return _matchings_cached(instance.agents, instance.object_ids, instance.sizes)
 
 
 def enumerate_constrained(
@@ -111,28 +166,16 @@ def enumerate_constrained(
 ) -> Iterator[Matching]:
     """All matchings satisfying the constraints, in canonical order."""
     agents = instance.agents
-    allowed = [canon(constraints.allowed.get(a, frozenset())) for a in agents]
+    allowed = [constraints.allowed.get(a, frozenset()) for a in agents]
     attractive = [constraints.attractive.get(a, frozenset()) for a in agents]
-    sizes = instance.sizes
+    low = [constraints.min_attractive.get(a, 0) for a in agents]
+    exact = [constraints.exact_attractive.get(a) for a in agents]
 
-    def rec(i: int, used: frozenset[str], acc: list[frozenset[str]]) -> Iterator[Matching]:
-        if i == len(agents):
-            yield Matching({a: acc[k] for k, a in enumerate(agents)})
-            return
-        a = agents[i]
-        pool = [o for o in allowed[i] if o not in used]
-        for combo in itertools.combinations(pool, sizes[i]):
-            bundle = frozenset(combo)
-            got = len(bundle & attractive[i])
-            if got < constraints.min_attractive.get(a, 0):
-                continue
-            if a in constraints.exact_attractive and got != constraints.exact_attractive[a]:
-                continue
-            acc.append(bundle)
-            yield from rec(i + 1, used | bundle, acc)
-            acc.pop()
+    def keep(i: int, bundle: frozenset[str]) -> bool:
+        got = len(bundle & attractive[i])
+        return bundle <= allowed[i] and got >= low[i] and exact[i] in (None, got)
 
-    yield from rec(0, frozenset(), [])
+    return _matchings(agents, instance.object_ids, instance.sizes, keep)
 
 
 def brute_force_max(

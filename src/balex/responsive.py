@@ -17,7 +17,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import Instance, MarginalPreference, Matching, TrichotomousPreference
+from .model import (
+    Instance,
+    MarginalPreference,
+    Matching,
+    MechanismInvariantError,
+    TrichotomousPreference,
+)
 
 
 class BundleComparison(Enum):
@@ -50,14 +56,15 @@ class ResponsiveExtension:
         return {o: str(self.utility[o]) for o in sorted(self.utility)}
 
 
-def _prefix_counts(bundle: Iterable[str], ranks: Mapping[str, int], depth: int) -> list[int]:
-    """prefix[k] = number of bundle objects ranked in class k or better (k = 1..depth)."""
+def prefix_counts(pref: MarginalPreference, bundle: Iterable[str]) -> tuple[int, ...]:
+    """prefix[k-1] = number of bundle objects ranked in class k or better (k = 1..depth+1)."""
+    depth = len(pref.classes)
     counts = [0] * (depth + 2)
     for o in bundle:
-        counts[ranks.get(o, depth + 1)] += 1
+        counts[pref.ranks.get(o, depth + 1)] += 1
     for k in range(1, depth + 2):
         counts[k] += counts[k - 1]
-    return counts[1:]
+    return tuple(counts[1:])
 
 
 def compare_unambiguous(
@@ -73,9 +80,8 @@ def compare_unambiguous(
     xs, ys = frozenset(x), frozenset(y)
     if len(xs) != len(ys):
         raise ValueError(f"bundles must have equal cardinality ({len(xs)} vs {len(ys)})")
-    depth = len(pref.classes)
-    px = _prefix_counts(xs, pref.ranks, depth)
-    py = _prefix_counts(ys, pref.ranks, depth)
+    px = prefix_counts(pref, xs)
+    py = prefix_counts(pref, ys)
     if px == py:
         return BundleComparison.EQUIVALENT
     if all(a >= b for a, b in zip(px, py)):
@@ -100,8 +106,8 @@ def strict_witness_extension(
     checked exists_strict_preference(x, y, pref) first."""
     xs, ys = frozenset(x), frozenset(y)
     depth = len(pref.classes)
-    px = _prefix_counts(xs, pref.ranks, depth)
-    py = _prefix_counts(ys, pref.ranks, depth)
+    px = prefix_counts(pref, xs)
+    py = prefix_counts(pref, ys)
     pivot = next((k for k in range(depth + 1) if px[k] > py[k]), None)
     if pivot is None:
         raise ValueError("no responsive extension ranks X above Y")
@@ -113,7 +119,8 @@ def strict_witness_extension(
         k = pref.ranks[o] - 1
         utility[o] = (Fraction(1) if k <= pivot else Fraction(0)) + eps * (levels - k)
     ext = ResponsiveExtension(pref.owner, utility)
-    assert ext.score(xs) > ext.score(ys)
+    if not ext.score(xs) > ext.score(ys):
+        raise MechanismInvariantError("witness extension does not rank X strictly above Y")
     return ext
 
 

@@ -12,7 +12,6 @@ import random
 import time
 
 from balex.audits import (
-    _matchings_list,
     check_strategy_proofness,
     check_truncation_proofness,
     efficient_ir_set,
@@ -27,6 +26,7 @@ from balex.generate import random_market
 from balex.mechanism import _refine_masks, run_ir_priority
 from balex.model import TrichotomousPreference
 from balex.optimize import InfeasibleError, WelfareConstraints, brute_force_max, max_attractive
+from balex.optimize import cached_matchings as _matchings_list
 from balex.responsive import (
     build_punishing_extension,
     cir_trichotomous,

@@ -134,6 +134,17 @@ def test_internal_invariant_exit_code(thm4_file, monkeypatch):
     assert main(["run", "--input", thm4_file]) == 3
 
 
+def test_internal_key_error_is_not_reported_as_invalid_input(thm4_file, monkeypatch):
+    from balex import cli
+
+    def boom(instance, prefs):
+        raise KeyError("o9")
+
+    monkeypatch.setattr(cli.mechanism, "run_ir_priority", boom)
+    with pytest.raises(KeyError, match="o9"):
+        main(["run", "--input", thm4_file])
+
+
 def test_invalid_input_exit_code(tmp_path, capsys):
     missing = tmp_path / "none.json"
     assert main(["run", "--input", str(missing)]) == 1

@@ -15,6 +15,8 @@ from balex.cycles import (
     find_cir_pareto_improving_cycle,
     reverse_cycle,
 )
+from balex.fixtures import load_fixture
+from balex.flownet import ExchangeFlow
 from balex.mechanism import run_ir_priority
 from balex.model import Matching, TrichotomousPreference
 from conftest import make_instance, random_matching, random_profile
@@ -188,6 +190,26 @@ def test_find_improving_cycle_none_on_mechanism_output():
     prefs = thm4_prefs()
     final, _ = run_ir_priority(THM4, prefs)
     assert find_cir_pareto_improving_cycle(THM4, final, prefs) is None
+
+
+def test_efficiency_check_builds_one_network_and_extracts_nothing(monkeypatch):
+    fx = load_fixture("thm4-base")
+    final, _ = run_ir_priority(fx.instance, fx.prefs)
+    calls = {"build": 0, "extract": 0}
+    build, extract = ExchangeFlow.__init__, ExchangeFlow.extract_canonical
+
+    def counting_build(self, *args, **kwargs):
+        calls["build"] += 1
+        build(self, *args, **kwargs)
+
+    def counting_extract(self, order):
+        calls["extract"] += 1
+        return extract(self, order)
+
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
+    monkeypatch.setattr(ExchangeFlow, "extract_canonical", counting_extract)
+    assert find_cir_pareto_improving_cycle(fx.instance, final, fx.prefs) is None
+    assert calls == {"build": 1, "extract": 0}
 
 
 def test_find_improving_cycle_single_agent():

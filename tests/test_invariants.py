@@ -1,0 +1,39 @@
+"""Broken internal invariants surface as MechanismInvariantError, never as assert."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import balex
+from balex import mechanism
+from balex.flownet import ExchangeFlow
+from balex.model import MechanismInvariantError
+
+SRC = Path(balex.__file__).resolve().parent
+
+
+def test_mechanism_reexports_the_model_error():
+    assert mechanism.MechanismInvariantError is MechanismInvariantError
+
+
+def test_extract_canonical_on_unsolved_infeasible_network_raises_typed_error():
+    # two unit-demand agents both limited to object 0; object 1 has no taker
+    flow = ExchangeFlow([1, 1], [0, 0], [0b01, 0b01], [0, 0], n_objects=2)
+    with pytest.raises(MechanismInvariantError):
+        flow.extract_canonical([0, 1])
+
+
+def test_package_has_no_assert_or_assertion_error():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    offenders.append(f"{path.name}:{node.lineno} raise AssertionError")
+    assert offenders == []
