@@ -190,15 +190,20 @@ def efficient_ir_set(
 def trichotomous_reports(
     instance: Instance, agent: str, domain: DomainSpec | None = None
 ) -> list[TrichotomousPreference]:
-    """All (A, B) reports available to one agent, optionally domain-filtered."""
+    """All (A, B) reports available to one agent, optionally domain-filtered.
+
+    B is the endowment outside A plus some bearable extra; a non-empty extra
+    puts a non-endowed object in class 2, so a domain with nu(2) != 1 only
+    sees reports with no extra."""
     objects = instance.object_ids
     endow = instance.endowment[agent]
     others = [o for o in objects if o not in endow]
+    extras = domain is None or domain.nu_at(2) == 1
     out = []
     for a_mask in range(1 << len(objects)):
         attractive = frozenset(o for k, o in enumerate(objects) if a_mask >> k & 1)
         floor = endow - attractive
-        pool = [o for o in others if o not in attractive]
+        pool = [o for o in others if o not in attractive] if extras else []
         for x_mask in range(1 << len(pool)):
             extra = frozenset(o for k, o in enumerate(pool) if x_mask >> k & 1)
             pref = TrichotomousPreference(agent, attractive, floor | extra)
@@ -214,13 +219,7 @@ def strongly_trichotomous_reports(
     instance: Instance, agent: str
 ) -> list[TrichotomousPreference]:
     """Reports with no non-endowed object in the bearable set (B = endowment \\ A)."""
-    objects = instance.object_ids
-    endow = instance.endowment[agent]
-    out = []
-    for a_mask in range(1 << len(objects)):
-        attractive = frozenset(o for k, o in enumerate(objects) if a_mask >> k & 1)
-        out.append(TrichotomousPreference(agent, attractive, endow - attractive))
-    return out
+    return trichotomous_reports(instance, agent, DomainSpec.strongly_trichotomous())
 
 
 class _OutcomeCache:

@@ -219,8 +219,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     grid = []
     for part in args.sizes.split(","):
-        n, e = part.split(":")
-        grid.append((int(n), int(e)))
+        try:
+            n, e = (int(x) for x in part.split(":"))
+        except ValueError:
+            n = e = 0
+        if n < 1 or e < 1:
+            raise ValidationError(
+                f"--sizes entry {part!r} is not AGENTS:OBJECTS_PER_AGENT (positive integers)"
+            )
+        grid.append((n, e))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["seed", "agents", "objects", "rounds", "flow_queries", "seconds"])

@@ -6,11 +6,15 @@ tier absorbing the remainder) -> object nodes (capacity 1) -> sink (each object
 assigned exactly once).  Lower bounds are removed by the standard circulation
 transformation with a super source/sink and a sink->source return edge.
 
+A network gets its first feasible circulation in one of two ways: from a
+matching known to satisfy the constraints (the mechanism's incumbent), or by
+augmenting along residual paths from the super source to the super sink.
 Beyond feasibility the network supports the operations the mechanism needs:
 maximize the attractive-tier flow of one agent (augmenting cycles through its
 tier edge), freeze that edge, test single-unit improvability without mutating
 the flow, and extract the lexicographically least witness matching by pinning
-objects one at a time via residual reachability.
+objects one at a time, rerouting the circulation when a pin needs it.  Every
+one of them searches the residual graph with the same shortest-path BFS.
 
 Everything is integral; no floating point.
 """
@@ -37,15 +41,13 @@ class ExchangeFlow:
         allowed: list[int],
         lo: list[int],
         hi: list[int] | None = None,
-        n_objects: int | None = None,
+        *,
+        n_objects: int,
     ) -> None:
         n = len(sizes)
+        m = n_objects
         allowed_a = [s & a for s, a in zip(allowed, attractive)]
         allowed_b = [s & ~a for s, a in zip(allowed, attractive)]
-        masks = 0
-        for s in allowed:
-            masks |= s
-        m = masks.bit_length() if n_objects is None else n_objects
         self.n = n
         self.m = m
         self.sizes = sizes
@@ -85,24 +87,20 @@ class ExchangeFlow:
                 self._add(self.agent0 + i, self.tier_a0 + i, lo[i], cap_a)
             )
             self._add(self.agent0 + i, self.tier_b0 + i, 0, sizes[i])
-            rem_a = allowed_a[i]
-            while rem_a:
-                bit = rem_a & -rem_a
-                j = bit.bit_length() - 1
-                eid = self._add(self.tier_a0 + i, self.obj0 + j, 0, 1)
-                self.obj_edge[(self.tier_a0 + i, j)] = eid
-                rem_a ^= bit
-            rem_b = allowed_b[i]
-            while rem_b:
-                bit = rem_b & -rem_b
-                j = bit.bit_length() - 1
-                eid = self._add(self.tier_b0 + i, self.obj0 + j, 0, 1)
-                self.obj_edge[(self.tier_b0 + i, j)] = eid
-                rem_b ^= bit
+            for tier, rem in (
+                (self.tier_a0 + i, allowed_a[i]),
+                (self.tier_b0 + i, allowed_b[i]),
+            ):
+                while rem:
+                    bit = rem & -rem
+                    j = bit.bit_length() - 1
+                    self.obj_edge[(tier, j)] = self._add(tier, self.obj0 + j, 0, 1)
+                    rem ^= bit
         for j in range(m):
             self._add(self.obj0 + j, self.snk, 1, 1)
-        self._add(self.snk, self.src, 0, INF)
+        self._return_edge = self._add(self.snk, self.src, 0, INF)
 
+        # every edge after the return edge leaves SS or enters TT
         self._need = 0
         for x in range(self.nn):
             e = self._excess[x]
@@ -132,62 +130,66 @@ class ExchangeFlow:
         self._excess[u] -= low
         return eid
 
-    # -- Dinic -------------------------------------------------------------
+    def _push(self, edges: list[int], amount: int = 1) -> None:
+        cap = self.cap
+        for e in edges:
+            cap[e] -= amount
+            cap[e ^ 1] += amount
 
-    def _dinic(self, s: int, t: int) -> int:
-        to, cap, adj, frozen = self.to, self.cap, self.adj, self.frozen
-        total = 0
-        while True:
-            level = [-1] * self.nn
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for eid in adj[u]:
-                    if cap[eid] > 0 and not frozen[eid >> 1] and level[to[eid]] < 0:
-                        level[to[eid]] = level[u] + 1
-                        queue.append(to[eid])
-            if level[t] < 0:
-                return total
-            it = [0] * self.nn
-            while True:
-                # one augmenting path in the level graph, current-arc DFS
-                stack = [s]
-                path: list[int] = []
-                while stack:
-                    u = stack[-1]
-                    if u == t:
-                        break
-                    advanced = False
-                    while it[u] < len(adj[u]):
-                        eid = adj[u][it[u]]
-                        v = to[eid]
-                        if cap[eid] > 0 and not frozen[eid >> 1] and level[v] == level[u] + 1:
-                            stack.append(v)
-                            path.append(eid)
-                            advanced = True
-                            break
-                        it[u] += 1
-                    if not advanced:
-                        level[u] = -1
-                        stack.pop()
-                        if path:
-                            path.pop()
-                if not stack:
-                    break
-                pushed = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= pushed
-                    cap[e ^ 1] += pushed
-                total += pushed
+    # -- the first feasible circulation -------------------------------------
 
-    def solve_feasible(self) -> bool:
-        """Establish a feasible circulation honoring all lower bounds."""
+    def start_from(self, bundles: list[int]) -> bool:
+        """Make the balanced matching `bundles` (one object mask per agent) the
+        circulation of this new network; False, leaving the network unusable,
+        when the matching leaves an allowed set or breaks a tier bound."""
         if self._structurally_infeasible:
             return False
-        flow = self._dinic(self.ss, self.tt)
-        return flow == self._need
+        taken = 0
+        for i, bundle in enumerate(bundles):
+            eid = self.tier_edge_a[i]
+            count_a = bin(bundle & self.allowed_a[i]).count("1")
+            if (
+                bundle & taken
+                or bundle & ~(self.allowed_a[i] | self.allowed_b[i])
+                or bin(bundle).count("1") != self.sizes[i]
+                or not self.low[eid] <= count_a <= self.low[eid] + self.cap0[eid]
+            ):
+                return False
+            taken |= bundle
+            self._push([eid], count_a - self.low[eid])
+            # the bearable-tier edge is added right after the attractive one
+            self._push([eid + 2], self.sizes[i] - count_a)
+            for tier, rem in (
+                (self.tier_a0 + i, bundle & self.allowed_a[i]),
+                (self.tier_b0 + i, bundle & self.allowed_b[i]),
+            ):
+                while rem:
+                    bit = rem & -rem
+                    self._push([self.obj_edge[(tier, bit.bit_length() - 1)]])
+                    rem ^= bit
+        if taken != (1 << self.m) - 1:
+            return False
+        self._push([self._return_edge], self.m)
+        for eid in range(self._return_edge + 2, len(self.to), 2):
+            self._push([eid], self.cap0[eid])
+        return True
 
-    # -- residual utilities --------------------------------------------------
+    def solve_feasible(self) -> bool:
+        """Establish a feasible circulation honoring all lower bounds by
+        augmenting along shortest paths from the super source to the super sink."""
+        if self._structurally_infeasible:
+            return False
+        flow = 0
+        while flow < self._need:
+            path = self._find_path(self.ss, self.tt)
+            if path is None:
+                return False
+            pushed = min(self.cap[e] for e in path)
+            self._push(path, pushed)
+            flow += pushed
+        return True
+
+    # -- residual search -----------------------------------------------------
 
     def _find_path(self, s: int, t: int, skip_pair: int = -1) -> list[int] | None:
         """Shortest residual path s -> t as a list of edge ids, or None."""
@@ -215,21 +217,6 @@ class ExchangeFlow:
                     queue.append(v)
         return None
 
-    def _reach_to(self, target: int) -> bytearray:
-        """Nodes that can reach `target` along residual edges (reverse BFS)."""
-        to, cap, adj, frozen = self.to, self.cap, self.adj, self.frozen
-        seen = bytearray(self.nn)
-        seen[target] = 1
-        queue = [target]
-        for x in queue:
-            for eid in adj[x]:
-                y = to[eid]
-                # residual edge y -> x exists iff the paired reverse has capacity
-                if not seen[y] and cap[eid ^ 1] > 0 and not frozen[eid >> 1]:
-                    seen[y] = 1
-                    queue.append(y)
-        return seen
-
     # -- mechanism-facing operations ----------------------------------------
 
     def tier_count(self, i: int) -> int:
@@ -246,11 +233,8 @@ class ExchangeFlow:
             path = self._find_path(t_node, a_node, skip_pair=eid >> 1)
             if path is None:
                 break
-            for e in path:
-                self.cap[e] -= 1
-                self.cap[e ^ 1] += 1
-            self.cap[eid] -= 1
-            self.cap[eid ^ 1] += 1
+            path.append(eid)
+            self._push(path)
         return self.tier_count(i)
 
     def freeze(self, i: int) -> None:
@@ -269,23 +253,14 @@ class ExchangeFlow:
             is not None
         )
 
-    def assignment(self) -> list[int]:
-        """Owner agent index per object, read off the tier -> object flows."""
-        owner = [-1] * self.m
-        for (tier, j), eid in self.obj_edge.items():
-            if self.cap0[eid] - self.cap[eid] == 1:
-                if tier >= self.tier_b0:
-                    owner[j] = tier - self.tier_b0
-                else:
-                    owner[j] = tier - self.tier_a0
-        return owner
-
     def extract_canonical(self, order: list[int]) -> list[int]:
         """Pin the lexicographically least witness matching; returns bundle masks.
 
         Agents are processed in `order`; for each, objects in index order are
         pinned whenever the current circulation can be rerouted to place the
-        object in that agent's (unique) tier for it.
+        object in that agent's (unique) tier for it.  The object's only residual
+        exit leads back to the tier holding it, so a residual path from that
+        tier to the agent's tier exists iff such a rerouting does.
         """
         cur_edge: dict[int, int] = {}
         for (tier, j), eid in self.obj_edge.items():
@@ -298,49 +273,35 @@ class ExchangeFlow:
         for i in order:
             need = self.sizes[i]
             got = 0
-            candidates = self.allowed_a[i] | self.allowed_b[i]
-            reach_a = self._reach_to(self.tier_a0 + i)
-            reach_b = self._reach_to(self.tier_b0 + i)
-            rem = candidates
+            rem = self.allowed_a[i] | self.allowed_b[i]
             while rem and got < need:
                 bit = rem & -rem
                 rem ^= bit
                 j = bit.bit_length() - 1
                 if pinned[j]:
                     continue
-                if bit & self.allowed_a[i]:
-                    t_node, reach = self.tier_a0 + i, reach_a
-                else:
-                    t_node, reach = self.tier_b0 + i, reach_b
+                t_node = self.tier_a0 + i if bit & self.allowed_a[i] else self.tier_b0 + i
                 cur = cur_edge[j]
                 src_tier = self.to[cur ^ 1]
                 if src_tier == t_node:
-                    self.frozen[cur >> 1] = 1
-                elif reach[src_tier]:
+                    target = cur
+                else:
                     path = self._find_path(src_tier, t_node)
                     if path is None:
                         continue
+                    self._push(path)
                     for e in path:
-                        self.cap[e] -= 1
-                        self.cap[e ^ 1] += 1
                         # rebalancing may hand other objects to new tiers
                         if e % 2 == 0 and self.obj0 <= self.to[e] < self.obj0 + self.m:
                             cur_edge[self.to[e] - self.obj0] = e
                     # take the object away from its old tier, give it to t_node
-                    self.cap[cur ^ 1] -= 1
-                    self.cap[cur] += 1
                     target = self.obj_edge[(t_node, j)]
-                    self.cap[target] -= 1
-                    self.cap[target ^ 1] += 1
-                    self.frozen[target >> 1] = 1
+                    self._push([cur ^ 1, target])
                     cur_edge[j] = target
-                else:
-                    continue
+                self.frozen[target >> 1] = 1
                 pinned[j] = 1
                 bundles[i] |= bit
                 got += 1
-                reach_a = self._reach_to(self.tier_a0 + i)
-                reach_b = self._reach_to(self.tier_b0 + i)
             if got != need:
                 raise MechanismInvariantError("canonical extraction lost feasibility")
         return bundles

@@ -67,27 +67,27 @@ def _query_masks(
     bearable: Mapping[str, frozenset[str]],
     mu: Matching,
 ) -> tuple[list[int], list[int], list[int]]:
-    """Attractive masks, allowed (A ∪ B) masks and the attractive counts under `mu`."""
+    """Attractive masks, allowed (A ∪ B) masks and the bundle masks of `mu`."""
     a_masks = [instance.mask(attractive[a]) for a in instance.agents]
     allowed = [instance.mask(attractive[a] | bearable[a]) for a in instance.agents]
     mu_masks = [instance.mask(mu.assignment[a]) for a in instance.agents]
-    return a_masks, allowed, _welfare(mu_masks, a_masks)
+    return a_masks, allowed, mu_masks
 
 
 def _feasible_flow(
     sizes: list[int],
     a_masks: list[int],
     allowed: list[int],
-    baseline: list[int],
+    incumbent: list[int],
     m: int,
     purpose: str,
 ) -> ExchangeFlow:
-    """The network of CIR matchings giving every agent at least `baseline`
-    attractive objects; the incumbent matching makes it feasible."""
-    flow = ExchangeFlow(sizes, a_masks, allowed, list(baseline), None, n_objects=m)
-    if not flow.solve_feasible():
+    """The network of CIR matchings giving every agent at least as many
+    attractive objects as the `incumbent` matching, started from it."""
+    flow = ExchangeFlow(sizes, a_masks, allowed, _welfare(incumbent, a_masks), n_objects=m)
+    if not flow.start_from(incumbent):
         raise MechanismInvariantError(
-            f"{purpose} constraint set is empty although the base matching satisfies it"
+            f"the incumbent matching does not satisfy the {purpose} constraint set"
         )
     return flow
 
@@ -96,11 +96,11 @@ def _refine_masks(
     sizes: list[int],
     a_masks: list[int],
     allowed: list[int],
-    baseline: list[int],
+    incumbent: list[int],
     m: int,
 ) -> tuple[list[int], ExchangeFlow]:
     """Serial dictatorship core: promises K^1..K^n over the constrained flow."""
-    flow = _feasible_flow(sizes, a_masks, allowed, baseline, m, "refinement")
+    flow = _feasible_flow(sizes, a_masks, allowed, incumbent, m, "refinement")
     promises = []
     for i in range(len(sizes)):
         promises.append(flow.maximize(i))
@@ -112,11 +112,11 @@ def _improvable_masks(
     sizes: list[int],
     a_masks: list[int],
     allowed: list[int],
-    baseline: list[int],
+    incumbent: list[int],
     m: int,
 ) -> tuple[set[int], int]:
     """Indices of agents whose attractive count can still rise; plus query count."""
-    flow = _feasible_flow(sizes, a_masks, allowed, baseline, m, "improvability")
+    flow = _feasible_flow(sizes, a_masks, allowed, incumbent, m, "improvability")
     out = {i for i in range(len(sizes)) if flow.can_improve(i)}
     return out, flow.queries
 
@@ -138,9 +138,9 @@ def serial_refine(
     }
     if not cir_trichotomous(instance, mu, prefs):
         raise ValueError("base matching must be CIR at the given (A, B) profile")
-    a_masks, allowed, baseline = _query_masks(instance, attractive, bearable, mu)
+    a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable, mu)
     promises, flow = _refine_masks(
-        list(instance.sizes), a_masks, allowed, baseline, len(instance.object_ids)
+        list(instance.sizes), a_masks, allowed, mu_masks, len(instance.object_ids)
     )
     bundles = flow.extract_canonical(list(range(len(instance.agents))))
     matching = Matching(
@@ -157,9 +157,9 @@ def non_improvable_set(
 ) -> frozenset[str]:
     """Agents whose attractive count cannot rise in any CIR matching weakly
     improving `mu` under the given (maximal) bearable sets."""
-    a_masks, allowed, baseline = _query_masks(instance, attractive, bearable_outer, mu)
+    a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable_outer, mu)
     improvable, _ = _improvable_masks(
-        list(instance.sizes), a_masks, allowed, baseline, len(instance.object_ids)
+        list(instance.sizes), a_masks, allowed, mu_masks, len(instance.object_ids)
     )
     return frozenset(
         a for i, a in enumerate(instance.agents) if i not in improvable
@@ -203,8 +203,7 @@ def run_ir_priority(
 
     for t in range(1, n + 1):
         allowed = [a_masks[i] | b for i, b in enumerate(bearable_vec(elicited, False))]
-        baseline = _welfare(mu_masks, a_masks)
-        promises, flow = _refine_masks(sizes, a_masks, allowed, baseline, m)
+        promises, flow = _refine_masks(sizes, a_masks, allowed, mu_masks, m)
         queries += flow.queries
         mu_masks = flow.extract_canonical(list(range(n)))
         mu = Matching({a: instance.unmask(mu_masks[i]) for i, a in enumerate(instance.agents)})
@@ -212,7 +211,7 @@ def run_ir_priority(
         allowed_bar = [
             a_masks[i] | b for i, b in enumerate(bearable_vec(elicited, True))
         ]
-        improvable, q = _improvable_masks(sizes, a_masks, allowed_bar, promises, m)
+        improvable, q = _improvable_masks(sizes, a_masks, allowed_bar, mu_masks, m)
         queries += q
         non_improvable = all_agents - improvable
         if not elicited <= non_improvable:
@@ -245,8 +244,7 @@ def run_ir_priority(
 
     # final pass with every true bearable set revealed
     allowed = [a_masks[i] | b_true[i] for i in range(n)]
-    baseline = _welfare(mu_masks, a_masks)
-    promises, flow = _refine_masks(sizes, a_masks, allowed, baseline, m)
+    promises, flow = _refine_masks(sizes, a_masks, allowed, mu_masks, m)
     queries += flow.queries
     final_masks = flow.extract_canonical(list(range(n)))
     final = Matching(

@@ -261,8 +261,7 @@ def test_criterion_06_strongly_trichotomous_strategy_proofness():
         for code in range(span):
             amasks = [(code >> (m * i)) & full for i in range(n)]
             allowed = [amasks[i] | endow[i] for i in range(n)]
-            baseline = [(endow[i] & amasks[i]).bit_count() for i in range(n)]
-            _, flow = _refine_masks(size_list, amasks, allowed, baseline, m)
+            _, flow = _refine_masks(size_list, amasks, allowed, endow, m)
             outcomes[code] = tuple(flow.extract_canonical(list(range(n))))
             if code % 512 == 0:
                 prefs = {

@@ -97,6 +97,30 @@ def test_report_enumeration_counts():
     assert all(not (p.bearable - inst.endowment["a2"]) for p in filtered)
 
 
+def test_domain_without_bearable_extras_builds_only_its_reports(monkeypatch):
+    from balex import audits
+
+    inst = make_instance([2, 2, 2])  # |O| = 6
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return TrichotomousPreference(*args)
+
+    monkeypatch.setattr(audits, "TrichotomousPreference", counting)
+    strong = DomainSpec.strongly_trichotomous()
+    reports = trichotomous_reports(inst, "a1", strong)
+    # 2^6 attractive sets; the unfiltered space is 2^2 * 3^4 = 324 reports
+    assert len(built) == len(reports) == 64
+    objects, endow = inst.object_ids, inst.endowment["a1"]
+    expected = []
+    for a_mask in range(1 << len(objects)):
+        attractive = frozenset(o for k, o in enumerate(objects) if a_mask >> k & 1)
+        expected.append(TrichotomousPreference("a1", attractive, endow - attractive))
+    assert reports == expected
+    assert strongly_trichotomous_reports(inst, "a1") == expected
+
+
 def test_strategy_proofness_witness_on_thm4_family():
     fx = load_fixture("thm4-p2")
     w = check_strategy_proofness(fx.instance, fx.prefs)

@@ -113,6 +113,13 @@ def test_bench_rows_match_grid(capsys):
     assert out[1].split(",")[1] == "3" and out[2].split(",")[1] == "5"
 
 
+@pytest.mark.parametrize("sizes", ["3:x", "3", "3:0", "0:2"])
+def test_bench_bad_sizes_entry_is_invalid_input(sizes, capsys):
+    assert main(["bench", "--sizes", f"5:2,{sizes}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(sizes) in err
+
+
 def test_enumeration_bound_maps_to_invalid_input(tmp_path, capsys):
     market = tmp_path / "big.json"
     assert main(["generate", "--agents", "8", "--max-endowment", "3",

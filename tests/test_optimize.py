@@ -227,3 +227,95 @@ def test_canonical_tie_break_is_lexicographic_minimum():
 def test_network_dump_mentions_all_layers():
     text = network_dump(THM4, round0())
     assert "tierA0" in text and "obj0" in text and "-> T" in text
+
+
+def _milp_optimum(inst, c: WelfareConstraints, target: str) -> int | None:
+    """Largest attractive count of `target` over the constraint set by an
+    integer program (one 0/1 variable per allowed agent-object pair), or None
+    when the set is empty."""
+    np = pytest.importorskip("numpy")
+    opt = pytest.importorskip("scipy.optimize")
+    agents, objects = inst.agents, inst.object_ids
+    pairs = [(i, o) for i, a in enumerate(agents) for o in objects if o in c.allowed.get(a, fs())]
+    rows, lower, upper = [], [], []
+
+    def row(members, lo, hi):
+        rows.append([1.0 if members(i, o) else 0.0 for i, o in pairs])
+        lower.append(lo)
+        upper.append(hi)
+
+    for obj in objects:
+        row(lambda i, o: o == obj, 1, 1)
+    for k, a in enumerate(agents):
+        size = inst.sizes[k]
+        row(lambda i, o: i == k, size, size)
+        attractive = c.attractive.get(a, fs())
+        if a in c.exact_attractive:
+            lo = hi = c.exact_attractive[a]
+        else:
+            lo, hi = c.min_attractive.get(a, 0), size
+        row(lambda i, o: i == k and o in attractive, lo, hi)
+    t = agents.index(target)
+    goal = [-1.0 if i == t and o in c.attractive.get(target, fs()) else 0.0 for i, o in pairs]
+    res = opt.milp(
+        np.array(goal),
+        constraints=opt.LinearConstraint(np.array(rows), lower, upper),
+        integrality=np.ones(len(pairs)),
+        bounds=opt.Bounds(0, 1),
+    )
+    assert res.status in (0, 2), res.message  # optimal or infeasible
+    return None if res.status == 2 else round(-res.fun)
+
+
+def _large_query(rng: random.Random, n_agents: int):
+    """A seeded query on a market of n_agents with 1-4 objects each.  Every
+    agent may keep its endowment at no attractive loss, except that up to two
+    agents lose their endowment or get a lower bound one above it (at most
+    the endowment size), so the
+    system may be infeasible."""
+    inst = make_instance([rng.randint(1, 4) for _ in range(n_agents)])
+    objs = list(inst.object_ids)
+    allowed, attractive, low, exact = {}, {}, {}, {}
+    for a in inst.agents:
+        allowed[a] = inst.endowment[a] | frozenset(rng.sample(objs, rng.randint(0, 10)))
+        attractive[a] = frozenset(o for o in allowed[a] if rng.random() < 0.4)
+        attractive[a] |= frozenset(rng.sample(objs, 2))
+        own = len(inst.endowment[a] & attractive[a])
+        if rng.random() < 0.1:
+            exact[a] = own
+        else:
+            low[a] = rng.randint(0, own)
+    for a in rng.sample(inst.agents, rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            allowed[a] -= inst.endowment[a]
+        else:
+            size = len(inst.endowment[a])
+            low[a] = min(exact.pop(a, low.get(a, 0)) + 1, size)
+    c = WelfareConstraints(allowed, attractive, low, exact)
+    return inst, c, rng.choice(inst.agents)
+
+
+def test_flow_agrees_with_integer_program_up_to_200_objects():
+    rng = random.Random(2025)
+    outcomes = set()
+    largest = 0
+    for n_agents in (6, 12, 25, 50, 80) * 6:
+        inst, c, target = _large_query(rng, n_agents)
+        largest = max(largest, len(inst.object_ids))
+        best = _milp_optimum(inst, c, target)
+        witness = feasible(inst, c)
+        assert (witness is None) == (best is None)
+        outcomes.add(best is None)
+        if best is None:
+            continue
+        count, mu = max_attractive(inst, c, target)
+        assert count == best
+        assert len(mu.assignment[target] & c.attractive[target]) == count
+        for m in (witness, mu):
+            for a in inst.agents:
+                got = len(m.assignment[a] & c.attractive[a])
+                assert m.assignment[a] <= c.allowed[a]
+                assert got >= c.min_attractive.get(a, 0)
+                assert c.exact_attractive.get(a, got) == got
+    assert outcomes == {True, False}
+    assert largest >= 180
