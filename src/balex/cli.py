@@ -82,6 +82,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     margs = audits.marginal_profile(instance, raw_prefs)
     for p in margs.values():
         p.validate_universe(instance.objects)
+    if (args.sp or args.truncation) and len(instance.objects) > args.bound:
+        # both audits enumerate reports over every object, about 2^m per agent
+        raise EnumerationLimitError(
+            f"instance has {len(instance.objects)} objects, enumeration bound is {args.bound}"
+        )
 
     trichotomous = True
     try:

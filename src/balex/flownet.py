@@ -16,6 +16,11 @@ the flow, and extract the lexicographically least witness matching by pinning
 objects one at a time, rerouting the circulation when a pin needs it.  Every
 one of them searches the residual graph with the same shortest-path BFS.
 
+Most candidate objects in an extraction cannot be pinned.  A failed search
+marks every node it reached as unable to reach the target tier, and later
+candidates held by a marked tier are refused without a search: pins only
+remove residual arcs, so the marks stay true until a reroute pushes flow.
+
 Everything is integral; no floating point.
 """
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 from .model import MechanismInvariantError
 
 INF = 1 << 30
+_DEAD = -3  # `_find_path` mark: no residual path to the target
 
 
 class ExchangeFlow:
@@ -191,10 +197,19 @@ class ExchangeFlow:
 
     # -- residual search -----------------------------------------------------
 
-    def _find_path(self, s: int, t: int, skip_pair: int = -1) -> list[int] | None:
-        """Shortest residual path s -> t as a list of edge ids, or None."""
+    def _find_path(
+        self, s: int, t: int, skip_pair: int = -1, dead: list[int] | None = None
+    ) -> list[int] | None:
+        """Shortest residual path s -> t as a list of edge ids, or None.
+
+        `dead`, when given, holds one entry per node: `_DEAD` for a node known
+        to have no residual path to t, -1 otherwise.  The search never enters
+        a dead node, and when it finds no path it marks every node it reached
+        dead.  No dead node has a residual arc to a node that reaches t, so
+        skipping them leaves the path found unchanged.
+        """
         to, cap, adj, frozen = self.to, self.cap, self.adj, self.frozen
-        parent = [-1] * self.nn
+        parent = [-1] * self.nn if dead is None else dead.copy()
         parent[s] = -2
         queue = [s]
         for u in queue:
@@ -215,6 +230,9 @@ class ExchangeFlow:
                         path.reverse()
                         return path
                     queue.append(v)
+        if dead is not None:
+            for u in queue:
+                dead[u] = _DEAD
         return None
 
     # -- mechanism-facing operations ----------------------------------------
@@ -261,6 +279,12 @@ class ExchangeFlow:
         object in that agent's (unique) tier for it.  The object's only residual
         exit leads back to the tier holding it, so a residual path from that
         tier to the agent's tier exists iff such a rerouting does.
+
+        Per agent and target tier, the nodes a failed search reached are marked
+        dead: none of them reaches the target, and while the agent only pins
+        (freezing edges removes residual arcs) none can start to, so a later
+        candidate held by a dead tier is refused without searching.  A reroute
+        pushes flow along a cycle and so can add arcs; it drops every mark.
         """
         cur_edge: dict[int, int] = {}
         for (tier, j), eid in self.obj_edge.items():
@@ -271,6 +295,7 @@ class ExchangeFlow:
         pinned = bytearray(self.m)
         bundles = [0] * self.n
         for i in order:
+            dead: dict[int, list[int]] = {}  # target tier -> `_find_path` marks
             need = self.sizes[i]
             got = 0
             rem = self.allowed_a[i] | self.allowed_b[i]
@@ -286,10 +311,16 @@ class ExchangeFlow:
                 if src_tier == t_node:
                     target = cur
                 else:
-                    path = self._find_path(src_tier, t_node)
+                    marks = dead.get(t_node)
+                    if marks is None:
+                        marks = dead[t_node] = [-1] * self.nn
+                    elif marks[src_tier] == _DEAD:
+                        continue
+                    path = self._find_path(src_tier, t_node, dead=marks)
                     if path is None:
                         continue
                     self._push(path)
+                    dead.clear()  # the reroute may open new residual arcs
                     for e in path:
                         # rebalancing may hand other objects to new tiers
                         if e % 2 == 0 and self.obj0 <= self.to[e] < self.obj0 + self.m:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Instance, TrichotomousPreference, validate_instance
+from .model import Instance, TrichotomousPreference, ValidationError, validate_instance
 
 
 def random_market(
@@ -24,13 +24,16 @@ def random_market(
     owner, non-endowed objects are attractive, bearable or unacceptable per the
     given probabilities (never bearable when strongly_trichotomous is set).
     """
+    for name, value in (("max_endowment", max_endowment), ("exact_endowment", exact_endowment)):
+        if value is not None and value < 1:
+            raise ValidationError(f"{name} must be positive, got {value}")
     rng = random.Random(seed)
     agents = [f"a{i + 1}" for i in range(n_agents)]
     endowments: dict[str, list[str]] = {}
     objects: list[str] = []
     counter = 1
     for a in agents:
-        size = exact_endowment if exact_endowment else rng.randint(1, max_endowment)
+        size = exact_endowment if exact_endowment is not None else rng.randint(1, max_endowment)
         own = [f"o{counter + k}" for k in range(size)]
         counter += size
         endowments[a] = own

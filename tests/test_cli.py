@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import balex
 from balex.cli import main
+from balex.generate import random_market
 from balex.model import market_to_json, matching_to_json
 from balex.fixtures import load_fixture
 
@@ -128,6 +134,38 @@ def test_enumeration_bound_maps_to_invalid_input(tmp_path, capsys):
                  "--bound", "6"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_generate_non_positive_max_endowment_is_invalid_input(bound, capsys):
+    assert main(["generate", "--agents", "2", "--max-endowment", bound, "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: max_endowment must be positive")
+
+
+@pytest.mark.parametrize("audit", ["--sp", "--truncation"])
+def test_report_audits_refuse_markets_over_the_bound(audit, tmp_path, capsys):
+    market = tmp_path / "nu1.json"
+    assert main(["fixture", "thm1-nu1", "--output", str(market)]) == 0
+    assert main(["audit", "--input", str(market), "--mechanism", audit]) == 1
+    assert "12 objects, enumeration bound is 10" in capsys.readouterr().err
+
+
+def test_traced_run_is_byte_identical_across_hash_seeds(tmp_path):
+    market = tmp_path / "m100.json"
+    market.write_text(json.dumps(market_to_json(*random_market(0, 100, 4, exact_endowment=4))))
+    src = str(Path(balex.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "balex", "run", "--input", str(market),
+             "--trace", "--format", "json"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert len(json.loads(outputs[0])["matching"]) == 100
+    assert outputs[0] == outputs[1]
 
 
 def test_internal_invariant_exit_code(thm4_file, monkeypatch):

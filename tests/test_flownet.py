@@ -1,12 +1,16 @@
-"""Flow network: starting from a known matching versus path augmentation."""
+"""Flow network: starting from a known matching versus path augmentation, and
+canonical extraction against a brute-force greedy over enumerated matchings."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balex.fixtures import load_fixture
 from balex.flownet import ExchangeFlow
+from balex.generate import random_market
 from balex.mechanism import run_ir_priority
 
 
@@ -15,9 +19,13 @@ def _popcount(x: int) -> int:
 
 
 @st.composite
-def systems_with_a_matching(draw):
+def systems_with_a_matching(draw, max_objects: int = 12):
     """A constraint system, a balanced matching satisfying it and a priority order."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    sizes = draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+            lambda s: sum(s) <= max_objects
+        )
+    )
     m = sum(sizes)
     full = (1 << m) - 1
     objects = draw(st.permutations(range(m)))
@@ -51,6 +59,87 @@ def test_start_from_matching_agrees_with_path_augmentation(case):
     assert started.start_from(bundles)
     assert solved.solve_feasible()
     assert _dictatorship(started, order) == _dictatorship(solved, order)
+
+
+def _balanced_matchings(sizes: list[int], allowed: list[int], m: int):
+    """Every partition of the m objects into one bundle mask per agent, each
+    bundle of the agent's size and inside its allowed set."""
+
+    def rec(i: int, free: int):
+        if i == len(sizes):
+            yield ()
+            return
+        objects = [j for j in range(m) if (free & allowed[i]) >> j & 1]
+        for chosen in combinations(objects, sizes[i]):
+            bundle = sum(1 << j for j in chosen)
+            for rest in rec(i + 1, free & ~bundle):
+                yield (bundle, *rest)
+
+    yield from rec(0, (1 << m) - 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(systems_with_a_matching(max_objects=8), st.integers(0, 4))
+def test_extraction_agrees_with_greedy_over_enumerated_matchings(case, dictators):
+    """The dictatorship pass freezes the first `dictators` agents of the order
+    (all of them, as in the mechanism, when it is at least the agent count)."""
+    (sizes, attractive, allowed, lo, hi, m), bundles, order = case
+    flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
+    assert flow.start_from(bundles)
+    frozen = {}
+    for i in order[:dictators]:
+        frozen[i] = flow.maximize(i)
+        flow.freeze(i)
+    extracted = flow.extract_canonical(order)
+
+    def fits(i: int, bundle: int) -> bool:
+        count = _popcount(bundle & attractive[i] & allowed[i])
+        if i in frozen:
+            return count == frozen[i]
+        cap = min(sizes[i], _popcount(attractive[i] & allowed[i]))
+        return lo[i] <= count <= (cap if hi is None else min(cap, hi[i]))
+
+    witnesses = [
+        mu
+        for mu in _balanced_matchings(sizes, allowed, m)
+        if all(fits(i, bundle) for i, bundle in enumerate(mu))
+    ]
+    greedy = [0] * len(sizes)
+    for i in order:
+        for j in range(m):
+            kept = [mu for mu in witnesses if mu[i] >> j & 1]
+            if kept:
+                witnesses = kept
+                greedy[i] |= 1 << j
+    assert extracted == greedy
+
+
+def test_extraction_skips_candidates_a_failed_search_reached(monkeypatch):
+    instance, prefs = random_market(
+        0, 24, 4, p_attractive_other=0.025, p_bearable_other=0.5, exact_endowment=4
+    )
+    searches, inside = [], []
+    find_path, extract = ExchangeFlow._find_path, ExchangeFlow.extract_canonical
+
+    def counting_find_path(self, *args, **kwargs):
+        path = find_path(self, *args, **kwargs)
+        if inside:
+            searches.append(path is not None)
+        return path
+
+    def counting_extract(self, order):
+        inside.append(1)
+        try:
+            return extract(self, order)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ExchangeFlow, "_find_path", counting_find_path)
+    monkeypatch.setattr(ExchangeFlow, "extract_canonical", counting_extract)
+    run_ir_priority(instance, prefs)
+    # without the marks of failed searches, extraction searches 653 times here
+    assert len(searches) == 235
+    assert sum(searches) == 28
 
 
 def test_start_from_rejects_a_matching_that_breaks_the_constraints():

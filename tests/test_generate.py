@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from balex.generate import random_market
-from balex.model import market_to_json, validate_instance, validate_matching
+from balex.model import ValidationError, market_to_json, validate_instance, validate_matching
 
 
 def test_same_seed_is_byte_identical():
@@ -53,3 +55,9 @@ def test_exact_endowment_sizes():
     instance, _ = random_market(seed=1, n_agents=5, exact_endowment=4)
     assert instance.sizes == (4, 4, 4, 4, 4)
     assert len(instance.objects) == 20
+
+
+def test_non_positive_endowment_sizes_are_invalid():
+    for kwargs in ({"exact_endowment": 0}, {"max_endowment": 0}, {"max_endowment": -1}):
+        with pytest.raises(ValidationError, match="must be positive"):
+            random_market(seed=0, n_agents=3, **kwargs)
