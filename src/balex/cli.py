@@ -13,6 +13,7 @@ import io
 import json
 import sys
 import time
+from typing import Any
 
 from . import audits, fixtures, generate, mechanism, model
 from .model import ValidationError
@@ -25,10 +26,18 @@ EXIT_AUDIT_FAILURE = 2
 EXIT_INVARIANT = 3
 
 
+def _read_json(path: str) -> Any:
+    """The JSON document in file `path`; a file that cannot be read as UTF-8
+    text (a directory, no permission, other bytes) is invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def _load(path: str) -> tuple[model.Instance, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return model.market_from_json(doc)
+    return model.market_from_json(_read_json(path))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -96,8 +105,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         prefs = None
 
     if args.matching:
-        with open(args.matching, "r", encoding="utf-8") as fh:
-            matching = model.matching_from_json(instance, json.load(fh))
+        matching = model.matching_from_json(instance, _read_json(args.matching))
     elif args.mechanism:
         if not trichotomous:
             raise ValidationError("--mechanism needs a trichotomous profile")

@@ -2,9 +2,19 @@
 
 One network per query.  Layout: source -> agent node (exact endowment size) ->
 two tier nodes per agent (attractive tier with lower/upper bounds, bearable
-tier absorbing the remainder) -> object nodes (capacity 1) -> sink (each object
+tier absorbing the remainder) -> objects (capacity 1) -> sink (each object
 assigned exactly once).  Lower bounds are removed by the standard circulation
 transformation with a super source/sink and a sink->source return edge.
+
+Only the source -> agent, agent -> tier, return and super-source/super-sink
+arcs are an explicit edge list.  The arcs at the objects are masks: each tier
+node keeps the mask of objects it may take (`allow`) and the mask of objects
+it holds (`held`), and each object its holder.  An object -> sink arc has
+lower bound = capacity = 1, so after the transformation it never carries
+residual capacity; it survives only as the sink's excess.  An object therefore
+has exactly one residual exit: back to the tier that holds it, or, while no
+tier holds it, to the super sink, which is kept as the holder of the unheld
+objects.  A pinned object has none.
 
 A network gets its first feasible circulation in one of two ways: from a
 matching known to satisfy the constraints (the mechanism's incumbent), or by
@@ -14,7 +24,9 @@ maximize the attractive-tier flow of one agent (augmenting cycles through its
 tier edge), freeze that edge, test single-unit improvability without mutating
 the flow, and extract the lexicographically least witness matching by pinning
 objects one at a time, rerouting the circulation when a pin needs it.  Every
-one of them searches the residual graph with the same shortest-path BFS.
+one of them searches the residual graph with the same shortest-path BFS, which
+takes a tier's object arcs with one big-int operation (the bit-parallel search
+of Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
 
 Most candidate objects in an extraction cannot be pinned.  A failed search
 marks every node it reached as unable to reach the target tier, and later
@@ -29,7 +41,23 @@ from __future__ import annotations
 from .model import MechanismInvariantError
 
 INF = 1 << 30
-_DEAD = -3  # `_find_path` mark: no residual path to the target
+_OBJECTS = -1  # adjacency entry: where a node's object arcs sit among its edges
+
+# A residual path: the explicit edge ids it crosses, and for each object it
+# crosses, (object, node it enters the object from); pushing the path hands
+# the object to that node.
+Path = tuple[list[int], list[tuple[int, int]]]
+
+
+class _Dead:
+    """What failed searches for one target reached: nodes, and objects whose
+    exit leads to one of them.  None of them has a residual path to the target."""
+
+    __slots__ = ("nodes", "objects")
+
+    def __init__(self, nn: int) -> None:
+        self.nodes = bytearray(nn)
+        self.objects = 0
 
 
 class ExchangeFlow:
@@ -64,8 +92,7 @@ class ExchangeFlow:
         self.agent0 = 2
         self.tier_a0 = 2 + n
         self.tier_b0 = 2 + 2 * n
-        self.obj0 = 2 + 3 * n
-        self.ss = 2 + 3 * n + m
+        self.ss = 2 + 3 * n
         self.tt = self.ss + 1
         self.nn = self.tt + 1
 
@@ -77,8 +104,16 @@ class ExchangeFlow:
         self.frozen = bytearray()
         self._excess = [0] * self.nn
 
+        # per node: the objects it has arcs to and the objects it holds; the
+        # super sink has an arc to every object and holds the unheld ones
+        full = (1 << m) - 1
+        self.allow = [0] * self.nn
+        self.held = [0] * self.nn
+        self.allow[self.tt] = self.held[self.tt] = full
+        self.holder = [self.tt] * m
+        self.pinned = 0
+
         self.tier_edge_a: list[int] = []
-        self.obj_edge: dict[tuple[int, int], int] = {}  # (tier node, obj idx) -> edge id
         self._structurally_infeasible = False
 
         if hi is None:
@@ -93,17 +128,13 @@ class ExchangeFlow:
                 self._add(self.agent0 + i, self.tier_a0 + i, lo[i], cap_a)
             )
             self._add(self.agent0 + i, self.tier_b0 + i, 0, sizes[i])
-            for tier, rem in (
+            for tier, mask in (
                 (self.tier_a0 + i, allowed_a[i]),
                 (self.tier_b0 + i, allowed_b[i]),
             ):
-                while rem:
-                    bit = rem & -rem
-                    j = bit.bit_length() - 1
-                    self.obj_edge[(tier, j)] = self._add(tier, self.obj0 + j, 0, 1)
-                    rem ^= bit
-        for j in range(m):
-            self._add(self.obj0 + j, self.snk, 1, 1)
+                self.allow[tier] = mask
+                self.adj[tier].append(_OBJECTS)
+        self._excess[self.snk] += m  # the object -> sink lower bounds
         self._return_edge = self._add(self.snk, self.src, 0, INF)
 
         # every edge after the return edge leaves SS or enters TT
@@ -115,6 +146,9 @@ class ExchangeFlow:
                 self._need += e
             elif e < 0:
                 self._add(x, self.tt, 0, -e)
+        # every object has an excess of -1 and so an arc to TT, after the arcs
+        # of all other nodes
+        self.adj[self.tt].append(_OBJECTS)
         self.queries = 0
 
     # -- construction ------------------------------------------------------
@@ -136,11 +170,23 @@ class ExchangeFlow:
         self._excess[u] -= low
         return eid
 
-    def _push(self, edges: list[int], amount: int = 1) -> None:
-        cap = self.cap
+    def _push_edge(self, e: int, amount: int) -> None:
+        self.cap[e] -= amount
+        self.cap[e ^ 1] += amount
+
+    def _move(self, j: int, node: int) -> None:
+        """Hand object j to `node` (a tier, or the super sink to unassign it)."""
+        bit = 1 << j
+        self.held[self.holder[j]] ^= bit
+        self.held[node] |= bit
+        self.holder[j] = node
+
+    def _push(self, path: Path, amount: int = 1) -> None:
+        edges, moves = path
         for e in edges:
-            cap[e] -= amount
-            cap[e ^ 1] += amount
+            self._push_edge(e, amount)
+        for j, node in moves:
+            self._move(j, node)
 
     # -- the first feasible circulation -------------------------------------
 
@@ -162,22 +208,24 @@ class ExchangeFlow:
             ):
                 return False
             taken |= bundle
-            self._push([eid], count_a - self.low[eid])
+            self._push_edge(eid, count_a - self.low[eid])
             # the bearable-tier edge is added right after the attractive one
-            self._push([eid + 2], self.sizes[i] - count_a)
+            self._push_edge(eid + 2, self.sizes[i] - count_a)
             for tier, rem in (
                 (self.tier_a0 + i, bundle & self.allowed_a[i]),
                 (self.tier_b0 + i, bundle & self.allowed_b[i]),
             ):
+                self.held[tier] = rem
                 while rem:
                     bit = rem & -rem
-                    self._push([self.obj_edge[(tier, bit.bit_length() - 1)]])
+                    self.holder[bit.bit_length() - 1] = tier
                     rem ^= bit
         if taken != (1 << self.m) - 1:
             return False
-        self._push([self._return_edge], self.m)
+        self.held[self.tt] = 0
+        self._push_edge(self._return_edge, self.m)
         for eid in range(self._return_edge + 2, len(self.to), 2):
-            self._push([eid], self.cap0[eid])
+            self._push_edge(eid, self.cap0[eid])
         return True
 
     def solve_feasible(self) -> bool:
@@ -190,7 +238,8 @@ class ExchangeFlow:
             path = self._find_path(self.ss, self.tt)
             if path is None:
                 return False
-            pushed = min(self.cap[e] for e in path)
+            edges, moves = path
+            pushed = 1 if moves else min(self.cap[e] for e in edges)
             self._push(path, pushed)
             flow += pushed
         return True
@@ -198,42 +247,89 @@ class ExchangeFlow:
     # -- residual search -----------------------------------------------------
 
     def _find_path(
-        self, s: int, t: int, skip_pair: int = -1, dead: list[int] | None = None
-    ) -> list[int] | None:
-        """Shortest residual path s -> t as a list of edge ids, or None.
+        self, s: int, t: int, skip_pair: int = -1, dead: _Dead | None = None
+    ) -> Path | None:
+        """Shortest residual path s -> t (see `Path`), or None.
 
-        `dead`, when given, holds one entry per node: `_DEAD` for a node known
-        to have no residual path to t, -1 otherwise.  The search never enters
-        a dead node, and when it finds no path it marks every node it reached
-        dead.  No dead node has a residual arc to a node that reaches t, so
-        skipping them leaves the path found unchanged.
+        Breadth-first.  A node expands its explicit arcs in edge-list order and,
+        at the `_OBJECTS` entry of its adjacency, its arcs to objects as one
+        batch taken with one big-int operation, `allow[u] & ~covered`.
+        `covered` holds the pinned objects and every object whose holder the
+        search has reached: none of them leads to a new node.  When the batch
+        comes off the queue, its objects in index order send the search on to
+        their holders.  So nodes are reached in the order, and the path found
+        is the one, of a search over every object arc.
+
+        `dead`, when given, holds what earlier failed searches for t reached.
+        The search never enters a dead node, and when it finds no path it adds
+        everything it reached.  No dead node has a residual arc to a node that
+        reaches t, so skipping them leaves the path found unchanged.
         """
         to, cap, adj, frozen = self.to, self.cap, self.adj, self.frozen
-        parent = [-1] * self.nn if dead is None else dead.copy()
-        parent[s] = -2
-        queue = [s]
+        allow, held, holder = self.allow, self.held, self.holder
+        seen = bytearray(self.nn) if dead is None else bytearray(dead.nodes)
+        covered = self.pinned | held[s] | (0 if dead is None else dead.objects)
+        seen[s] = 1
+        parent = [0] * self.nn  # edge id into the node, or ~j for object j
+        entered: dict[int, int] = {}  # object -> node the path enters it from
+        batches: dict[int, int] = {}  # node -> objects its arcs reached
+        queue = [s]  # nodes, and ~u for the object batch of node u
         for u in queue:
+            if u < 0:
+                u = ~u
+                rem = batches[u] & ~covered
+                while rem:
+                    j = (rem & -rem).bit_length() - 1
+                    v = holder[j]
+                    seen[v] = 1
+                    parent[v] = ~j
+                    entered[j] = u
+                    if v == t:
+                        return self._path(s, t, parent, entered)
+                    queue.append(v)
+                    covered |= held[v]
+                    rem &= ~covered
+                continue
             for eid in adj[u]:
+                if eid == _OBJECTS:
+                    batch = allow[u] & ~covered
+                    if batch:
+                        batches[u] = batch
+                        queue.append(~u)
+                    continue
                 v = to[eid]
                 if (
                     cap[eid] > 0
-                    and parent[v] == -1
+                    and not seen[v]
                     and not frozen[eid >> 1]
                     and (eid >> 1) != skip_pair
                 ):
+                    seen[v] = 1
                     parent[v] = eid
                     if v == t:
-                        path = []
-                        while v != s:
-                            path.append(parent[v])
-                            v = to[parent[v] ^ 1]
-                        path.reverse()
-                        return path
+                        return self._path(s, t, parent, entered)
                     queue.append(v)
+                    covered |= held[v]
         if dead is not None:
             for u in queue:
-                dead[u] = _DEAD
+                if u >= 0:
+                    dead.nodes[u] = 1
+            dead.objects = covered
         return None
+
+    def _path(self, s: int, t: int, parent: list[int], entered: dict[int, int]) -> Path:
+        edges: list[int] = []
+        moves: list[tuple[int, int]] = []
+        v = t
+        while v != s:
+            p = parent[v]
+            if p >= 0:
+                edges.append(p)
+                v = self.to[p ^ 1]
+            else:
+                v = entered[~p]
+                moves.append((~p, v))
+        return edges, moves
 
     # -- mechanism-facing operations ----------------------------------------
 
@@ -251,7 +347,7 @@ class ExchangeFlow:
             path = self._find_path(t_node, a_node, skip_pair=eid >> 1)
             if path is None:
                 break
-            path.append(eid)
+            path[0].append(eid)
             self._push(path)
         return self.tier_count(i)
 
@@ -277,60 +373,45 @@ class ExchangeFlow:
         Agents are processed in `order`; for each, objects in index order are
         pinned whenever the current circulation can be rerouted to place the
         object in that agent's (unique) tier for it.  The object's only residual
-        exit leads back to the tier holding it, so a residual path from that
-        tier to the agent's tier exists iff such a rerouting does.
+        exit leads back to its holder, so a residual path from the holder to
+        the agent's tier exists iff such a rerouting does.  A pinned object
+        stays with its tier: it joins the `pinned` mask, and no search crosses
+        it again.
 
-        Per agent and target tier, the nodes a failed search reached are marked
-        dead: none of them reaches the target, and while the agent only pins
-        (freezing edges removes residual arcs) none can start to, so a later
-        candidate held by a dead tier is refused without searching.  A reroute
-        pushes flow along a cycle and so can add arcs; it drops every mark.
+        Per agent and target tier, what a failed search reached is marked dead
+        (`_Dead`): none of it reaches the target, and while the agent only pins
+        (which removes residual arcs) none can start to, so a later candidate
+        held by a dead tier is refused without searching.  A reroute pushes
+        flow along a cycle and so can add arcs; it drops every mark.
         """
-        cur_edge: dict[int, int] = {}
-        for (tier, j), eid in self.obj_edge.items():
-            if self.cap0[eid] - self.cap[eid] == 1:
-                cur_edge[j] = eid
-        if len(cur_edge) != self.m:
+        if self.held[self.tt]:
             raise MechanismInvariantError("canonical extraction needs a feasible circulation")
-        pinned = bytearray(self.m)
         bundles = [0] * self.n
         for i in order:
-            dead: dict[int, list[int]] = {}  # target tier -> `_find_path` marks
+            dead: dict[int, _Dead] = {}  # target tier -> marks of failed searches
             need = self.sizes[i]
             got = 0
-            rem = self.allowed_a[i] | self.allowed_b[i]
+            rem = (self.allowed_a[i] | self.allowed_b[i]) & ~self.pinned
             while rem and got < need:
                 bit = rem & -rem
                 rem ^= bit
                 j = bit.bit_length() - 1
-                if pinned[j]:
-                    continue
                 t_node = self.tier_a0 + i if bit & self.allowed_a[i] else self.tier_b0 + i
-                cur = cur_edge[j]
-                src_tier = self.to[cur ^ 1]
-                if src_tier == t_node:
-                    target = cur
-                else:
+                src_tier = self.holder[j]
+                if src_tier != t_node:
                     marks = dead.get(t_node)
                     if marks is None:
-                        marks = dead[t_node] = [-1] * self.nn
-                    elif marks[src_tier] == _DEAD:
+                        marks = dead[t_node] = _Dead(self.nn)
+                    elif marks.nodes[src_tier]:
                         continue
                     path = self._find_path(src_tier, t_node, dead=marks)
                     if path is None:
                         continue
                     self._push(path)
                     dead.clear()  # the reroute may open new residual arcs
-                    for e in path:
-                        # rebalancing may hand other objects to new tiers
-                        if e % 2 == 0 and self.obj0 <= self.to[e] < self.obj0 + self.m:
-                            cur_edge[self.to[e] - self.obj0] = e
                     # take the object away from its old tier, give it to t_node
-                    target = self.obj_edge[(t_node, j)]
-                    self._push([cur ^ 1, target])
-                    cur_edge[j] = target
-                self.frozen[target >> 1] = 1
-                pinned[j] = 1
+                    self._move(j, t_node)
+                self.pinned |= bit
                 bundles[i] |= bit
                 got += 1
             if got != need:
@@ -338,22 +419,40 @@ class ExchangeFlow:
         return bundles
 
     def dump(self) -> str:
-        """Debug listing of the network: one `u -> v low/flow/cap [frozen]` line per edge."""
+        """Debug listing of the network: one `u -> v low/flow/cap [frozen]` line
+        per edge, the object arcs included, in the order they were built."""
         names: dict[int, str] = {self.src: "S", self.snk: "T", self.ss: "SS", self.tt: "TT"}
         for i in range(self.n):
             names[self.agent0 + i] = f"agent{i}"
             names[self.tier_a0 + i] = f"tierA{i}"
             names[self.tier_b0 + i] = f"tierB{i}"
-        for j in range(self.m):
-            names[self.obj0 + j] = f"obj{j}"
-        lines = []
-        for eid in range(0, len(self.to), 2):
-            u = self.to[eid + 1]
-            v = self.to[eid]
+
+        def edge(eid: int) -> str:
             flow = self.low[eid] + self.cap0[eid] - self.cap[eid]
             capacity = self.low[eid] + self.cap0[eid]
             mark = " frozen" if self.frozen[eid >> 1] else ""
-            lines.append(
-                f"{names[u]} -> {names[v]} low={self.low[eid]} flow={flow} cap={capacity}{mark}"
+            return (
+                f"{names[self.to[eid + 1]]} -> {names[self.to[eid]]} "
+                f"low={self.low[eid]} flow={flow} cap={capacity}{mark}"
             )
+
+        lines = []
+        for i in range(self.n):
+            eid = self.tier_edge_a[i]
+            lines += [edge(eid - 2), edge(eid), edge(eid + 2)]
+            for tier in (self.tier_a0 + i, self.tier_b0 + i):
+                rem = self.allow[tier]
+                while rem:
+                    bit = rem & -rem
+                    rem ^= bit
+                    j = bit.bit_length() - 1
+                    flow = int(self.holder[j] == tier)
+                    mark = " frozen" if flow and self.pinned & bit else ""
+                    lines.append(f"{names[tier]} -> obj{j} low=0 flow={flow} cap=1{mark}")
+        lines += [f"obj{j} -> T low=1 flow=1 cap=1" for j in range(self.m)]
+        lines += [edge(eid) for eid in range(self._return_edge, len(self.to), 2)]
+        lines += [
+            f"obj{j} -> TT low=0 flow={int(self.holder[j] != self.tt)} cap=1"
+            for j in range(self.m)
+        ]
         return "\n".join(lines)

@@ -201,3 +201,19 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     overlap.write_text(json.dumps({"agents": ["1", "2"], "objects": ["o"],
                                    "endowments": {"1": ["o"], "2": ["o"]}}))
     assert main(["run", "--input", str(overlap)]) == 1
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_unreadable_file_is_invalid_input(command, unreadable, thm4_file, tmp_path, capsys):
+    path = tmp_path / "unreadable"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"assignment": {"1": ["\u00e9"]}}'.encode("latin-1"))
+    if command == "run":
+        argv = ["run", "--input", str(path)]
+    else:
+        argv = ["audit", "--input", thm4_file, "--matching", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")

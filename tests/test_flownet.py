@@ -142,6 +142,41 @@ def test_extraction_skips_candidates_a_failed_search_reached(monkeypatch):
     assert sum(searches) == 28
 
 
+def test_search_trajectory_on_the_bench_market(monkeypatch):
+    """The residual searches of one run on the `balex bench` 50:4 market, by
+    the operation that made them: how many, and how many found a path."""
+    instance, prefs = random_market(seed=0, n_agents=50, max_endowment=4, exact_endowment=4)
+    searches: dict[str, list[bool]] = {"extract": [], "maximize": [], "can_improve": []}
+    callers: list[str] = []
+    find_path = ExchangeFlow._find_path
+
+    def counting_find_path(self, *args, **kwargs):
+        path = find_path(self, *args, **kwargs)
+        searches[callers[-1]].append(path is not None)
+        return path
+
+    monkeypatch.setattr(ExchangeFlow, "_find_path", counting_find_path)
+    for caller, method in (
+        ("extract", "extract_canonical"),
+        ("maximize", "maximize"),
+        ("can_improve", "can_improve"),
+    ):
+        original = getattr(ExchangeFlow, method)
+
+        def counting(self, *args, _original=original, _caller=caller, **kwargs):
+            callers.append(_caller)
+            try:
+                return _original(self, *args, **kwargs)
+            finally:
+                callers.pop()
+
+        monkeypatch.setattr(ExchangeFlow, method, counting)
+    run_ir_priority(instance, prefs)
+    assert (len(searches["extract"]), sum(searches["extract"])) == (224, 165)
+    assert (len(searches["maximize"]), sum(searches["maximize"])) == (123, 123)
+    assert searches["can_improve"] == []
+
+
 def test_start_from_rejects_a_matching_that_breaks_the_constraints():
     # agent 0 owns object 0 (attractive to it), agent 1 owns object 1
     def network(lo, allowed=(0b01, 0b11)):

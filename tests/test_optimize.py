@@ -224,9 +224,105 @@ def test_canonical_tie_break_is_lexicographic_minimum():
     assert checked > 80
 
 
+ROUND0_DUMP = """\
+S -> agent0 low=1 flow=1 cap=1
+agent0 -> tierA0 low=0 flow=1 cap=1
+agent0 -> tierB0 low=0 flow=0 cap=1
+tierA0 -> obj2 low=0 flow=1 cap=1
+tierB0 -> obj0 low=0 flow=0 cap=1
+S -> agent1 low=1 flow=1 cap=1
+agent1 -> tierA1 low=0 flow=0 cap=1
+agent1 -> tierB1 low=0 flow=1 cap=1
+tierA1 -> obj2 low=0 flow=0 cap=1
+tierB1 -> obj1 low=0 flow=1 cap=1
+S -> agent2 low=2 flow=2 cap=2
+agent2 -> tierA2 low=0 flow=1 cap=2
+agent2 -> tierB2 low=0 flow=1 cap=2
+tierA2 -> obj0 low=0 flow=1 cap=1
+tierA2 -> obj1 low=0 flow=0 cap=1
+tierB2 -> obj2 low=0 flow=0 cap=1
+tierB2 -> obj3 low=0 flow=1 cap=1
+S -> agent3 low=1 flow=1 cap=1
+agent3 -> tierA3 low=0 flow=0 cap=1
+agent3 -> tierB3 low=0 flow=1 cap=1
+tierA3 -> obj3 low=0 flow=0 cap=1
+tierB3 -> obj4 low=0 flow=1 cap=1
+obj0 -> T low=1 flow=1 cap=1
+obj1 -> T low=1 flow=1 cap=1
+obj2 -> T low=1 flow=1 cap=1
+obj3 -> T low=1 flow=1 cap=1
+obj4 -> T low=1 flow=1 cap=1
+T -> S low=0 flow=5 cap=1073741824
+S -> TT low=0 flow=5 cap=5
+SS -> T low=0 flow=5 cap=5
+SS -> agent0 low=0 flow=1 cap=1
+SS -> agent1 low=0 flow=1 cap=1
+SS -> agent2 low=0 flow=2 cap=2
+SS -> agent3 low=0 flow=1 cap=1
+obj0 -> TT low=0 flow=1 cap=1
+obj1 -> TT low=0 flow=1 cap=1
+obj2 -> TT low=0 flow=1 cap=1
+obj3 -> TT low=0 flow=1 cap=1
+obj4 -> TT low=0 flow=1 cap=1
+"""
+
+EXACT_PROMISES_DUMP = """\
+S -> agent0 low=1 flow=1 cap=1
+agent0 -> tierA0 low=1 flow=1 cap=1
+agent0 -> tierB0 low=0 flow=0 cap=1
+tierA0 -> obj2 low=0 flow=1 cap=1
+tierB0 -> obj0 low=0 flow=0 cap=1
+tierB0 -> obj4 low=0 flow=0 cap=1
+S -> agent1 low=1 flow=1 cap=1
+agent1 -> tierA1 low=0 flow=0 cap=0
+agent1 -> tierB1 low=0 flow=1 cap=1
+tierA1 -> obj2 low=0 flow=0 cap=1
+tierB1 -> obj1 low=0 flow=0 cap=1
+tierB1 -> obj4 low=0 flow=1 cap=1
+S -> agent2 low=2 flow=2 cap=2
+agent2 -> tierA2 low=2 flow=2 cap=2
+agent2 -> tierB2 low=0 flow=0 cap=2
+tierA2 -> obj0 low=0 flow=1 cap=1
+tierA2 -> obj1 low=0 flow=1 cap=1
+tierB2 -> obj2 low=0 flow=0 cap=1
+tierB2 -> obj3 low=0 flow=0 cap=1
+S -> agent3 low=1 flow=1 cap=1
+agent3 -> tierA3 low=1 flow=1 cap=1
+agent3 -> tierB3 low=0 flow=0 cap=1
+tierA3 -> obj3 low=0 flow=1 cap=1
+tierB3 -> obj4 low=0 flow=0 cap=1
+obj0 -> T low=1 flow=1 cap=1
+obj1 -> T low=1 flow=1 cap=1
+obj2 -> T low=1 flow=1 cap=1
+obj3 -> T low=1 flow=1 cap=1
+obj4 -> T low=1 flow=1 cap=1
+T -> S low=0 flow=5 cap=1073741824
+S -> TT low=0 flow=5 cap=5
+SS -> T low=0 flow=5 cap=5
+SS -> agent1 low=0 flow=1 cap=1
+SS -> tierA0 low=0 flow=1 cap=1
+SS -> tierA2 low=0 flow=2 cap=2
+SS -> tierA3 low=0 flow=1 cap=1
+obj0 -> TT low=0 flow=1 cap=1
+obj1 -> TT low=0 flow=1 cap=1
+obj2 -> TT low=0 flow=1 cap=1
+obj3 -> TT low=0 flow=1 cap=1
+obj4 -> TT low=0 flow=1 cap=1
+"""
+
+
 def test_network_dump_mentions_all_layers():
-    text = network_dump(THM4, round0())
-    assert "tierA0" in text and "obj0" in text and "-> T" in text
+    """Every edge of the network, layer by layer, with the circulation that
+    path augmentation finds: without lower bounds on the attractive tiers
+    (round 0) and with the exact promises of the thm4 matching."""
+    exact = WelfareConstraints(
+        allowed={a: A[a] | B_FULL[a] for a in THM4.agents},
+        attractive=A,
+        min_attractive={a: 0 for a in THM4.agents},
+        exact_attractive={"a1": 1, "a2": 0, "a3": 2, "a4": 1},
+    )
+    assert network_dump(THM4, round0()) == ROUND0_DUMP.rstrip("\n")
+    assert network_dump(THM4, exact) == EXACT_PROMISES_DUMP.rstrip("\n")
 
 
 def _milp_optimum(inst, c: WelfareConstraints, target: str) -> int | None:
