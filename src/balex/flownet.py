@@ -1,32 +1,32 @@
 """Integer flow network backing the constrained assignment queries.
 
-One network per query.  Layout: source -> agent node (exact endowment size) ->
-two tier nodes per agent (attractive tier with lower/upper bounds, bearable
-tier absorbing the remainder) -> objects (capacity 1) -> sink (each object
-assigned exactly once).  Lower bounds are removed by the standard circulation
-transformation with a super source/sink and a sink->source return edge.
+Layout: agent node -> two tier nodes per agent (attractive tier with lower and
+upper bounds, bearable tier absorbing the remainder) -> objects.  Every agent
+sends exactly its endowment size and every object is assigned exactly once;
+once a network holds a feasible point, every operation pushes flow around
+residual cycles, which keeps both.
 
-Only the source -> agent, agent -> tier, return and super-source/super-sink
-arcs are an explicit edge list.  The arcs at the objects are masks: each tier
-node keeps the mask of objects it may take (`allow`) and the mask of objects
-it holds (`held`), and each object its holder.  An object -> sink arc has
-lower bound = capacity = 1, so after the transformation it never carries
-residual capacity; it survives only as the sink's excess.  An object therefore
-has exactly one residual exit: back to the tier that holds it, or, while no
-tier holds it, to the super sink, which is kept as the holder of the unheld
-objects.  A pinned object has none.
+Only the agent -> tier arcs are an explicit edge list.  An edge's residual
+capacity is hi - flow forwards and flow - lo backwards, so a lower bound is a
+plain integer, and a negative backward residual means flow below the bound.
+The arcs at the objects are masks: each tier node keeps the mask of objects it
+may take (`allow`) and the mask of objects it holds (`held`), and each object
+its holder.  An object therefore has exactly one residual exit: back to the
+tier that holds it, or, while no tier holds it, to the `free` node, the holder
+of the unassigned objects.  A pinned object has none.
 
-A network gets its first feasible circulation in one of two ways: from a
-matching known to satisfy the constraints (the mechanism's incumbent), or by
-augmenting along residual paths from the super source to the super sink.
-Beyond feasibility the network supports the operations the mechanism needs:
-maximize the attractive-tier flow of one agent (augmenting cycles through its
-tier edge), freeze that edge, test single-unit improvability without mutating
-the flow, and extract the lexicographically least witness matching by pinning
-objects one at a time, rerouting the circulation when a pin needs it.  Every
-one of them searches the residual graph with the same shortest-path BFS, which
-takes a tier's object arcs with one big-int operation (the bit-parallel search
-of Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
+A network gets its first feasible point in one of two ways: from a matching
+known to satisfy the constraints (the mechanism's incumbent), or in the two
+phases of `solve_feasible`.  One network then serves a whole mechanism run:
+`retarget` makes the matching it holds the incumbent of the next constraint
+system.  Beyond feasibility the network supports the operations the mechanism
+needs: maximize the attractive-tier flow of one agent (augmenting cycles
+through its tier edge), freeze that edge, test single-unit improvability
+without mutating the flow, and extract the lexicographically least witness
+matching by pinning objects one at a time, rerouting the flow when a pin needs
+it.  Every one of them searches the residual graph with the same shortest-path
+BFS, which takes a tier's object arcs with one big-int operation (the
+bit-parallel search of Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
 
 Most candidate objects in an extraction cannot be pinned.  A failed search
 marks every node it reached as unable to reach the target tier, and later
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from .model import MechanismInvariantError
 
-INF = 1 << 30
 _OBJECTS = -1  # adjacency entry: where a node's object arcs sit among its edges
 
 # A residual path: the explicit edge ids it crosses, and for each object it
@@ -65,7 +64,7 @@ class ExchangeFlow:
 
     Per agent, `attractive` and `allowed` are object bitmasks; allowed objects
     inside the attractive mask go to the attractive tier, the rest to the
-    bearable tier.
+    bearable tier.  `lo` and `hi` bound the attractive tier's flow.
     """
 
     def __init__(
@@ -87,43 +86,30 @@ class ExchangeFlow:
         self.sizes = sizes
         self.allowed_a = allowed_a
         self.allowed_b = allowed_b
-        self.src = 0
-        self.snk = 1
-        self.agent0 = 2
-        self.tier_a0 = 2 + n
-        self.tier_b0 = 2 + 2 * n
-        self.ss = 2 + 3 * n
-        self.tt = self.ss + 1
-        self.nn = self.tt + 1
+        self.agent0 = 0
+        self.tier_a0 = n
+        self.tier_b0 = 2 * n
+        self.free = 3 * n
+        self.nn = self.free + 1
 
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.cap0: list[int] = []
-        self.low: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(self.nn)]
         self.frozen = bytearray()
-        self._excess = [0] * self.nn
 
-        # per node: the objects it has arcs to and the objects it holds; the
-        # super sink has an arc to every object and holds the unheld ones
-        full = (1 << m) - 1
+        # per node: the objects it has arcs to and the objects it holds
         self.allow = [0] * self.nn
         self.held = [0] * self.nn
-        self.allow[self.tt] = self.held[self.tt] = full
-        self.holder = [self.tt] * m
+        self.held[self.free] = (1 << m) - 1
+        self.holder = [self.free] * m
         self.pinned = 0
 
         self.tier_edge_a: list[int] = []
-        self._structurally_infeasible = False
 
         if hi is None:
             hi = [min(sizes[i], bin(allowed_a[i]).count("1")) for i in range(n)]
         for i in range(n):
             cap_a = min(hi[i], sizes[i], bin(allowed_a[i]).count("1"))
-            if lo[i] > cap_a:
-                self._structurally_infeasible = True
-                cap_a = lo[i]
-            self._add(self.src, self.agent0 + i, sizes[i], sizes[i])
             self.tier_edge_a.append(
                 self._add(self.agent0 + i, self.tier_a0 + i, lo[i], cap_a)
             )
@@ -134,40 +120,18 @@ class ExchangeFlow:
             ):
                 self.allow[tier] = mask
                 self.adj[tier].append(_OBJECTS)
-        self._excess[self.snk] += m  # the object -> sink lower bounds
-        self._return_edge = self._add(self.snk, self.src, 0, INF)
-
-        # every edge after the return edge leaves SS or enters TT
-        self._need = 0
-        for x in range(self.nn):
-            e = self._excess[x]
-            if e > 0:
-                self._add(self.ss, x, 0, e)
-                self._need += e
-            elif e < 0:
-                self._add(x, self.tt, 0, -e)
-        # every object has an excess of -1 and so an arc to TT, after the arcs
-        # of all other nodes
-        self.adj[self.tt].append(_OBJECTS)
         self.queries = 0
 
     # -- construction ------------------------------------------------------
 
-    def _add(self, u: int, v: int, low: int, cap: int) -> int:
+    def _add(self, u: int, v: int, lo: int, hi: int) -> int:
+        """Edge u -> v with flow 0 between bounds lo and hi."""
         eid = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap - low)
-        self.cap0.append(cap - low)
-        self.low.append(low)
+        self.to += (v, u)
+        self.cap += (hi, -lo)
         self.adj[u].append(eid)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cap0.append(0)
-        self.low.append(0)
         self.adj[v].append(eid + 1)
         self.frozen.append(0)
-        self._excess[v] += low
-        self._excess[u] -= low
         return eid
 
     def _push_edge(self, e: int, amount: int) -> None:
@@ -175,27 +139,25 @@ class ExchangeFlow:
         self.cap[e ^ 1] += amount
 
     def _move(self, j: int, node: int) -> None:
-        """Hand object j to `node` (a tier, or the super sink to unassign it)."""
+        """Hand object j to `node`."""
         bit = 1 << j
         self.held[self.holder[j]] ^= bit
         self.held[node] |= bit
         self.holder[j] = node
 
-    def _push(self, path: Path, amount: int = 1) -> None:
+    def _push(self, path: Path) -> None:
         edges, moves = path
         for e in edges:
-            self._push_edge(e, amount)
+            self._push_edge(e, 1)
         for j, node in moves:
             self._move(j, node)
 
-    # -- the first feasible circulation -------------------------------------
+    # -- the first feasible point --------------------------------------------
 
     def start_from(self, bundles: list[int]) -> bool:
         """Make the balanced matching `bundles` (one object mask per agent) the
-        circulation of this new network; False, leaving the network unusable,
-        when the matching leaves an allowed set or breaks a tier bound."""
-        if self._structurally_infeasible:
-            return False
+        flow of this new network; False, leaving the network unusable, when
+        the matching leaves an allowed set or breaks a tier bound."""
         taken = 0
         for i, bundle in enumerate(bundles):
             eid = self.tier_edge_a[i]
@@ -204,13 +166,14 @@ class ExchangeFlow:
                 bundle & taken
                 or bundle & ~(self.allowed_a[i] | self.allowed_b[i])
                 or bin(bundle).count("1") != self.sizes[i]
-                or not self.low[eid] <= count_a <= self.low[eid] + self.cap0[eid]
             ):
                 return False
             taken |= bundle
-            self._push_edge(eid, count_a - self.low[eid])
+            self._push_edge(eid, count_a)
             # the bearable-tier edge is added right after the attractive one
             self._push_edge(eid + 2, self.sizes[i] - count_a)
+            if self.cap[eid] < 0 or self.cap[eid ^ 1] < 0:
+                return False
             for tier, rem in (
                 (self.tier_a0 + i, bundle & self.allowed_a[i]),
                 (self.tier_b0 + i, bundle & self.allowed_b[i]),
@@ -222,26 +185,43 @@ class ExchangeFlow:
                     rem ^= bit
         if taken != (1 << self.m) - 1:
             return False
-        self.held[self.tt] = 0
-        self._push_edge(self._return_edge, self.m)
-        for eid in range(self._return_edge + 2, len(self.to), 2):
-            self._push_edge(eid, self.cap0[eid])
+        self.held[self.free] = 0
         return True
 
     def solve_feasible(self) -> bool:
-        """Establish a feasible circulation honoring all lower bounds by
-        augmenting along shortest paths from the super source to the super sink."""
-        if self._structurally_infeasible:
+        """Find a feasible point of this new network, or False.
+
+        The repair of a flow that breaks lower bounds (Ahuja, Magnanti and
+        Orlin, Network Flows, 1993, ch. 6), in two phases.  First, with the
+        lower bounds set aside, fill each agent by shortest augmenting paths
+        to `free`.  Second, raise each attractive tier below its lower bound
+        by cycles through its tier edge.  A cycle never takes an edge below a
+        bound it meets, nor further below one it does not, so when no cycle
+        raises a tier, the nodes the search reached form a cut that no
+        feasible point crosses.
+        """
+        lows = [-self.cap[e ^ 1] for e in self.tier_edge_a]  # the flow is still 0
+        for e in self.tier_edge_a:
+            self.cap[e ^ 1] = 0
+        filled = self._fill()
+        for e, lo in zip(self.tier_edge_a, lows):
+            self.cap[e ^ 1] -= lo
+        if not filled:
             return False
-        flow = 0
-        while flow < self._need:
-            path = self._find_path(self.ss, self.tt)
-            if path is None:
-                return False
-            edges, moves = path
-            pushed = 1 if moves else min(self.cap[e] for e in edges)
-            self._push(path, pushed)
-            flow += pushed
+        for i, e in enumerate(self.tier_edge_a):
+            while self.cap[e ^ 1] < 0:
+                if not self._cycle(i):
+                    return False
+        return True
+
+    def _fill(self) -> bool:
+        """Give every agent its size in objects by augmenting paths to `free`."""
+        for i in range(self.n):
+            for _ in range(self.sizes[i]):
+                path = self._find_path(self.agent0 + i, self.free)
+                if path is None:
+                    return False
+                self._push(path)
         return True
 
     # -- residual search -----------------------------------------------------
@@ -331,24 +311,29 @@ class ExchangeFlow:
                 moves.append((~p, v))
         return edges, moves
 
+    def _cycle(self, i: int) -> bool:
+        """Push one unit around a residual cycle through agent i's
+        attractive-tier edge; False when there is none."""
+        eid = self.tier_edge_a[i]
+        if self.cap[eid] <= 0:
+            return False
+        path = self._find_path(self.tier_a0 + i, self.agent0 + i, skip_pair=eid >> 1)
+        if path is None:
+            return False
+        path[0].append(eid)
+        self._push(path)
+        return True
+
     # -- mechanism-facing operations ----------------------------------------
 
     def tier_count(self, i: int) -> int:
-        eid = self.tier_edge_a[i]
-        return self.low[eid] + (self.cap0[eid] - self.cap[eid])
+        return self.held[self.tier_a0 + i].bit_count()
 
     def maximize(self, i: int) -> int:
         """Raise agent i's attractive-tier flow as far as feasibility allows."""
         self.queries += 1
-        eid = self.tier_edge_a[i]
-        a_node = self.agent0 + i
-        t_node = self.tier_a0 + i
-        while self.cap[eid] > 0:
-            path = self._find_path(t_node, a_node, skip_pair=eid >> 1)
-            if path is None:
-                break
-            path[0].append(eid)
-            self._push(path)
+        while self._cycle(i):
+            pass
         return self.tier_count(i)
 
     def freeze(self, i: int) -> None:
@@ -358,7 +343,7 @@ class ExchangeFlow:
         """Whether some feasible point gives agent i strictly more than its lower bound."""
         self.queries += 1
         eid = self.tier_edge_a[i]
-        if self.tier_count(i) > self.low[eid]:
+        if self.cap[eid ^ 1] > 0:
             return True
         if self.cap[eid] == 0:
             return False
@@ -367,16 +352,34 @@ class ExchangeFlow:
             is not None
         )
 
+    def retarget(self, bearable: list[int]) -> None:
+        """Make the matching this network holds the incumbent of the next
+        constraint system of a mechanism run.  That system differs only in the
+        bearable tiers' allowed masks, `bearable` (disjoint from the attractive
+        tiers'), and in its lower bounds: each agent's attractive count.
+        Pins and freezes go."""
+        for i, mask in enumerate(bearable):
+            tier = self.tier_b0 + i
+            if self.held[tier] & ~mask:
+                raise MechanismInvariantError(
+                    f"the incumbent matching leaves agent {i}'s new bearable set"
+                )
+            self.allow[tier] = mask
+            self.cap[self.tier_edge_a[i] ^ 1] = 0
+        self.allowed_b = bearable
+        self.pinned = 0
+        self.frozen = bytearray(len(self.frozen))
+
     def extract_canonical(self, order: list[int]) -> list[int]:
         """Pin the lexicographically least witness matching; returns bundle masks.
 
         Agents are processed in `order`; for each, objects in index order are
-        pinned whenever the current circulation can be rerouted to place the
-        object in that agent's (unique) tier for it.  The object's only residual
-        exit leads back to its holder, so a residual path from the holder to
-        the agent's tier exists iff such a rerouting does.  A pinned object
-        stays with its tier: it joins the `pinned` mask, and no search crosses
-        it again.
+        pinned whenever the current flow can be rerouted to place the object
+        in that agent's (unique) tier for it.  The object's only residual exit
+        leads back to its holder, so a residual path from the holder to the
+        agent's tier exists iff such a rerouting does.  A pinned object stays
+        with its tier: it joins the `pinned` mask, and no search crosses it
+        again.
 
         Per agent and target tier, what a failed search reached is marked dead
         (`_Dead`): none of it reaches the target, and while the agent only pins
@@ -384,8 +387,8 @@ class ExchangeFlow:
         held by a dead tier is refused without searching.  A reroute pushes
         flow along a cycle and so can add arcs; it drops every mark.
         """
-        if self.held[self.tt]:
-            raise MechanismInvariantError("canonical extraction needs a feasible circulation")
+        if self.held[self.free]:
+            raise MechanismInvariantError("canonical extraction needs a feasible flow")
         bundles = [0] * self.n
         for i in order:
             dead: dict[int, _Dead] = {}  # target tier -> marks of failed searches
@@ -421,26 +424,23 @@ class ExchangeFlow:
     def dump(self) -> str:
         """Debug listing of the network: one `u -> v low/flow/cap [frozen]` line
         per edge, the object arcs included, in the order they were built."""
-        names: dict[int, str] = {self.src: "S", self.snk: "T", self.ss: "SS", self.tt: "TT"}
-        for i in range(self.n):
-            names[self.agent0 + i] = f"agent{i}"
-            names[self.tier_a0 + i] = f"tierA{i}"
-            names[self.tier_b0 + i] = f"tierB{i}"
 
-        def edge(eid: int) -> str:
-            flow = self.low[eid] + self.cap0[eid] - self.cap[eid]
-            capacity = self.low[eid] + self.cap0[eid]
+        def edge(eid: int, u: str, v: str) -> str:
+            flow = self.held[self.to[eid]].bit_count()
             mark = " frozen" if self.frozen[eid >> 1] else ""
             return (
-                f"{names[self.to[eid + 1]]} -> {names[self.to[eid]]} "
-                f"low={self.low[eid]} flow={flow} cap={capacity}{mark}"
+                f"{u} -> {v} low={flow - self.cap[eid ^ 1]} flow={flow} "
+                f"cap={flow + self.cap[eid]}{mark}"
             )
 
         lines = []
         for i in range(self.n):
             eid = self.tier_edge_a[i]
-            lines += [edge(eid - 2), edge(eid), edge(eid + 2)]
-            for tier in (self.tier_a0 + i, self.tier_b0 + i):
+            lines += [
+                edge(eid, f"agent{i}", f"tierA{i}"),
+                edge(eid + 2, f"agent{i}", f"tierB{i}"),
+            ]
+            for name, tier in ((f"tierA{i}", self.tier_a0 + i), (f"tierB{i}", self.tier_b0 + i)):
                 rem = self.allow[tier]
                 while rem:
                     bit = rem & -rem
@@ -448,11 +448,5 @@ class ExchangeFlow:
                     j = bit.bit_length() - 1
                     flow = int(self.holder[j] == tier)
                     mark = " frozen" if flow and self.pinned & bit else ""
-                    lines.append(f"{names[tier]} -> obj{j} low=0 flow={flow} cap=1{mark}")
-        lines += [f"obj{j} -> T low=1 flow=1 cap=1" for j in range(self.m)]
-        lines += [edge(eid) for eid in range(self._return_edge, len(self.to), 2)]
-        lines += [
-            f"obj{j} -> TT low=0 flow={int(self.holder[j] != self.tt)} cap=1"
-            for j in range(self.m)
-        ]
+                    lines.append(f"{name} -> obj{j} low=0 flow={flow} cap=1{mark}")
         return "\n".join(lines)

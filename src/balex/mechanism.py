@@ -74,22 +74,28 @@ def _query_masks(
     return a_masks, allowed, mu_masks
 
 
-def _feasible_flow(
+def _network(
     sizes: list[int],
     a_masks: list[int],
     allowed: list[int],
     incumbent: list[int],
     m: int,
-    purpose: str,
 ) -> ExchangeFlow:
     """The network of CIR matchings giving every agent at least as many
     attractive objects as the `incumbent` matching, started from it."""
     flow = ExchangeFlow(sizes, a_masks, allowed, _welfare(incumbent, a_masks), n_objects=m)
     if not flow.start_from(incumbent):
-        raise MechanismInvariantError(
-            f"the incumbent matching does not satisfy the {purpose} constraint set"
-        )
+        raise MechanismInvariantError("the incumbent matching does not satisfy the constraint set")
     return flow
+
+
+def _dictatorship(flow: ExchangeFlow) -> list[int]:
+    """Serial dictatorship core: promises K^1..K^n over the constrained flow."""
+    promises = []
+    for i in range(flow.n):
+        promises.append(flow.maximize(i))
+        flow.freeze(i)
+    return promises
 
 
 def _refine_masks(
@@ -99,26 +105,9 @@ def _refine_masks(
     incumbent: list[int],
     m: int,
 ) -> tuple[list[int], ExchangeFlow]:
-    """Serial dictatorship core: promises K^1..K^n over the constrained flow."""
-    flow = _feasible_flow(sizes, a_masks, allowed, incumbent, m, "refinement")
-    promises = []
-    for i in range(len(sizes)):
-        promises.append(flow.maximize(i))
-        flow.freeze(i)
-    return promises, flow
-
-
-def _improvable_masks(
-    sizes: list[int],
-    a_masks: list[int],
-    allowed: list[int],
-    incumbent: list[int],
-    m: int,
-) -> tuple[set[int], int]:
-    """Indices of agents whose attractive count can still rise; plus query count."""
-    flow = _feasible_flow(sizes, a_masks, allowed, incumbent, m, "improvability")
-    out = {i for i in range(len(sizes)) if flow.can_improve(i)}
-    return out, flow.queries
+    """One serial-dictatorship pass from `incumbent`: promises and the network."""
+    flow = _network(sizes, a_masks, allowed, incumbent, m)
+    return _dictatorship(flow), flow
 
 
 def serial_refine(
@@ -158,12 +147,8 @@ def non_improvable_set(
     """Agents whose attractive count cannot rise in any CIR matching weakly
     improving `mu` under the given (maximal) bearable sets."""
     a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable_outer, mu)
-    improvable, _ = _improvable_masks(
-        list(instance.sizes), a_masks, allowed, mu_masks, len(instance.object_ids)
-    )
-    return frozenset(
-        a for i, a in enumerate(instance.agents) if i not in improvable
-    )
+    flow = _network(list(instance.sizes), a_masks, allowed, mu_masks, len(instance.object_ids))
+    return frozenset(a for i, a in enumerate(instance.agents) if not flow.can_improve(i))
 
 
 def run_ir_priority(
@@ -173,11 +158,12 @@ def run_ir_priority(
 
     The outer loop performs at most one elicitation round per agent; failure of
     the non-improvable set to grow raises MechanismInvariantError with the
-    partial trace attached as the exception argument.
+    partial trace attached as the exception argument.  One network serves the
+    whole run: each round's refinement, improvability check and the final
+    pass retarget it at the matching it holds.
     """
     n = len(instance.agents)
     m = len(instance.object_ids)
-    sizes = list(instance.sizes)
     a_masks, b_true = _profile_masks(instance, prefs)
     full = (1 << m) - 1
     endow = list(instance.endowment_masks)
@@ -186,34 +172,32 @@ def run_ir_priority(
             raise ValueError(f"agent {a!r}: endowment not contained in A ∪ B")
     b_floor = [endow[i] & ~a_masks[i] for i in range(n)]
     b_ceil = [full & ~a_masks[i] for i in range(n)]
+    # the same three bearable sets per agent, by name, for the trace
+    named_true = [prefs[a].bearable for a in instance.agents]
+    named_floor = [instance.endowment[a] - prefs[a].attractive for a in instance.agents]
+    named_ceil = [instance.objects - prefs[a].attractive for a in instance.agents]
 
-    def bearable_vec(elicited: frozenset[int], outer: bool) -> list[int]:
-        base = b_ceil if outer else b_floor
-        return [b_true[i] if i in elicited else base[i] for i in range(n)]
+    def pick(elicited: frozenset[int], true: list, base: list) -> list:
+        """Per agent, its true bearable set once elicited, else `base`."""
+        return [true[i] if i in elicited else base[i] for i in range(n)]
 
-    def named(vec: list[int]) -> dict[str, frozenset[str]]:
-        return {a: instance.unmask(vec[i]) for i, a in enumerate(instance.agents)}
+    def matching(masks: list[int]) -> Matching:
+        return Matching({a: instance.unmask(masks[i]) for i, a in enumerate(instance.agents)})
 
     elicited: frozenset[int] = frozenset()
-    mu_masks = endow
-    queries = 0
     rounds: list[RoundState] = []
     elicitation_round: dict[str, int] = {}
     all_agents = frozenset(range(n))
+    order = list(range(n))
+    allowed = [a_masks[i] | b_floor[i] for i in range(n)]
+    flow = _network(list(instance.sizes), a_masks, allowed, endow, m)
 
     for t in range(1, n + 1):
-        allowed = [a_masks[i] | b for i, b in enumerate(bearable_vec(elicited, False))]
-        promises, flow = _refine_masks(sizes, a_masks, allowed, mu_masks, m)
-        queries += flow.queries
-        mu_masks = flow.extract_canonical(list(range(n)))
-        mu = Matching({a: instance.unmask(mu_masks[i]) for i, a in enumerate(instance.agents)})
+        promises = _dictatorship(flow)
+        mu = matching(flow.extract_canonical(order))
 
-        allowed_bar = [
-            a_masks[i] | b for i, b in enumerate(bearable_vec(elicited, True))
-        ]
-        improvable, q = _improvable_masks(sizes, a_masks, allowed_bar, mu_masks, m)
-        queries += q
-        non_improvable = all_agents - improvable
+        flow.retarget(pick(elicited, b_true, b_ceil))
+        non_improvable = frozenset(i for i in order if not flow.can_improve(i))
         if not elicited <= non_improvable:
             raise MechanismInvariantError(
                 f"non-improvable set shrank at round {t}", rounds
@@ -231,10 +215,11 @@ def run_ir_priority(
                 mu=mu,
                 promises=tuple(promises),
                 non_improvable=frozenset(instance.agents[i] for i in elicited),
-                bearable=named(bearable_vec(elicited, False)),
-                bearable_outer=named(bearable_vec(elicited, True)),
+                bearable=dict(zip(instance.agents, pick(elicited, named_true, named_floor))),
+                bearable_outer=dict(zip(instance.agents, pick(elicited, named_true, named_ceil))),
             )
         )
+        flow.retarget(pick(elicited, b_true, b_floor))
         if elicited == all_agents:
             break
     else:
@@ -243,13 +228,8 @@ def run_ir_priority(
         )
 
     # final pass with every true bearable set revealed
-    allowed = [a_masks[i] | b_true[i] for i in range(n)]
-    promises, flow = _refine_masks(sizes, a_masks, allowed, mu_masks, m)
-    queries += flow.queries
-    final_masks = flow.extract_canonical(list(range(n)))
-    final = Matching(
-        {a: instance.unmask(final_masks[i]) for i, a in enumerate(instance.agents)}
-    )
+    promises = _dictatorship(flow)
+    final = matching(flow.extract_canonical(order))
     rounds.append(
         RoundState(
             round=len(rounds) + 1,
@@ -264,7 +244,7 @@ def run_ir_priority(
         rounds=tuple(rounds),
         final=final,
         elicitation_round=elicitation_round,
-        flow_queries=queries,
+        flow_queries=flow.queries,
     )
     return final, trace
 

@@ -2,10 +2,12 @@
 
 The constraint systems the mechanism generates fix, per agent, a set of allowed
 objects, a lower bound on the number of attractive objects received and
-optionally an exact count (once a promise is locked).  Queries are answered by
-an integer flow with lower bounds (flownet module); brute_force_max answers the
-same queries by exhaustive enumeration and serves as the oracle everything else
-is checked against.
+optionally an exact count (once a promise is locked).  Queries are answered on
+the flownet network of the constraint system, which finds its first feasible
+point in two phases: augmenting paths fill every agent, then cycles raise the
+attractive counts below their lower bounds.  brute_force_max answers the same
+queries by exhaustive enumeration and serves as the oracle everything else is
+checked against.
 
 Counts are integral throughout; witnesses are tie-broken to the canonical
 lexicographic minimum (agent priority order, then object identifier order).

@@ -1,5 +1,6 @@
-"""Flow network: starting from a known matching versus path augmentation, and
-canonical extraction against a brute-force greedy over enumerated matchings."""
+"""Flow network: starting from a known matching versus `solve_feasible`,
+`solve_feasible` against enumerated matchings, and canonical extraction
+against a brute-force greedy over them."""
 
 from __future__ import annotations
 
@@ -78,6 +79,50 @@ def _balanced_matchings(sizes: list[int], allowed: list[int], m: int):
     yield from rec(0, (1 << m) - 1)
 
 
+def _fits(sizes, attractive, allowed, lo, hi, i: int, bundle: int) -> bool:
+    """Whether `bundle` (inside agent i's allowed set) meets its tier bounds."""
+    count = _popcount(bundle & attractive[i] & allowed[i])
+    cap = min(sizes[i], _popcount(attractive[i] & allowed[i]))
+    return lo[i] <= count <= (cap if hi is None else min(cap, hi[i]))
+
+
+@st.composite
+def systems(draw, max_objects: int = 8):
+    """A constraint system with no matching planted: it may have none."""
+    sizes = draw(
+        st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(
+            lambda s: sum(s) <= max_objects
+        )
+    )
+    m = sum(sizes)
+    full = (1 << m) - 1
+    attractive = [draw(st.integers(0, full)) | draw(st.integers(0, full)) for _ in sizes]
+    allowed = [full & ~(draw(st.integers(0, full)) & draw(st.integers(0, full))) for _ in sizes]
+    lo = [draw(st.integers(0, s)) for s in sizes]
+    hi = [draw(st.integers(low, s)) for low, s in zip(lo, sizes)] if draw(st.booleans()) else None
+    return sizes, attractive, allowed, lo, hi, m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(systems())
+def test_solve_feasible_finds_a_point_iff_enumeration_does(case):
+    """Both phases of `solve_feasible`, the lower-bound repair included,
+    against every balanced matching of the system."""
+    sizes, attractive, allowed, lo, hi, m = case
+    system = case[:5]
+    fitting = [
+        mu
+        for mu in _balanced_matchings(sizes, allowed, m)
+        if all(_fits(*system, i, bundle) for i, bundle in enumerate(mu))
+    ]
+    flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
+    assert flow.solve_feasible() == bool(fitting)
+    if fitting:
+        held = [flow.held[flow.tier_a0 + i] | flow.held[flow.tier_b0 + i] for i in range(len(sizes))]
+        assert tuple(held) in set(_balanced_matchings(sizes, allowed, m))
+        assert all(_fits(*system, i, bundle) for i, bundle in enumerate(held))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(systems_with_a_matching(max_objects=8), st.integers(0, 4))
 def test_extraction_agrees_with_greedy_over_enumerated_matchings(case, dictators):
@@ -93,11 +138,9 @@ def test_extraction_agrees_with_greedy_over_enumerated_matchings(case, dictators
     extracted = flow.extract_canonical(order)
 
     def fits(i: int, bundle: int) -> bool:
-        count = _popcount(bundle & attractive[i] & allowed[i])
         if i in frozen:
-            return count == frozen[i]
-        cap = min(sizes[i], _popcount(attractive[i] & allowed[i]))
-        return lo[i] <= count <= (cap if hi is None else min(cap, hi[i]))
+            return _popcount(bundle & attractive[i] & allowed[i]) == frozen[i]
+        return _fits(sizes, attractive, allowed, lo, hi, i, bundle)
 
     witnesses = [
         mu
@@ -205,6 +248,8 @@ def test_mechanism_networks_start_from_the_incumbent(monkeypatch):
     monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
     monkeypatch.setattr(ExchangeFlow, "solve_feasible", counting_solve)
     _, trace = run_ir_priority(fx.instance, fx.prefs)
-    # a refinement and an improvability network per outer round, then the final pass
-    assert len(builds) == 2 * (len(trace.rounds) - 1) + 1
+    # every round's refinement and improvability check, and the final pass,
+    # retarget the one network built from the endowment
+    assert len(trace.rounds) == 3
+    assert len(builds) == 1
     assert solves == []

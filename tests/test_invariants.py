@@ -26,6 +26,15 @@ def test_extract_canonical_on_unsolved_infeasible_network_raises_typed_error():
         flow.extract_canonical([0, 1])
 
 
+def test_retarget_refuses_a_matching_outside_the_new_bearable_sets():
+    # each agent holds the other's attractive object in its bearable tier
+    flow = ExchangeFlow([1, 1], [0b01, 0b10], [0b11, 0b11], [0, 0], n_objects=2)
+    assert flow.start_from([0b10, 0b01])
+    flow.retarget([0b10, 0b01])
+    with pytest.raises(MechanismInvariantError):
+        flow.retarget([0b00, 0b01])
+
+
 def test_package_has_no_assert_or_assertion_error():
     offenders = []
     for path in sorted(SRC.glob("*.py")):

@@ -15,7 +15,7 @@ from balex.mechanism import (
     serial_refine,
     trace_to_json,
 )
-from balex.model import TrichotomousPreference
+from balex.model import Instance, TrichotomousPreference
 from balex.responsive import cir_trichotomous, compare_unambiguous, BundleComparison
 from conftest import (
     make_instance,
@@ -227,6 +227,23 @@ def test_round_state_bearable_maps_reveal_true_sets_once_non_improvable():
                 else:
                     assert r.bearable[a] == inst.endowment[a] - prefs[a].attractive
                     assert r.bearable_outer[a] == inst.objects - prefs[a].attractive
+
+
+def test_a_run_names_objects_only_for_its_matchings(monkeypatch):
+    """Masks become object names once per agent and round, for the round's
+    matching; the bearable maps reuse the profile's own sets."""
+    inst, prefs = thm4()
+    calls = []
+    unmask = Instance.unmask
+
+    def counting_unmask(self, mask):
+        calls.append(mask)
+        return unmask(self, mask)
+
+    monkeypatch.setattr(Instance, "unmask", counting_unmask)
+    _, trace = run_ir_priority(inst, prefs)
+    assert len(trace.rounds) == 3
+    assert len(calls) == 12
 
 
 def test_marginality_mechanism_sees_only_the_ab_pairs():

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import balex
 from balex.model import TrichotomousPreference
 from balex.optimize import (
     EnumerationLimitError,
@@ -225,95 +230,80 @@ def test_canonical_tie_break_is_lexicographic_minimum():
 
 
 ROUND0_DUMP = """\
-S -> agent0 low=1 flow=1 cap=1
 agent0 -> tierA0 low=0 flow=1 cap=1
 agent0 -> tierB0 low=0 flow=0 cap=1
 tierA0 -> obj2 low=0 flow=1 cap=1
 tierB0 -> obj0 low=0 flow=0 cap=1
-S -> agent1 low=1 flow=1 cap=1
 agent1 -> tierA1 low=0 flow=0 cap=1
 agent1 -> tierB1 low=0 flow=1 cap=1
 tierA1 -> obj2 low=0 flow=0 cap=1
 tierB1 -> obj1 low=0 flow=1 cap=1
-S -> agent2 low=2 flow=2 cap=2
 agent2 -> tierA2 low=0 flow=1 cap=2
 agent2 -> tierB2 low=0 flow=1 cap=2
 tierA2 -> obj0 low=0 flow=1 cap=1
 tierA2 -> obj1 low=0 flow=0 cap=1
 tierB2 -> obj2 low=0 flow=0 cap=1
 tierB2 -> obj3 low=0 flow=1 cap=1
-S -> agent3 low=1 flow=1 cap=1
 agent3 -> tierA3 low=0 flow=0 cap=1
 agent3 -> tierB3 low=0 flow=1 cap=1
 tierA3 -> obj3 low=0 flow=0 cap=1
 tierB3 -> obj4 low=0 flow=1 cap=1
-obj0 -> T low=1 flow=1 cap=1
-obj1 -> T low=1 flow=1 cap=1
-obj2 -> T low=1 flow=1 cap=1
-obj3 -> T low=1 flow=1 cap=1
-obj4 -> T low=1 flow=1 cap=1
-T -> S low=0 flow=5 cap=1073741824
-S -> TT low=0 flow=5 cap=5
-SS -> T low=0 flow=5 cap=5
-SS -> agent0 low=0 flow=1 cap=1
-SS -> agent1 low=0 flow=1 cap=1
-SS -> agent2 low=0 flow=2 cap=2
-SS -> agent3 low=0 flow=1 cap=1
-obj0 -> TT low=0 flow=1 cap=1
-obj1 -> TT low=0 flow=1 cap=1
-obj2 -> TT low=0 flow=1 cap=1
-obj3 -> TT low=0 flow=1 cap=1
-obj4 -> TT low=0 flow=1 cap=1
 """
 
 EXACT_PROMISES_DUMP = """\
-S -> agent0 low=1 flow=1 cap=1
 agent0 -> tierA0 low=1 flow=1 cap=1
 agent0 -> tierB0 low=0 flow=0 cap=1
 tierA0 -> obj2 low=0 flow=1 cap=1
 tierB0 -> obj0 low=0 flow=0 cap=1
 tierB0 -> obj4 low=0 flow=0 cap=1
-S -> agent1 low=1 flow=1 cap=1
 agent1 -> tierA1 low=0 flow=0 cap=0
 agent1 -> tierB1 low=0 flow=1 cap=1
 tierA1 -> obj2 low=0 flow=0 cap=1
 tierB1 -> obj1 low=0 flow=0 cap=1
 tierB1 -> obj4 low=0 flow=1 cap=1
-S -> agent2 low=2 flow=2 cap=2
 agent2 -> tierA2 low=2 flow=2 cap=2
 agent2 -> tierB2 low=0 flow=0 cap=2
 tierA2 -> obj0 low=0 flow=1 cap=1
 tierA2 -> obj1 low=0 flow=1 cap=1
 tierB2 -> obj2 low=0 flow=0 cap=1
 tierB2 -> obj3 low=0 flow=0 cap=1
-S -> agent3 low=1 flow=1 cap=1
 agent3 -> tierA3 low=1 flow=1 cap=1
 agent3 -> tierB3 low=0 flow=0 cap=1
 tierA3 -> obj3 low=0 flow=1 cap=1
 tierB3 -> obj4 low=0 flow=0 cap=1
-obj0 -> T low=1 flow=1 cap=1
-obj1 -> T low=1 flow=1 cap=1
-obj2 -> T low=1 flow=1 cap=1
-obj3 -> T low=1 flow=1 cap=1
-obj4 -> T low=1 flow=1 cap=1
-T -> S low=0 flow=5 cap=1073741824
-S -> TT low=0 flow=5 cap=5
-SS -> T low=0 flow=5 cap=5
-SS -> agent1 low=0 flow=1 cap=1
-SS -> tierA0 low=0 flow=1 cap=1
-SS -> tierA2 low=0 flow=2 cap=2
-SS -> tierA3 low=0 flow=1 cap=1
-obj0 -> TT low=0 flow=1 cap=1
-obj1 -> TT low=0 flow=1 cap=1
-obj2 -> TT low=0 flow=1 cap=1
-obj3 -> TT low=0 flow=1 cap=1
-obj4 -> TT low=0 flow=1 cap=1
 """
 
 
+def _check_dump(dump: str, c: WelfareConstraints) -> None:
+    """Read the flow from the dump's text alone and check that it is a
+    matching of THM4 that fits `c`."""
+    edges = {}  # (u, v) -> [low, flow, cap]
+    for line in dump.splitlines():
+        u, arrow, v, *fields = line.split()
+        assert arrow == "->"
+        edges[u, v] = [int(f.split("=")[1]) for f in fields[:3]]
+    tier_of = {}  # object -> the tier holding it
+    for (u, v), (low, flow, cap) in edges.items():
+        assert low <= flow <= cap
+        if v.startswith("obj") and flow:
+            assert v not in tier_of
+            tier_of[v] = u
+    assert set(tier_of) == {f"obj{j}" for j in range(len(THM4.object_ids))}
+    for i, a in enumerate(THM4.agents):
+        tiers = (f"tierA{i}", f"tierB{i}")
+        sets = (c.allowed[a] & c.attractive[a], c.allowed[a] - c.attractive[a])
+        assert sum(edges[f"agent{i}", t][1] for t in tiers) == THM4.sizes[i]
+        for tier, allowed in zip(tiers, sets):
+            held = {THM4.object_ids[int(o[3:])] for o, t in tier_of.items() if t == tier}
+            assert held <= allowed
+            assert len(held) == edges[f"agent{i}", tier][1]
+        low = edges[f"agent{i}", tiers[0]][0]
+        assert low == c.exact_attractive.get(a, c.min_attractive.get(a, 0))
+
+
 def test_network_dump_mentions_all_layers():
-    """Every edge of the network, layer by layer, with the circulation that
-    path augmentation finds: without lower bounds on the attractive tiers
+    """Every edge of the network, layer by layer, with the flow that
+    `solve_feasible` finds: without lower bounds on the attractive tiers
     (round 0) and with the exact promises of the thm4 matching."""
     exact = WelfareConstraints(
         allowed={a: A[a] | B_FULL[a] for a in THM4.agents},
@@ -321,8 +311,10 @@ def test_network_dump_mentions_all_layers():
         min_attractive={a: 0 for a in THM4.agents},
         exact_attractive={"a1": 1, "a2": 0, "a3": 2, "a4": 1},
     )
-    assert network_dump(THM4, round0()) == ROUND0_DUMP.rstrip("\n")
-    assert network_dump(THM4, exact) == EXACT_PROMISES_DUMP.rstrip("\n")
+    for c, expected in ((round0(), ROUND0_DUMP), (exact, EXACT_PROMISES_DUMP)):
+        dump = network_dump(THM4, c)
+        assert dump == expected.rstrip("\n")
+        _check_dump(dump, c)
 
 
 def _milp_optimum(inst, c: WelfareConstraints, target: str) -> int | None:
@@ -373,8 +365,9 @@ def _large_query(rng: random.Random, n_agents: int):
     objs = list(inst.object_ids)
     allowed, attractive, low, exact = {}, {}, {}, {}
     for a in inst.agents:
-        allowed[a] = inst.endowment[a] | frozenset(rng.sample(objs, rng.randint(0, 10)))
-        attractive[a] = frozenset(o for o in allowed[a] if rng.random() < 0.4)
+        allowed[a] = inst.endowment[a] | frozenset(rng.sample(objs, rng.randint(0, min(10, len(objs)))))
+        # draw in identifier order: a set's own order changes with the hash seed
+        attractive[a] = frozenset(o for o in objs if o in allowed[a] and rng.random() < 0.4)
         attractive[a] |= frozenset(rng.sample(objs, 2))
         own = len(inst.endowment[a] & attractive[a])
         if rng.random() < 0.1:
@@ -391,12 +384,47 @@ def _large_query(rng: random.Random, n_agents: int):
     return inst, c, rng.choice(inst.agents)
 
 
-def test_flow_agrees_with_integer_program_up_to_200_objects():
+def _large_queries() -> list:
     rng = random.Random(2025)
+    return [_large_query(rng, n_agents) for n_agents in (6, 12, 25, 50, 80) * 6]
+
+
+def _query_key(inst, c: WelfareConstraints, target: str) -> tuple:
+    """A query as nested lists in a fixed order."""
+    return (
+        [sorted(inst.endowment[a]) for a in inst.agents],
+        [
+            (sorted(c.allowed[a]), sorted(c.attractive[a]),
+             c.min_attractive.get(a), c.exact_attractive.get(a))
+            for a in inst.agents
+        ],
+        target,
+    )
+
+
+def test_large_queries_are_the_same_under_every_hash_seed():
+    script = (
+        "import hashlib, test_optimize as t\n"
+        "keys = [t._query_key(*q) for q in t._large_queries()]\n"
+        "print(len(keys), hashlib.sha256(repr(keys).encode()).hexdigest())\n"
+    )
+    paths = [str(Path(balex.__file__).resolve().parent.parent), str(Path(__file__).resolve().parent)]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True, text=True
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("30 ")
+    assert outputs[0] == outputs[1]
+
+
+def test_flow_agrees_with_integer_program_up_to_200_objects():
     outcomes = set()
     largest = 0
-    for n_agents in (6, 12, 25, 50, 80) * 6:
-        inst, c, target = _large_query(rng, n_agents)
+    for inst, c, target in _large_queries():
         largest = max(largest, len(inst.object_ids))
         best = _milp_optimum(inst, c, target)
         witness = feasible(inst, c)
