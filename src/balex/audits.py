@@ -10,9 +10,10 @@ oracles for the flow-based mechanism pipeline.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .cycles import find_cir_pareto_improving_cycle
 from .mechanism import run_ir_priority
@@ -27,6 +28,7 @@ from .model import (
 )
 # enumerate_matchings lives in optimize; audits re-exports it
 from .optimize import EnumerationLimitError, cached_matchings, enumerate_matchings
+from .optimize import _check_enumeration_bound
 from .responsive import (
     ResponsiveExtension,
     cir_trichotomous,
@@ -190,18 +192,31 @@ def efficient_ir_set(
 def trichotomous_reports(
     instance: Instance, agent: str, domain: DomainSpec | None = None
 ) -> list[TrichotomousPreference]:
-    """All (A, B) reports available to one agent, optionally domain-filtered.
+    """All (A, B) reports available to one agent, optionally domain-filtered."""
+    objects = instance.object_ids
+    every_attractive_set = (
+        frozenset(o for k, o in enumerate(objects) if a_mask >> k & 1)
+        for a_mask in range(1 << len(objects))
+    )
+    return _reports(instance, agent, every_attractive_set, domain)
+
+
+def _reports(
+    instance: Instance,
+    agent: str,
+    attractive_sets: Iterable[frozenset[str]],
+    domain: DomainSpec | None = None,
+) -> list[TrichotomousPreference]:
+    """The reports with each of `attractive_sets` in turn, optionally domain-filtered.
 
     B is the endowment outside A plus some bearable extra; a non-empty extra
     puts a non-endowed object in class 2, so a domain with nu(2) != 1 only
     sees reports with no extra."""
-    objects = instance.object_ids
     endow = instance.endowment[agent]
-    others = [o for o in objects if o not in endow]
+    others = [o for o in instance.object_ids if o not in endow]
     extras = domain is None or domain.nu_at(2) == 1
     out = []
-    for a_mask in range(1 << len(objects)):
-        attractive = frozenset(o for k, o in enumerate(objects) if a_mask >> k & 1)
+    for attractive in attractive_sets:
         floor = endow - attractive
         pool = [o for o in others if o not in attractive] if extras else []
         for x_mask in range(1 << len(pool)):
@@ -215,15 +230,9 @@ def trichotomous_reports(
     return out
 
 
-def strongly_trichotomous_reports(
-    instance: Instance, agent: str
-) -> list[TrichotomousPreference]:
-    """Reports with no non-endowed object in the bearable set (B = endowment \\ A)."""
-    return trichotomous_reports(instance, agent, DomainSpec.strongly_trichotomous())
-
-
 class _OutcomeCache:
-    """Memoized mechanism outcomes keyed by the full reported profile."""
+    """Memoized mechanism outcomes keyed by the full reported profile; every audit
+    gets its outcomes here (perfbench counts `final` and rebinds `run_ir_priority`)."""
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
@@ -240,19 +249,20 @@ class _OutcomeCache:
         return hit
 
 
-def check_strategy_proofness(
+def _misreport_search(
     instance: Instance,
     prefs: Profile,
-    domain: DomainSpec | None = None,
+    reports: Callable[[str], list[TrichotomousPreference]],
 ) -> ManipulationWitness | None:
-    """Exhaustive misreport search; a misreport counts as profitable when some
-    responsive extension of the TRUE marginal strictly prefers its outcome."""
+    """First profitable misreport, agents in priority order and each agent's
+    `reports` in order.  A misreport counts as profitable when some responsive
+    extension of the TRUE marginal strictly prefers its outcome."""
     cache = _OutcomeCache(instance)
     truth_final = cache.final(prefs)
     margs = marginal_profile(instance, prefs)
     for agent in instance.agents:
         truth_bundle = truth_final.assignment[agent]
-        for mis in trichotomous_reports(instance, agent, domain):
+        for mis in reports(agent):
             if mis == prefs[agent]:
                 continue
             outcome = cache.final({**prefs, agent: mis})
@@ -271,37 +281,28 @@ def check_strategy_proofness(
     return None
 
 
+def check_strategy_proofness(
+    instance: Instance,
+    prefs: Profile,
+    domain: DomainSpec | None = None,
+) -> ManipulationWitness | None:
+    """Exhaustive search over every (domain-filtered) report for a misreport whose
+    outcome some responsive extension of the TRUE marginal strictly prefers."""
+    return _misreport_search(
+        instance, prefs, lambda agent: trichotomous_reports(instance, agent, domain)
+    )
+
+
 def check_truncation_proofness(
     instance: Instance, prefs: Profile
 ) -> ManipulationWitness | None:
-    """Misreports varying only the bearable set; a witness is any outcome bundle
-    the truthful bundle does not unambiguously weakly dominate."""
-    cache = _OutcomeCache(instance)
-    truth_final = cache.final(prefs)
-    margs = marginal_profile(instance, prefs)
-    for agent in instance.agents:
-        truth_bundle = truth_final.assignment[agent]
-        attractive = prefs[agent].attractive
-        floor = instance.endowment[agent] - attractive
-        pool = [o for o in instance.object_ids if o not in attractive and o not in floor and o not in instance.endowment[agent]]
-        for x_mask in range(1 << len(pool)):
-            extra = frozenset(o for k, o in enumerate(pool) if x_mask >> k & 1)
-            mis = TrichotomousPreference(agent, attractive, floor | extra)
-            if mis == prefs[agent]:
-                continue
-            outcome = cache.final({**prefs, agent: mis})
-            mis_bundle = outcome.assignment[agent]
-            if not exists_strict_preference(mis_bundle, truth_bundle, margs[agent]):
-                continue
-            return ManipulationWitness(
-                agent=agent,
-                truthful=prefs[agent],
-                misreport=mis,
-                truthful_bundle=truth_bundle,
-                misreport_bundle=mis_bundle,
-                certificate=strict_witness_extension(mis_bundle, truth_bundle, margs[agent]),
-            )
-    return None
+    """check_strategy_proofness's search over the reports that keep each agent's
+    truthful attractive set and vary only the bearable extras."""
+    return _misreport_search(
+        instance,
+        prefs,
+        lambda agent: _reports(instance, agent, [prefs[agent].attractive]),
+    )
 
 
 def _welfare_pair(bundle: frozenset[str], pref: TrichotomousPreference) -> tuple[int, int]:
@@ -311,11 +312,10 @@ def _welfare_pair(bundle: frozenset[str], pref: TrichotomousPreference) -> tuple
 def check_obvious_manipulability(
     instance: Instance,
     prefs: Profile,
-    opponent_universe: Sequence[Profile] | None = None,
     limit: int = 20000,
 ) -> ObviousManipulationWitness | None:
-    """Best-case/worst-case comparison of truth vs every misreport over an
-    opponent-profile universe (exhaustive trichotomous space by default).
+    """Best-case/worst-case comparison of truth vs every misreport over every
+    trichotomous opponent profile (Troyan and Morrill, 2020).
 
     Bundles are ranked through additive extensions of the true trichotomous
     marginal; a bundle's worth is determined by its (attractive, acceptable)
@@ -323,62 +323,51 @@ def check_obvious_manipulability(
     bounded integer components.
     """
     cache = _OutcomeCache(instance)
+    m = len(instance.objects)
+    reports: dict[str, list[TrichotomousPreference]] = {}
     for agent in instance.agents:
         others = [a for a in instance.agents if a != agent]
-        if opponent_universe is None:
-            per_agent = {a: trichotomous_reports(instance, a) for a in others}
-            total = 1
-            for a in others:
-                total *= len(per_agent[a])
-            if total > limit:
-                raise EnumerationLimitError(
-                    f"opponent space has {total} profiles; pass an explicit universe"
-                )
-            opponents: list[dict[str, TrichotomousPreference]] = [
-                dict(zip(others, combo))
-                for combo in itertools.product(*(per_agent[a] for a in others))
-            ]
-        else:
-            opponents = [dict(p) for p in opponent_universe]
+        # an agent holding w objects has 2^w * 3^(m - w) reports; none is built
+        # before the first agent's opponent space passes the limit
+        total = math.prod(
+            2 ** len(instance.endowment[a]) * 3 ** (m - len(instance.endowment[a]))
+            for a in others
+        )
+        if total > limit:
+            raise EnumerationLimitError(
+                f"opponent space has {total} profiles, limit is {limit}"
+            )
+        if not reports:
+            reports = {a: trichotomous_reports(instance, a) for a in instance.agents}
+        opponents = [
+            dict(zip(others, combo))
+            for combo in itertools.product(*(reports[a] for a in others))
+        ]
 
         true_pref = prefs[agent]
         t = len(instance.endowment[agent])
-        directions = [
-            (alpha, beta)
-            for alpha in range(1, 2 * t + 2)
-            for beta in range(1, 2 * t + 2)
-        ]
 
         def outcomes(report: TrichotomousPreference) -> list[tuple[frozenset[str], tuple[int, int]]]:
             seen = []
             for opp in opponents:
-                profile = {**opp, agent: report}
-                bundle = cache.final(profile).assignment[agent]
+                bundle = cache.final({**opp, agent: report}).assignment[agent]
                 seen.append((bundle, _welfare_pair(bundle, true_pref)))
             return seen
 
         truth_outcomes = outcomes(true_pref)
-        truth_extreme = {}
-        for d in directions:
-            vals = [d[0] * w[0] + d[1] * w[1] for _, w in truth_outcomes]
-            truth_extreme[d] = (max(vals), min(vals))
-        for mis in trichotomous_reports(instance, agent):
+        for mis in reports[agent]:
             if mis == true_pref:
                 continue
             mis_outcomes = outcomes(mis)
-            for d in directions:
-                alpha, beta = d
-                scored = [(b, alpha * w[0] + beta * w[1]) for b, w in mis_outcomes]
-                for scenario, pick, bench in (
-                    ("best", max, truth_extreme[d][0]),
-                    ("worst", min, truth_extreme[d][1]),
-                ):
-                    mis_bundle, mis_val = pick(scored, key=lambda bw: bw[1])
-                    if mis_val > bench:
-                        tru_bundle = pick(
-                            ((b, alpha * w[0] + beta * w[1]) for b, w in truth_outcomes),
-                            key=lambda bw: bw[1],
-                        )[0]
+            for alpha, beta in itertools.product(range(1, 2 * t + 2), repeat=2):
+
+                def value(outcome: tuple[frozenset[str], tuple[int, int]]) -> int:
+                    return alpha * outcome[1][0] + beta * outcome[1][1]
+
+                for scenario, pick in (("best", max), ("worst", min)):
+                    mis_pick = pick(mis_outcomes, key=value)
+                    tru_pick = pick(truth_outcomes, key=value)
+                    if value(mis_pick) > value(tru_pick):
                         utility = {}
                         for o in instance.object_ids:
                             if o in true_pref.attractive:
@@ -392,8 +381,8 @@ def check_obvious_manipulability(
                             truthful=true_pref,
                             misreport=mis,
                             scenario=scenario,
-                            truthful_bundle=tru_bundle,
-                            misreport_bundle=mis_bundle,
+                            truthful_bundle=tru_pick[0],
+                            misreport_bundle=mis_pick[0],
                             certificate=ResponsiveExtension(agent, utility),
                         )
     return None
@@ -418,10 +407,7 @@ def unambiguously_in_weak_core(
     unacceptable object below the endowment; for CIR candidates blocking then
     reduces to a strict attractive-count gain within acceptable bundles.
     """
-    if len(instance.objects) > bound:
-        raise EnumerationLimitError(
-            f"instance has {len(instance.objects)} objects, coalition bound is {bound}"
-        )
+    _check_enumeration_bound(instance, bound)
     margs = marginal_profile(instance, prefs)
     if strict_acceptability and not cir_trichotomous(instance, mu, prefs):
         raise ValueError(
@@ -456,7 +442,7 @@ def unambiguously_in_weak_core(
                 options.append(cands)
             if not feasible:
                 continue
-            pick = _assemble_disjoint(options, len(pool))
+            pick = _assemble_disjoint(options)
             if pick is None:
                 continue
             reallocation = {a: pick[k] for k, a in enumerate(coalition)}
@@ -472,9 +458,7 @@ def unambiguously_in_weak_core(
     return None
 
 
-def _assemble_disjoint(
-    options: list[list[frozenset[str]]], pool_size: int
-) -> list[frozenset[str]] | None:
+def _assemble_disjoint(options: list[list[frozenset[str]]]) -> list[frozenset[str]] | None:
     """First (canonical order) pairwise-disjoint selection, one bundle per list."""
 
     def rec(i: int, used: frozenset[str], acc: list[frozenset[str]]) -> bool:

@@ -17,7 +17,7 @@ from typing import Any
 
 from . import audits, fixtures, generate, mechanism, model
 from .model import ValidationError
-from .optimize import EnumerationLimitError, InfeasibleError
+from .optimize import EnumerationLimitError, InfeasibleError, _check_enumeration_bound
 from .responsive import cir_violation
 
 EXIT_OK = 0
@@ -91,11 +91,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     margs = audits.marginal_profile(instance, raw_prefs)
     for p in margs.values():
         p.validate_universe(instance.objects)
-    if (args.sp or args.truncation) and len(instance.objects) > args.bound:
+    if args.sp or args.truncation:
         # both audits enumerate reports over every object, about 2^m per agent
-        raise EnumerationLimitError(
-            f"instance has {len(instance.objects)} objects, enumeration bound is {args.bound}"
-        )
+        _check_enumeration_bound(instance, args.bound)
 
     trichotomous = True
     try:

@@ -76,12 +76,6 @@ class Instance:
             mask ^= low
         return frozenset(out)
 
-    def owner(self, obj: str) -> str:
-        for a in self.agents:
-            if obj in self.endowment[a]:
-                return a
-        raise KeyError(obj)
-
     def endowment_matching(self) -> Matching:
         """The endowment itself, viewed as a matching."""
         return Matching({a: self.endowment[a] for a in self.agents})
@@ -98,9 +92,6 @@ class Matching:
     """Assignment of the full object universe to agents, balanced per agent."""
 
     assignment: Mapping[str, frozenset[str]]
-
-    def bundle(self, agent: str) -> frozenset[str]:
-        return self.assignment[agent]
 
     def key(self, instance: Instance) -> tuple[tuple[str, ...], ...]:
         """Canonical comparison key: sorted bundles in agent priority order."""

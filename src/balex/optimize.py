@@ -187,10 +187,7 @@ def brute_force_max(
     bound: int = 10,
 ) -> tuple[int, Matching]:
     """Oracle twin of max_attractive by exhaustive enumeration (small instances only)."""
-    if len(instance.objects) > bound:
-        raise EnumerationLimitError(
-            f"instance has {len(instance.objects)} objects, brute-force bound is {bound}"
-        )
+    _check_enumeration_bound(instance, bound)
     a_target = constraints.attractive.get(target, frozenset())
     best = -1
     witness: Matching | None = None

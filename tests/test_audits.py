@@ -14,7 +14,6 @@ from balex.audits import (
     enumerate_matchings,
     find_efficient_core_matching,
     trichotomous_reports,
-    strongly_trichotomous_reports,
     unambiguously_efficient,
     unambiguously_in_weak_core,
     welfare_vector,
@@ -90,10 +89,10 @@ def test_report_enumeration_counts():
     # per agent: 2^|endow| * 3^|others|
     assert len(trichotomous_reports(inst, "a1")) == 2 * 9
     assert len(trichotomous_reports(inst, "a2")) == 4 * 3
-    assert len(strongly_trichotomous_reports(inst, "a1")) == 8
     strong = DomainSpec.strongly_trichotomous()
+    assert len(trichotomous_reports(inst, "a1", strong)) == 8
     filtered = trichotomous_reports(inst, "a2", strong)
-    assert len(filtered) == len(strongly_trichotomous_reports(inst, "a2"))
+    assert len(filtered) == 8  # 2^|O| attractive sets, B = endowment \ A
     assert all(not (p.bearable - inst.endowment["a2"]) for p in filtered)
 
 
@@ -118,7 +117,6 @@ def test_domain_without_bearable_extras_builds_only_its_reports(monkeypatch):
         attractive = frozenset(o for k, o in enumerate(objects) if a_mask >> k & 1)
         expected.append(TrichotomousPreference("a1", attractive, endow - attractive))
     assert reports == expected
-    assert strongly_trichotomous_reports(inst, "a1") == expected
 
 
 def test_strategy_proofness_witness_on_thm4_family():
@@ -165,6 +163,72 @@ def test_truncation_proofness_thm4_and_random():
         assert check_truncation_proofness(inst, prefs) is None
 
 
+def test_truncation_witness_is_the_first_profitable_report(monkeypatch):
+    from balex import audits
+
+    inst = make_instance([1, 1, 1, 1])
+    prefs = {a: TrichotomousPreference(a, fs(), inst.endowment[a]) for a in inst.agents}
+    prefs["a1"] = TrichotomousPreference("a1", fs("o2"), fs("o1"))
+    endowment = inst.endowment_matching()
+    swapped = Matching({**endowment.assignment, "a1": fs("o2"), "a2": fs("o1")})
+
+    def stub(instance, profile):
+        # a1 gets its attractive o2 whenever it reports a larger bearable set
+        return (swapped if profile["a1"].bearable > fs("o1") else endowment), None
+
+    monkeypatch.setattr(audits, "run_ir_priority", stub)
+    w = check_truncation_proofness(inst, prefs)
+    # a1's extras in enumeration order: {}, {o3}, {o4}, {o3, o4}; {} is the truth
+    assert w is not None and w.agent == "a1"
+    assert w.misreport == TrichotomousPreference("a1", fs("o2"), fs("o1", "o3"))
+    assert w.misreport.attractive == prefs["a1"].attractive
+    assert (w.truthful_bundle, w.misreport_bundle) == (fs("o1"), fs("o2"))
+    assert w.certificate.score(w.misreport_bundle) > w.certificate.score(w.truthful_bundle)
+
+
+def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
+    from balex import audits
+
+    runs, lookups = [], []
+    final = audits._OutcomeCache.final
+
+    def counting_run(instance, profile):
+        runs.append(profile)
+        return run_ir_priority(instance, profile)
+
+    def counting_final(self, profile):
+        lookups.append(profile)
+        return final(self, profile)
+
+    monkeypatch.setattr(audits, "run_ir_priority", counting_run)
+    monkeypatch.setattr(audits._OutcomeCache, "final", counting_final)
+    inst = make_instance([2, 1, 1])
+    prefs = random_profile(inst, random.Random(5), strongly=True)
+    strong = DomainSpec.strongly_trichotomous()
+    assert check_strategy_proofness(inst, prefs, strong) is None
+    reports = [len(trichotomous_reports(inst, a, strong)) for a in inst.agents]
+    assert reports == [16, 16, 16]
+    assert len(runs) == len(lookups) == 1 + sum(k - 1 for k in reports) == 46
+    runs.clear()
+    lookups.clear()
+    assert check_truncation_proofness(inst, prefs) is None
+    pools = [
+        len(inst.object_ids) - len(inst.endowment[a] | prefs[a].attractive) for a in inst.agents
+    ]
+    assert pools == [2, 3, 3]
+    assert len(runs) == len(lookups) == 1 + sum(2**k - 1 for k in pools) == 18
+    runs.clear()
+    lookups.clear()
+    unit = make_instance([1, 1])
+    unit_prefs = {
+        "a1": TrichotomousPreference("a1", fs("o2"), fs("o1")),
+        "a2": TrichotomousPreference("a2", fs("o1"), fs("o2")),
+    }
+    assert check_obvious_manipulability(unit, unit_prefs) is None
+    # 6 reports each: both agents look up all 36 profiles, which run once
+    assert (len(runs), len(lookups)) == (36, 72)
+
+
 def test_obvious_manipulability_unit_demand_none_and_extremes():
     inst = make_instance([1, 1])
     prefs = {
@@ -186,6 +250,24 @@ def test_obvious_manipulability_guard_on_large_space():
     prefs = random_profile(inst, random.Random(1))
     with pytest.raises(EnumerationLimitError):
         check_obvious_manipulability(inst, prefs, limit=10)
+
+
+def test_obvious_manipulability_refuses_before_building_reports(monkeypatch):
+    from balex import audits
+
+    inst = make_instance([1, 15])
+    prefs = {a: TrichotomousPreference(a, fs(), inst.endowment[a]) for a in inst.agents}
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return TrichotomousPreference(*args)
+
+    monkeypatch.setattr(audits, "TrichotomousPreference", counting)
+    # a2 alone has 2^15 * 3^1 reports
+    with pytest.raises(EnumerationLimitError, match="opponent space has 98304 profiles"):
+        check_obvious_manipulability(inst, prefs)
+    assert built == []
 
 
 def test_weak_core_unit_demand_example():
