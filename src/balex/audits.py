@@ -27,14 +27,12 @@ from .model import (
     domain_membership,
 )
 # enumerate_matchings lives in optimize; audits re-exports it
-from .optimize import EnumerationLimitError, cached_matchings, enumerate_matchings
-from .optimize import _check_enumeration_bound
+from .optimize import EnumerationLimitError, enumerate_matchings, mask_matchings
+from .optimize import _check_enumeration_bound, _matching_from_masks
 from .responsive import (
     ResponsiveExtension,
     cir_trichotomous,
     exists_strict_preference,
-    is_component_wise_IR,
-    prefix_counts,
     strict_witness_extension,
 )
 
@@ -110,38 +108,50 @@ def welfare_vector(instance: Instance, mu: Matching, prefs: Profile) -> tuple[in
     )
 
 
+def _prefix_masks(instance: Instance, pref: MarginalPreference) -> list[int]:
+    """Entry k holds the objects ranked in class k + 1 or better; the last entry
+    holds every object, so popcounts against these masks are prefix_counts."""
+    out: list[int] = []
+    acc = 0
+    for cls in pref.classes:
+        acc |= instance.mask(cls)
+        out.append(acc)
+    out.append((1 << len(instance.object_ids)) - 1)
+    return out
+
+
+_EQUAL, _WORSE, _STRICT = range(3)
+
+
 def _is_dominated(
-    instance: Instance,
-    mu: Matching,
-    margs: Mapping[str, MarginalPreference],
-    bound: int,
+    instance: Instance, mu: tuple[int, ...], prefixes: list[list[int]]
 ) -> bool:
-    """Whether some matching Pareto-improves `mu` under SOME responsive profile.
+    """Whether some matching Pareto-improves the matching with bundle masks `mu`
+    under SOME responsive profile; prefixes[i] are agent i's _prefix_masks.
 
     Per agent the improvement needs only one extension (extensions are chosen
     independently), so agent i's condition is that mu(i) does not unambiguously
     strictly dominate nu(i); one agent must additionally admit a strictly
     preferring extension.
     """
-    agents = instance.agents
-    mu_prefix = [prefix_counts(margs[a], mu.assignment[a]) for a in agents]
-    memo: list[dict[frozenset[str], tuple[int, ...]]] = [{} for _ in agents]
-    for nu in cached_matchings(instance, bound):
-        strict = False
-        ok = True
-        for i, a in enumerate(agents):
-            bundle = nu.assignment[a]
-            pv = memo[i].get(bundle)
-            if pv is None:
-                pv = memo[i][bundle] = prefix_counts(margs[a], bundle)
-            mv = mu_prefix[i]
-            if pv == mv:
-                continue
-            if all(x <= y for x, y in zip(pv, mv)):
-                ok = False  # nu(i) unambiguously strictly worse: always-weakly-worse
-                break
-            strict = True  # some rank prefix strictly exceeds: a strict extension exists
-        if ok and strict:
+    mu_counts = [[(m & p).bit_count() for p in ps] for m, ps in zip(mu, prefixes)]
+    verdicts: list[dict[int, int]] = [{} for _ in mu]
+
+    def keep(i: int, mask: int) -> bool:
+        v = verdicts[i].get(mask)
+        if v is None:
+            counts = [(mask & p).bit_count() for p in prefixes[i]]
+            if counts == mu_counts[i]:
+                v = _EQUAL
+            elif all(x <= y for x, y in zip(counts, mu_counts[i])):
+                v = _WORSE  # nu(i) unambiguously strictly worse: always-weakly-worse
+            else:
+                v = _STRICT  # some rank prefix strictly exceeds: a strict extension exists
+            verdicts[i][mask] = v
+        return v != _WORSE
+
+    for nu in mask_matchings(instance.sizes, len(instance.object_ids), keep):
+        if any(verdicts[i][m] == _STRICT for i, m in enumerate(nu)):
             return True
     return False
 
@@ -165,7 +175,13 @@ def unambiguously_efficient(
         return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
     if mode != "brute":
         raise ValueError(f"unknown efficiency mode {mode!r}")
-    return not _is_dominated(instance, mu, marginal_profile(instance, prefs), bound)
+    _check_enumeration_bound(instance, bound)
+    margs = marginal_profile(instance, prefs)
+    return not _is_dominated(
+        instance,
+        tuple(instance.mask(mu.assignment[a]) for a in instance.agents),
+        [_prefix_masks(instance, margs[a]) for a in instance.agents],
+    )
 
 
 def efficient_ir_set(
@@ -174,14 +190,25 @@ def efficient_ir_set(
     bound: int = 10,
 ) -> list[Matching]:
     """All matchings that are unambiguously individually rational and efficient."""
+    _check_enumeration_bound(instance, bound)
     margs = marginal_profile(instance, prefs)
-    out = []
-    for mu in cached_matchings(instance, bound):
-        if is_component_wise_IR(instance, mu, margs) and not _is_dominated(
-            instance, mu, margs, bound
-        ):
-            out.append(mu)
-    return out
+    prefixes = [_prefix_masks(instance, margs[a]) for a in instance.agents]
+    # component-wise IR: at the class of each endowed object, the bundle holds
+    # as many objects of that class or better as the endowment does
+    floors = []
+    for a, ps, own in zip(instance.agents, prefixes, instance.endowment_masks):
+        ranks = margs[a].ranks
+        bars = sorted({ranks[o] for o in instance.endowment[a]})
+        floors.append([(ps[r - 1], (own & ps[r - 1]).bit_count()) for r in bars])
+
+    def cir(i: int, mask: int) -> bool:
+        return all((mask & p).bit_count() >= need for p, need in floors[i])
+
+    return [
+        _matching_from_masks(instance, mu)
+        for mu in mask_matchings(instance.sizes, len(instance.object_ids), cir)
+        if not _is_dominated(instance, mu, prefixes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +509,31 @@ def find_efficient_core_matching(
 ) -> Matching | None:
     """Some unambiguously efficient matching that is unambiguously in the weak
     core under strict acceptability; None triggers a flagged report upstream
-    (existence is guaranteed on this domain)."""
-    cir: list[tuple[Matching, tuple[int, ...]]] = []
-    for mu in cached_matchings(instance, bound):
-        if cir_trichotomous(instance, mu, prefs):
-            cir.append((mu, welfare_vector(instance, mu, prefs)))
-    vectors = [w for _, w in cir]
-    for mu, w in cir:
-        dominated = any(
-            all(x >= y for x, y in zip(v, w)) and v != w for v in vectors
-        )
-        if dominated:
+    (existence is guaranteed on this domain).
+
+    Candidates are the CIR matchings in canonical order whose attractive-count
+    vector no other CIR matching Pareto-dominates."""
+    _check_enumeration_bound(instance, bound)
+    attractive = [instance.mask(prefs[a].attractive) for a in instance.agents]
+    acceptable = [instance.mask(prefs[a].acceptable()) for a in instance.agents]
+    floor = [(own & att).bit_count() for own, att in zip(instance.endowment_masks, attractive)]
+
+    def cir(i: int, mask: int) -> bool:
+        return not mask & ~acceptable[i] and (mask & attractive[i]).bit_count() >= floor[i]
+
+    cir_set = [
+        (mu, tuple((m & att).bit_count() for m, att in zip(mu, attractive)))
+        for mu in mask_matchings(instance.sizes, len(instance.object_ids), cir)
+    ]
+    vectors = {w for _, w in cir_set}
+    frontier = {
+        w for w in vectors
+        if not any(v != w and all(x >= y for x, y in zip(v, w)) for v in vectors)
+    }
+    for masks, w in cir_set:
+        if w not in frontier:
             continue
+        mu = _matching_from_masks(instance, masks)
         if unambiguously_in_weak_core(instance, mu, prefs, strict_acceptability=True, bound=bound) is None:
             return mu
     return None

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .flownet import ExchangeFlow
 from .model import Instance, Matching
@@ -60,7 +59,7 @@ class WelfareConstraints:
                 raise ValueError(f"agent {a!r}: exact_attractive below min_attractive")
 
 
-def _matching_from_masks(instance: Instance, masks: list[int]) -> Matching:
+def _matching_from_masks(instance: Instance, masks: Sequence[int]) -> Matching:
     return Matching(
         {a: instance.unmask(masks[i]) for i, a in enumerate(instance.agents)}
     )
@@ -110,30 +109,39 @@ def _make_flow(instance: Instance, constraints: WelfareConstraints) -> ExchangeF
     )
 
 
-def _matchings(
-    agents: tuple[str, ...],
-    object_ids: tuple[str, ...],
+def mask_matchings(
     sizes: tuple[int, ...],
-    keep: Callable[[int, frozenset[str]], bool] | None = None,
-) -> Iterator[Matching]:
-    """Agents in priority order each take a combination of the remaining
-    objects in identifier order, so matchings come out in canonical order;
-    `keep(i, bundle)` prunes the bundles of agent i."""
-    acc: list[frozenset[str]] = []
+    n_objects: int,
+    keep: Callable[[int, int], bool] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every balanced matching as per-agent object masks (bit k is the k-th
+    object in identifier order).  Agents in priority order each take a
+    combination of the remaining objects in index order, so matchings come out
+    in canonical order; `keep(i, mask)` prunes the bundles of agent i."""
+    n = len(sizes)
+    acc = [0] * n
 
-    def rec(i: int, remaining: tuple[str, ...]) -> Iterator[Matching]:
-        if i == len(agents):
-            yield Matching(dict(zip(agents, acc)))
+    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(acc)
             return
-        for combo in itertools.combinations(remaining, sizes[i]):
-            bundle = frozenset(combo)
-            if keep is not None and not keep(i, bundle):
+        bits = [1 << k for k in range(n_objects) if remaining >> k & 1]
+        for combo in itertools.combinations(bits, sizes[i]):
+            mask = sum(combo)
+            if keep is not None and not keep(i, mask):
                 continue
-            acc.append(bundle)
-            yield from rec(i + 1, tuple(o for o in remaining if o not in bundle))
-            acc.pop()
+            acc[i] = mask
+            yield from rec(i + 1, remaining ^ mask)
 
-    return rec(0, object_ids)
+    return rec(0, (1 << n_objects) - 1)
+
+
+def _matchings(
+    instance: Instance, keep: Callable[[int, int], bool] | None = None
+) -> Iterator[Matching]:
+    """mask_matchings on the instance, as Matching objects."""
+    for masks in mask_matchings(instance.sizes, len(instance.object_ids), keep):
+        yield _matching_from_masks(instance, masks)
 
 
 def _check_enumeration_bound(instance: Instance, bound: int) -> None:
@@ -146,21 +154,7 @@ def _check_enumeration_bound(instance: Instance, bound: int) -> None:
 def enumerate_matchings(instance: Instance, bound: int = 10) -> Iterator[Matching]:
     """Every matching of the instance exactly once, in canonical order."""
     _check_enumeration_bound(instance, bound)
-    yield from _matchings(instance.agents, instance.object_ids, instance.sizes)
-
-
-@lru_cache(maxsize=8)
-def _matchings_cached(
-    agents: tuple[str, ...], object_ids: tuple[str, ...], sizes: tuple[int, ...]
-) -> tuple[Matching, ...]:
-    return tuple(_matchings(agents, object_ids, sizes))
-
-
-def cached_matchings(instance: Instance, bound: int = 10) -> tuple[Matching, ...]:
-    """enumerate_matchings as a tuple, shared by repeat calls on markets of the
-    same shape (agents, objects and endowment sizes)."""
-    _check_enumeration_bound(instance, bound)
-    return _matchings_cached(instance.agents, instance.object_ids, instance.sizes)
+    yield from _matchings(instance)
 
 
 def enumerate_constrained(
@@ -168,16 +162,16 @@ def enumerate_constrained(
 ) -> Iterator[Matching]:
     """All matchings satisfying the constraints, in canonical order."""
     agents = instance.agents
-    allowed = [constraints.allowed.get(a, frozenset()) for a in agents]
-    attractive = [constraints.attractive.get(a, frozenset()) for a in agents]
+    allowed = [instance.mask(constraints.allowed.get(a, frozenset())) for a in agents]
+    attractive = [instance.mask(constraints.attractive.get(a, frozenset())) for a in agents]
     low = [constraints.min_attractive.get(a, 0) for a in agents]
     exact = [constraints.exact_attractive.get(a) for a in agents]
 
-    def keep(i: int, bundle: frozenset[str]) -> bool:
-        got = len(bundle & attractive[i])
-        return bundle <= allowed[i] and got >= low[i] and exact[i] in (None, got)
+    def keep(i: int, mask: int) -> bool:
+        got = (mask & attractive[i]).bit_count()
+        return not mask & ~allowed[i] and got >= low[i] and exact[i] in (None, got)
 
-    return _matchings(agents, instance.object_ids, instance.sizes, keep)
+    return _matchings(instance, keep)
 
 
 def brute_force_max(

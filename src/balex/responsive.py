@@ -114,11 +114,9 @@ def strict_witness_extension(
     # unit step at the pivot rank, plus a slope too small to overturn the step
     levels = depth + 1
     eps = Fraction(1, 2 * levels * (len(xs) + 1))
-    utility: dict[str, Fraction] = {}
-    for o in pref.universe():
-        k = pref.ranks[o] - 1
-        utility[o] = (Fraction(1) if k <= pivot else Fraction(0)) + eps * (levels - k)
-    ext = ResponsiveExtension(pref.owner, utility)
+    values = [(1 if k <= pivot else 0) + eps * (levels - k) for k in range(depth)]
+    ranks = pref.ranks
+    ext = ResponsiveExtension(pref.owner, {o: values[ranks[o] - 1] for o in pref.universe()})
     if not ext.score(xs) > ext.score(ys):
         raise MechanismInvariantError("witness extension does not rank X strictly above Y")
     return ext

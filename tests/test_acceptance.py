@@ -25,8 +25,13 @@ from balex.fixtures import load_fixture
 from balex.generate import random_market
 from balex.mechanism import _refine_masks, run_ir_priority
 from balex.model import TrichotomousPreference
-from balex.optimize import InfeasibleError, WelfareConstraints, brute_force_max, max_attractive
-from balex.optimize import cached_matchings as _matchings_list
+from balex.optimize import (
+    InfeasibleError,
+    WelfareConstraints,
+    brute_force_max,
+    enumerate_matchings,
+    max_attractive,
+)
 from balex.responsive import (
     build_punishing_extension,
     cir_trichotomous,
@@ -80,7 +85,7 @@ def test_criterion_01_unambiguous_ir_equivalence():
     # assembly layer: profiles glued back together, all matchings
     rng = random.Random(2026)
     inst = make_instance([2, 2, 2])
-    matchings = _matchings_list(inst, 6)
+    matchings = tuple(enumerate_matchings(inst, 6))
     for _ in range(150):
         prefs = random_profile(inst, rng)
         margs = {a: prefs[a].to_classes(inst.objects) for a in inst.agents}
@@ -148,7 +153,7 @@ def test_criterion_03_cycle_vs_brute_efficiency():
         inst = make_instance(sizes)
         prefs = random_profile(inst, rng)
         profiles += 1
-        for mu in _matchings_list(inst, 8):
+        for mu in enumerate_matchings(inst, 8):
             if not cir_trichotomous(inst, mu, prefs):
                 continue
             checked += 1
@@ -344,7 +349,7 @@ def test_criterion_08_fixture_regression():
     fx = load_fixture("example1")
     cir = [
         m
-        for m in _matchings_list(fx.instance, 6)
+        for m in enumerate_matchings(fx.instance, 6)
         if is_component_wise_IR(fx.instance, m, fx.prefs)
     ]
     assert cir == [fx.instance.endowment_matching()]
@@ -406,7 +411,7 @@ def test_criterion_09_efficient_weak_core_existence():
         size_list = list(inst.sizes)
         matchings = [
             tuple(inst.mask(mu.assignment[a]) for a in inst.agents)
-            for mu in _matchings_list(inst, 6)
+            for mu in enumerate_matchings(inst, 6)
         ]
         agent_idx = list(range(n))
         coalitions = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -291,6 +292,21 @@ def test_weak_core_no_pe_core_blocks_everything():
             assert len(w.reallocation[a]) == len(fx.instance.endowment[a])
             cert = w.certificates[a]
             assert cert.score(w.reallocation[a]) > cert.score(mu.assignment[a])
+
+
+def test_block_witness_certificate_values():
+    fx = load_fixture("no-pe-core")
+    mu = fx.expected["efficient_ir_set"][0]
+    w = unambiguously_in_weak_core(fx.instance, mu, fx.prefs)
+    assert w.coalition == ("2", "3")
+    assert w.reallocation == {"2": fs("q1", "q2"), "3": fs("p1", "p2")}
+    high, low, step = Fraction(7, 6), Fraction(1, 12), Fraction(1, 8)
+    assert w.certificates["2"].utility == {
+        "o1": high, "o2": high, "p1": step, "p2": step, "q1": high, "q2": high
+    }
+    assert w.certificates["3"].utility == {
+        "o1": low, "o2": low, "p1": high, "p2": low, "q1": step, "q2": step
+    }
 
 
 def test_weak_core_single_agent_trivial():
