@@ -248,13 +248,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         start = time.perf_counter()
         _, trace = mechanism.run_ir_priority(instance, prefs)
+        rounds = len(trace.rounds)  # names the rounds, inside the timed region
         elapsed = time.perf_counter() - start
         writer.writerow(
             [
                 args.seed,
                 n,
                 len(instance.objects),
-                len(trace.rounds),
+                rounds,
                 trace.flow_queries,
                 f"{elapsed:.4f}",
             ]
@@ -341,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except mechanism.MechanismInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        # the mechanism's errors carry the finished rounds as a second argument
+        print(f"internal invariant violation: {exc.args[0]}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

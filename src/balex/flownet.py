@@ -92,47 +92,33 @@ class ExchangeFlow:
         self.free = 3 * n
         self.nn = self.free + 1
 
+        # per agent i, edge pairs 2i (agent -> attractive tier, the tier edge)
+        # and 2i + 1 (agent -> bearable tier), each forwards then backwards
+        if hi is None:
+            hi = sizes
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(self.nn)]
-        self.frozen = bytearray()
+        for i in range(n):
+            self.to += (self.tier_a0 + i, i, self.tier_b0 + i, i)
+            self.cap += (min(hi[i], sizes[i], allowed_a[i].bit_count()), -lo[i], sizes[i], 0)
+        self.adj: list[list[int]] = (
+            [[4 * i, 4 * i + 2] for i in range(n)]
+            + [[4 * i + 1, _OBJECTS] for i in range(n)]
+            + [[4 * i + 3, _OBJECTS] for i in range(n)]
+            + [[]]
+        )
+        self.frozen = bytearray(2 * n)
+        self.tier_edge_a = list(range(0, 4 * n, 4))
 
         # per node: the objects it has arcs to and the objects it holds
-        self.allow = [0] * self.nn
+        self.allow = [0] * n + allowed_a + allowed_b + [0]
         self.held = [0] * self.nn
         self.held[self.free] = (1 << m) - 1
         self.holder = [self.free] * m
         self.pinned = 0
-
-        self.tier_edge_a: list[int] = []
-
-        if hi is None:
-            hi = [min(sizes[i], bin(allowed_a[i]).count("1")) for i in range(n)]
-        for i in range(n):
-            cap_a = min(hi[i], sizes[i], bin(allowed_a[i]).count("1"))
-            self.tier_edge_a.append(
-                self._add(self.agent0 + i, self.tier_a0 + i, lo[i], cap_a)
-            )
-            self._add(self.agent0 + i, self.tier_b0 + i, 0, sizes[i])
-            for tier, mask in (
-                (self.tier_a0 + i, allowed_a[i]),
-                (self.tier_b0 + i, allowed_b[i]),
-            ):
-                self.allow[tier] = mask
-                self.adj[tier].append(_OBJECTS)
         self.queries = 0
 
-    # -- construction ------------------------------------------------------
-
-    def _add(self, u: int, v: int, lo: int, hi: int) -> int:
-        """Edge u -> v with flow 0 between bounds lo and hi."""
-        eid = len(self.to)
-        self.to += (v, u)
-        self.cap += (hi, -lo)
-        self.adj[u].append(eid)
-        self.adj[v].append(eid + 1)
-        self.frozen.append(0)
-        return eid
+    # -- moving flow ---------------------------------------------------------
 
     def _push_edge(self, e: int, amount: int) -> None:
         self.cap[e] -= amount
@@ -161,11 +147,11 @@ class ExchangeFlow:
         taken = 0
         for i, bundle in enumerate(bundles):
             eid = self.tier_edge_a[i]
-            count_a = bin(bundle & self.allowed_a[i]).count("1")
+            count_a = (bundle & self.allowed_a[i]).bit_count()
             if (
                 bundle & taken
                 or bundle & ~(self.allowed_a[i] | self.allowed_b[i])
-                or bin(bundle).count("1") != self.sizes[i]
+                or bundle.bit_count() != self.sizes[i]
             ):
                 return False
             taken |= bundle

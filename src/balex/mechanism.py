@@ -13,16 +13,27 @@ Elicitation is simulated: the full profile is an input, but the trace records
 the round at which each agent's bearable set was first read, so the claim that
 the mechanism consumes bearable-set information only once an agent stops
 improving is a checkable trace property.
+
+A run works on object masks throughout and names only its final matching.  The
+trace keeps the other rounds as masks, with a snapshot of the reported
+profile, and names them when `MechanismTrace.rounds` is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from .flownet import ExchangeFlow
 from .model import Instance, Matching, MechanismInvariantError, TrichotomousPreference
 from .responsive import cir_trichotomous
+
+# Per agent in priority order, the reported (attractive, bearable) sets.
+Profile = tuple[tuple[frozenset[str], frozenset[str]], ...]
+# One round as a run keeps it: bundle masks, promises, and the non-improvable
+# agents as a mask over agent indices.
+MaskRound = tuple[list[int], list[int], int]
 
 
 @dataclass(frozen=True)
@@ -37,28 +48,77 @@ class RoundState:
     bearable_outer: dict[str, frozenset[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MechanismTrace:
-    """Full record of a run: per-round states, first-elicitation rounds, final matching."""
+    """Full record of a run: per-round states, first-elicitation rounds, final matching.
 
-    rounds: tuple[RoundState, ...]
+    A run keeps its rounds as masks, next to a snapshot of the reported
+    profile, and names only the final matching.  `rounds` names the rest the
+    first time it is read and keeps the result; its last entry is the final
+    pass, whose `mu` is `final`.
+    """
+
     final: Matching
     elicitation_round: dict[str, int]
     flow_queries: int
+    _instance: Instance = field(repr=False)
+    _profile: Profile = field(repr=False)
+    _masks: tuple[MaskRound, ...] = field(repr=False)
+
+    @cached_property
+    def rounds(self) -> tuple[RoundState, ...]:
+        return tuple(_name_rounds(self._instance, self._profile, self._masks, self.final))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MechanismTrace):
+            return NotImplemented
+        return (self.rounds, self.final, self.elicitation_round, self.flow_queries) == (
+            other.rounds, other.final, other.elicitation_round, other.flow_queries
+        )
 
 
-def _profile_masks(
-    instance: Instance, prefs: Mapping[str, TrichotomousPreference]
-) -> tuple[list[int], list[int]]:
-    a_masks, b_masks = [], []
-    for a in instance.agents:
-        a_masks.append(instance.mask(prefs[a].attractive))
-        b_masks.append(instance.mask(prefs[a].bearable))
-    return a_masks, b_masks
+def _name_rounds(
+    instance: Instance,
+    profile: Profile,
+    rounds: Sequence[MaskRound],
+    final: Matching | None = None,
+) -> list[RoundState]:
+    """The named states of `rounds`; the last one's matching is `final` when given.
+
+    An agent's bearable set is its reported one once it is non-improvable;
+    before that, the endowed objects outside its attractive set (`bearable`)
+    and every object outside it (`bearable_outer`).
+    """
+    agents = instance.agents
+    named = []
+    for t, (bundles, promises, elicited) in enumerate(rounds, start=1):
+        if final is not None and t == len(rounds):
+            mu = final
+        else:
+            mu = Matching({a: instance.unmask(bundles[i]) for i, a in enumerate(agents)})
+        bearable, outer = {}, {}
+        for i, a in enumerate(agents):
+            attractive, true = profile[i]
+            if elicited >> i & 1:
+                bearable[a] = outer[a] = true
+            else:
+                bearable[a] = instance.endowment[a] - attractive
+                outer[a] = instance.objects - attractive
+        named.append(
+            RoundState(
+                round=t,
+                mu=mu,
+                promises=tuple(promises),
+                non_improvable=frozenset(a for i, a in enumerate(agents) if elicited >> i & 1),
+                bearable=bearable,
+                bearable_outer=outer,
+            )
+        )
+    return named
 
 
 def _welfare(mu_masks: list[int], a_masks: list[int]) -> list[int]:
-    return [bin(mu & a).count("1") for mu, a in zip(mu_masks, a_masks)]
+    return [(mu & a).bit_count() for mu, a in zip(mu_masks, a_masks)]
 
 
 def _query_masks(
@@ -158,93 +218,76 @@ def run_ir_priority(
 
     The outer loop performs at most one elicitation round per agent; failure of
     the non-improvable set to grow raises MechanismInvariantError with the
-    partial trace attached as the exception argument.  One network serves the
-    whole run: each round's refinement, improvability check and the final
-    pass retarget it at the matching it holds.
+    named states of the finished rounds as its second argument.  One network
+    serves the whole run: each round's refinement, improvability check and the
+    final pass retarget it at the matching it holds.  The rounds stay masks,
+    and the agent sets bitmasks over agent indices, until the trace is read.
     """
-    n = len(instance.agents)
+    agents = instance.agents
+    n = len(agents)
     m = len(instance.object_ids)
-    a_masks, b_true = _profile_masks(instance, prefs)
+    profile: Profile = tuple((prefs[a].attractive, prefs[a].bearable) for a in agents)
+    a_masks = [instance.mask(attractive) for attractive, _ in profile]
+    b_true = [instance.mask(bearable) for _, bearable in profile]
     full = (1 << m) - 1
     endow = list(instance.endowment_masks)
-    for i, a in enumerate(instance.agents):
+    for i, a in enumerate(agents):
         if endow[i] & ~(a_masks[i] | b_true[i]):
             raise ValueError(f"agent {a!r}: endowment not contained in A ∪ B")
     b_floor = [endow[i] & ~a_masks[i] for i in range(n)]
     b_ceil = [full & ~a_masks[i] for i in range(n)]
-    # the same three bearable sets per agent, by name, for the trace
-    named_true = [prefs[a].bearable for a in instance.agents]
-    named_floor = [instance.endowment[a] - prefs[a].attractive for a in instance.agents]
-    named_ceil = [instance.objects - prefs[a].attractive for a in instance.agents]
 
-    def pick(elicited: frozenset[int], true: list, base: list) -> list:
-        """Per agent, its true bearable set once elicited, else `base`."""
-        return [true[i] if i in elicited else base[i] for i in range(n)]
+    def pick(elicited: int, base: list[int]) -> list[int]:
+        """Per agent, its true bearable mask once elicited, else `base`."""
+        return [b_true[i] if elicited >> i & 1 else base[i] for i in range(n)]
 
-    def matching(masks: list[int]) -> Matching:
-        return Matching({a: instance.unmask(masks[i]) for i, a in enumerate(instance.agents)})
+    def broken(message: str) -> MechanismInvariantError:
+        return MechanismInvariantError(message, _name_rounds(instance, profile, rounds))
 
-    elicited: frozenset[int] = frozenset()
-    rounds: list[RoundState] = []
+    everyone = (1 << n) - 1
+    elicited = 0
+    rounds: list[MaskRound] = []
     elicitation_round: dict[str, int] = {}
-    all_agents = frozenset(range(n))
     order = list(range(n))
     allowed = [a_masks[i] | b_floor[i] for i in range(n)]
     flow = _network(list(instance.sizes), a_masks, allowed, endow, m)
 
     for t in range(1, n + 1):
         promises = _dictatorship(flow)
-        mu = matching(flow.extract_canonical(order))
+        bundles = flow.extract_canonical(order)
 
-        flow.retarget(pick(elicited, b_true, b_ceil))
-        non_improvable = frozenset(i for i in order if not flow.can_improve(i))
-        if not elicited <= non_improvable:
-            raise MechanismInvariantError(
-                f"non-improvable set shrank at round {t}", rounds
-            )
-        if non_improvable == elicited and non_improvable != all_agents:
-            raise MechanismInvariantError(
-                f"non-improvable set failed to grow at round {t}", rounds
-            )
+        flow.retarget(pick(elicited, b_ceil))
+        non_improvable = 0
+        for i in order:
+            if not flow.can_improve(i):
+                non_improvable |= 1 << i
+        if elicited & ~non_improvable:
+            raise broken(f"non-improvable set shrank at round {t}")
+        if non_improvable == elicited and non_improvable != everyone:
+            raise broken(f"non-improvable set failed to grow at round {t}")
+        for i in order:
+            if (non_improvable & ~elicited) >> i & 1:
+                elicitation_round[agents[i]] = t
         elicited = non_improvable
-        for i in sorted(elicited):
-            elicitation_round.setdefault(instance.agents[i], t)
-        rounds.append(
-            RoundState(
-                round=t,
-                mu=mu,
-                promises=tuple(promises),
-                non_improvable=frozenset(instance.agents[i] for i in elicited),
-                bearable=dict(zip(instance.agents, pick(elicited, named_true, named_floor))),
-                bearable_outer=dict(zip(instance.agents, pick(elicited, named_true, named_ceil))),
-            )
-        )
-        flow.retarget(pick(elicited, b_true, b_floor))
-        if elicited == all_agents:
+        rounds.append((bundles, promises, elicited))
+        flow.retarget(pick(elicited, b_floor))
+        if elicited == everyone:
             break
     else:
-        raise MechanismInvariantError(
-            f"outer loop did not terminate within {n} rounds", rounds
-        )
+        raise broken(f"outer loop did not terminate within {n} rounds")
 
     # final pass with every true bearable set revealed
     promises = _dictatorship(flow)
-    final = matching(flow.extract_canonical(order))
-    rounds.append(
-        RoundState(
-            round=len(rounds) + 1,
-            mu=final,
-            promises=tuple(promises),
-            non_improvable=frozenset(instance.agents),
-            bearable={a: prefs[a].bearable for a in instance.agents},
-            bearable_outer={a: prefs[a].bearable for a in instance.agents},
-        )
-    )
+    bundles = flow.extract_canonical(order)
+    final = Matching({a: instance.unmask(bundles[i]) for i, a in enumerate(agents)})
+    rounds.append((bundles, promises, everyone))
     trace = MechanismTrace(
-        rounds=tuple(rounds),
         final=final,
         elicitation_round=elicitation_round,
         flow_queries=flow.queries,
+        _instance=instance,
+        _profile=profile,
+        _masks=tuple(rounds),
     )
     return final, trace
 

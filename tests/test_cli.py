@@ -179,6 +179,18 @@ def test_internal_invariant_exit_code(thm4_file, monkeypatch):
     assert main(["run", "--input", thm4_file]) == 3
 
 
+def test_internal_invariant_message_is_one_line(thm4_file, monkeypatch, capsys):
+    """The mechanism's error also carries the finished rounds; only its
+    message is printed."""
+    from balex.flownet import ExchangeFlow
+
+    monkeypatch.setattr(ExchangeFlow, "can_improve", lambda self, i: True)
+    assert main(["run", "--input", thm4_file]) == 3
+    assert capsys.readouterr().err == (
+        "internal invariant violation: non-improvable set failed to grow at round 1\n"
+    )
+
+
 def test_internal_key_error_is_not_reported_as_invalid_input(thm4_file, monkeypatch):
     from balex import cli
 

@@ -46,3 +46,20 @@ def test_package_has_no_assert_or_assertion_error():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     offenders.append(f"{path.name}:{node.lineno} raise AssertionError")
     assert offenders == []
+
+
+def test_package_counts_bits_with_bit_count():
+    """One popcount idiom: `int.bit_count()`, never `bin(x).count("1")`."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "count"
+                and isinstance(node.func.value, ast.Call)
+                and isinstance(node.func.value.func, ast.Name)
+                and node.func.value.func.id == "bin"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -9,13 +9,14 @@ import pytest
 
 from balex.cycles import find_cir_pareto_improving_cycle
 from balex.fixtures import load_fixture
+from balex.flownet import ExchangeFlow
 from balex.mechanism import (
     non_improvable_set,
     run_ir_priority,
     serial_refine,
     trace_to_json,
 )
-from balex.model import Instance, TrichotomousPreference
+from balex.model import Instance, MechanismInvariantError, TrichotomousPreference
 from balex.responsive import cir_trichotomous, compare_unambiguous, BundleComparison
 from conftest import (
     make_instance,
@@ -244,6 +245,57 @@ def test_a_run_names_objects_only_for_its_matchings(monkeypatch):
     _, trace = run_ir_priority(inst, prefs)
     assert len(trace.rounds) == 3
     assert len(calls) == 12
+
+
+def test_a_run_names_its_rounds_only_when_the_trace_is_read(monkeypatch):
+    """An unread trace costs the naming of the final matching alone; reading
+    `rounds` names the outer rounds once and keeps them."""
+    inst, prefs = thm4()
+    calls = []
+    unmask = Instance.unmask
+
+    def counting_unmask(self, mask):
+        calls.append(mask)
+        return unmask(self, mask)
+
+    monkeypatch.setattr(Instance, "unmask", counting_unmask)
+    final, trace = run_ir_priority(inst, prefs)
+    assert len(calls) == 4  # one bundle per agent, the final matching's
+    rounds = trace.rounds
+    assert len(calls) == 12
+    assert trace.rounds is rounds
+    assert rounds[-1].mu is final
+    assert len(calls) == 12
+
+
+def test_the_trace_keeps_the_profile_it_ran_on():
+    """Rounds named after the caller replaced its profile entries still show
+    the profile the run saw."""
+    inst, prefs = thm4()
+    _, named = run_ir_priority(inst, prefs)
+    expected = json.dumps(trace_to_json(inst, named))
+    _, trace = run_ir_priority(inst, prefs)
+    for a in inst.agents:
+        prefs[a] = TrichotomousPreference(a, fs(), inst.objects)
+    assert json.dumps(trace_to_json(inst, trace)) == expected
+
+
+def test_an_invariant_failure_carries_the_finished_rounds(monkeypatch):
+    """Round 1 answers truthfully; from round 2 on every agent claims to
+    improve, so the run fails there with round 1 named."""
+    inst, prefs = thm4()
+    _, trace = run_ir_priority(inst, prefs)
+    calls = []
+    can_improve = ExchangeFlow.can_improve
+
+    def improvable_after_round_1(self, i):
+        calls.append(i)
+        return can_improve(self, i) if len(calls) <= len(inst.agents) else True
+
+    monkeypatch.setattr(ExchangeFlow, "can_improve", improvable_after_round_1)
+    with pytest.raises(MechanismInvariantError, match="at round 2") as info:
+        run_ir_priority(inst, prefs)
+    assert info.value.args[1] == [trace.rounds[0]]
 
 
 def test_marginality_mechanism_sees_only_the_ab_pairs():
