@@ -23,7 +23,6 @@ from .model import (
     MarginalPreference,
     Matching,
     TrichotomousPreference,
-    canon,
     domain_membership,
 )
 # enumerate_matchings lives in optimize; audits re-exports it
@@ -150,7 +149,7 @@ def _is_dominated(
             verdicts[i][mask] = v
         return v != _WORSE
 
-    for nu in mask_matchings(instance.sizes, len(instance.object_ids), keep):
+    for nu in mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, keep):
         if any(verdicts[i][m] == _STRICT for i, m in enumerate(nu)):
             return True
     return False
@@ -206,7 +205,7 @@ def efficient_ir_set(
 
     return [
         _matching_from_masks(instance, mu)
-        for mu in mask_matchings(instance.sizes, len(instance.object_ids), cir)
+        for mu in mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, cir)
         if not _is_dominated(instance, mu, prefixes)
     ]
 
@@ -430,49 +429,50 @@ def unambiguously_in_weak_core(
     """None iff no coalition can strongly block `mu` (reallocating only its own
     endowments) under some responsive profile; otherwise the first witness.
 
+    Coalitions come by size, then as priority-order combinations; a coalition
+    blocks with the first reallocation of its endowments that mask_matchings
+    yields in which every member may be strictly better off.  Each agent's
+    verdict on a bundle mask is kept for the whole call.
+
     With strict_acceptability, extensions rank any bundle containing an
     unacceptable object below the endowment; for CIR candidates blocking then
-    reduces to a strict attractive-count gain within acceptable bundles.
+    reduces to a strict attractive-count gain within acceptable bundles: a
+    popcount test, so only the returned witness names objects.  Otherwise each
+    judged bundle is named for exists_strict_preference.
     """
     _check_enumeration_bound(instance, bound)
     margs = marginal_profile(instance, prefs)
-    if strict_acceptability and not cir_trichotomous(instance, mu, prefs):
-        raise ValueError(
-            "strict-acceptability core audit requires a CIR candidate matching"
-        )
-
-    def strictly_better(agent: str, bundle: frozenset[str]) -> bool:
-        if strict_acceptability:
-            p = prefs[agent]
-            if bundle - p.acceptable():
-                return False
-            return len(bundle & p.attractive) > len(
-                mu.assignment[agent] & p.attractive
-            )
-        return exists_strict_preference(bundle, mu.assignment[agent], margs[agent])
-
     agents = instance.agents
+    if strict_acceptability:
+        if not cir_trichotomous(instance, mu, prefs):
+            raise ValueError(
+                "strict-acceptability core audit requires a CIR candidate matching"
+            )
+        attractive = [instance.mask(prefs[a].attractive) for a in agents]
+        acceptable = [instance.mask(prefs[a].acceptable()) for a in agents]
+        held = [len(mu.assignment[a] & prefs[a].attractive) for a in agents]
+    verdicts: list[dict[int, bool]] = [{} for _ in agents]
+
+    def better(i: int, mask: int) -> bool:
+        v = verdicts[i].get(mask)
+        if v is None:
+            if strict_acceptability:
+                v = not mask & ~acceptable[i] and (mask & attractive[i]).bit_count() > held[i]
+            else:
+                a = agents[i]
+                v = exists_strict_preference(instance.unmask(mask), mu.assignment[a], margs[a])
+            verdicts[i][mask] = v
+        return v
+
     for size in range(1, len(agents) + 1):
-        for coalition in itertools.combinations(agents, size):
-            pool = frozenset().union(*(instance.endowment[a] for a in coalition))
-            options: list[list[frozenset[str]]] = []
-            feasible = True
-            for a in coalition:
-                cands = [
-                    frozenset(c)
-                    for c in itertools.combinations(canon(pool), len(instance.endowment[a]))
-                    if strictly_better(a, frozenset(c))
-                ]
-                if not cands:
-                    feasible = False
-                    break
-                options.append(cands)
-            if not feasible:
-                continue
-            pick = _assemble_disjoint(options)
+        for members in itertools.combinations(range(len(agents)), size):
+            pool = sum(instance.endowment_masks[i] for i in members)
+            sizes = [instance.sizes[i] for i in members]
+            pick = next(mask_matchings(sizes, pool, lambda k, m: better(members[k], m)), None)
             if pick is None:
                 continue
-            reallocation = {a: pick[k] for k, a in enumerate(coalition)}
+            coalition = tuple(agents[i] for i in members)
+            reallocation = {a: instance.unmask(m) for a, m in zip(coalition, pick)}
             certificates = {
                 a: strict_witness_extension(reallocation[a], mu.assignment[a], margs[a])
                 for a in coalition
@@ -483,25 +483,6 @@ def unambiguously_in_weak_core(
                 certificates=certificates,
             )
     return None
-
-
-def _assemble_disjoint(options: list[list[frozenset[str]]]) -> list[frozenset[str]] | None:
-    """First (canonical order) pairwise-disjoint selection, one bundle per list."""
-
-    def rec(i: int, used: frozenset[str], acc: list[frozenset[str]]) -> bool:
-        if i == len(options):
-            return True
-        for cand in options[i]:
-            if cand & used:
-                continue
-            acc.append(cand)
-            if rec(i + 1, used | cand, acc):
-                return True
-            acc.pop()
-        return False
-
-    acc: list[frozenset[str]] = []
-    return acc if rec(0, frozenset(), acc) else None
 
 
 def find_efficient_core_matching(
@@ -523,7 +504,7 @@ def find_efficient_core_matching(
 
     cir_set = [
         (mu, tuple((m & att).bit_count() for m, att in zip(mu, attractive)))
-        for mu in mask_matchings(instance.sizes, len(instance.object_ids), cir)
+        for mu in mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, cir)
     ]
     vectors = {w for _, w in cir_set}
     frontier = {

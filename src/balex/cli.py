@@ -139,6 +139,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.core:
         if not trichotomous:
             raise ValidationError("core audit needs a trichotomous profile")
+        if args.strict_acceptability and violation is not None:
+            raise ValidationError("strict-acceptability core audit needs a CIR matching")
         witness = audits.unambiguously_in_weak_core(
             instance,
             matching,

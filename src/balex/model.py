@@ -209,11 +209,6 @@ class DomainSpec:
         return self.nu.get(k, 0)
 
     @staticmethod
-    def all_weak_orders(max_rank: int) -> DomainSpec:
-        ones = {k: 1 for k in range(1, max_rank + 1)}
-        return DomainSpec(ones, dict(ones), name="all-weak-orders")
-
-    @staticmethod
     def dichotomous() -> DomainSpec:
         return DomainSpec({1: 1, 2: 1}, {1: 1, 2: 1}, name="dichotomous")
 
@@ -238,21 +233,29 @@ class DomainSpec:
         return DomainSpec(eps, nu, name="strongly-trichotomous")
 
 
+def _identifiers(value: object, what: str) -> list[str]:
+    """The items of a list of identifiers, as strings; a string, a number, a
+    map or null where the list belongs is invalid."""
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        raise ValidationError(f"{what} must be a list of identifiers")
+    return [str(o) for o in value]
+
+
 def validate_instance(raw: Mapping[str, object]) -> Instance:
     """Validate raw instance data (agents, objects, endowments) into an Instance."""
     agents = raw.get("agents")
-    objects = raw.get("objects")
     endowments = raw.get("endowments")
     if not isinstance(agents, (list, tuple)) or not agents:
         raise ValidationError("instance needs a non-empty 'agents' list")
+    if not all(isinstance(a, str) for a in agents):
+        raise ValidationError("agent identifiers must be strings")
     if len(set(agents)) != len(agents):
         raise ValidationError("duplicate agent identifiers")
-    if not isinstance(objects, (list, tuple, set, frozenset)):
-        raise ValidationError("instance needs an 'objects' collection")
+    objects = _identifiers(raw.get("objects"), "'objects'")
     if not isinstance(endowments, Mapping):
         raise ValidationError("instance needs an 'endowments' map")
-    universe = frozenset(str(o) for o in objects)
-    if len(universe) != len(list(objects)):
+    universe = frozenset(objects)
+    if len(universe) != len(objects):
         raise ValidationError("duplicate object identifiers")
     if set(endowments) != set(agents):
         raise ValidationError("endowments must cover exactly the listed agents")
@@ -260,7 +263,7 @@ def validate_instance(raw: Mapping[str, object]) -> Instance:
     endowment: dict[str, frozenset[str]] = {}
     claimed: dict[str, str] = {}
     for a in agents:
-        own = frozenset(str(o) for o in endowments[a])
+        own = frozenset(_identifiers(endowments[a], f"endowment of agent {a!r}"))
         if not own:
             raise ValidationError(f"agent {a!r} has an empty endowment")
         stray = own - universe
@@ -276,7 +279,7 @@ def validate_instance(raw: Mapping[str, object]) -> Instance:
     orphans = universe - set(claimed)
     if orphans:
         raise ValidationError(f"object(s) {canon(orphans)} are owned by nobody")
-    return Instance(tuple(str(a) for a in agents), universe, endowment)
+    return Instance(tuple(agents), universe, endowment)
 
 
 def validate_matching(instance: Instance, raw: Mapping[str, Iterable[str]]) -> Matching:
@@ -375,6 +378,8 @@ def market_from_json(
     doc: Mapping[str, object],
 ) -> tuple[Instance, dict[str, MarginalPreference | TrichotomousPreference]]:
     """Parse a market document into (Instance, preference map); strict about fields."""
+    if not isinstance(doc, Mapping):
+        raise ValidationError("market document must be a JSON object")
     unknown = set(doc) - _MARKET_FIELDS
     if unknown:
         raise ValidationError(f"unknown field(s) in market document: {canon(unknown)}")
@@ -391,15 +396,19 @@ def market_from_json(
             raise ValidationError(f"preference of agent {a!r} must be an object")
         keys = set(p)
         if keys == _PREF_FIELDS_CLASSES:
-            classes = tuple(frozenset(str(o) for o in cls) for cls in p["classes"])
+            if not isinstance(p["classes"], list):
+                raise ValidationError(f"'classes' of agent {a!r} must be a list of lists")
+            classes = tuple(
+                frozenset(_identifiers(cls, f"a class of agent {a!r}")) for cls in p["classes"]
+            )
             pref = MarginalPreference(a, classes)
             pref.validate_universe(instance.objects)
             prefs[a] = pref
         elif keys == _PREF_FIELDS_AB:
             tri = TrichotomousPreference(
                 a,
-                frozenset(str(o) for o in p["attractive"]),
-                frozenset(str(o) for o in p["bearable"]),
+                frozenset(_identifiers(p["attractive"], f"'attractive' of agent {a!r}")),
+                frozenset(_identifiers(p["bearable"], f"'bearable' of agent {a!r}")),
             )
             missing = instance.endowment[a] - tri.acceptable()
             if missing:
@@ -445,13 +454,17 @@ def market_to_json(
 
 
 def matching_from_json(instance: Instance, doc: Mapping[str, object]) -> Matching:
+    if not isinstance(doc, Mapping):
+        raise ValidationError("matching document must be a JSON object")
     unknown = set(doc) - {"assignment"}
     if unknown:
         raise ValidationError(f"unknown field(s) in matching document: {canon(unknown)}")
     raw = doc.get("assignment")
     if not isinstance(raw, Mapping):
         raise ValidationError("matching document needs an 'assignment' map")
-    return validate_matching(instance, {a: [str(o) for o in objs] for a, objs in raw.items()})
+    return validate_matching(
+        instance, {a: _identifiers(objs, f"bundle of agent {a!r}") for a, objs in raw.items()}
+    )
 
 
 def matching_to_json(instance: Instance, matching: Matching) -> dict[str, object]:

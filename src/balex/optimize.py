@@ -110,14 +110,16 @@ def _make_flow(instance: Instance, constraints: WelfareConstraints) -> ExchangeF
 
 
 def mask_matchings(
-    sizes: tuple[int, ...],
-    n_objects: int,
+    sizes: Sequence[int],
+    objects: int,
     keep: Callable[[int, int], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Every balanced matching as per-agent object masks (bit k is the k-th
-    object in identifier order).  Agents in priority order each take a
-    combination of the remaining objects in index order, so matchings come out
-    in canonical order; `keep(i, mask)` prunes the bundles of agent i."""
+    """Every distribution of the objects in mask `objects` (bit k is the k-th
+    object in identifier order) that gives agent i sizes[i] of them, as
+    per-agent bundle masks: a market's matchings for the full mask, a
+    coalition's reallocations for its endowment mask.  Agents in order each
+    take a combination of the remaining objects in index order, so matchings
+    come out in canonical order; `keep(i, mask)` prunes the bundles of agent i."""
     n = len(sizes)
     acc = [0] * n
 
@@ -125,7 +127,7 @@ def mask_matchings(
         if i == n:
             yield tuple(acc)
             return
-        bits = [1 << k for k in range(n_objects) if remaining >> k & 1]
+        bits = [1 << k for k in range(remaining.bit_length()) if remaining >> k & 1]
         for combo in itertools.combinations(bits, sizes[i]):
             mask = sum(combo)
             if keep is not None and not keep(i, mask):
@@ -133,14 +135,14 @@ def mask_matchings(
             acc[i] = mask
             yield from rec(i + 1, remaining ^ mask)
 
-    return rec(0, (1 << n_objects) - 1)
+    return rec(0, objects)
 
 
 def _matchings(
     instance: Instance, keep: Callable[[int, int], bool] | None = None
 ) -> Iterator[Matching]:
     """mask_matchings on the instance, as Matching objects."""
-    for masks in mask_matchings(instance.sizes, len(instance.object_ids), keep):
+    for masks in mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, keep):
         yield _matching_from_masks(instance, masks)
 
 

@@ -1,6 +1,7 @@
-"""The mask-level efficiency and core-selection audits against their
-frozenset formulation, kept here as the reference: every matching built from
-frozensets, bundles compared through prefix_counts, CIR read per object."""
+"""The mask-level efficiency, weak-core and core-selection audits against
+their frozenset formulation, kept here as the reference: every matching built
+from frozensets, bundles compared through prefix_counts, CIR read per object,
+coalition reallocations assembled from per-member candidate lists."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 
 from balex import audits
 from balex.audits import (
+    BlockWitness,
     efficient_ir_set,
     enumerate_matchings,
     find_efficient_core_matching,
@@ -18,8 +20,15 @@ from balex.audits import (
     welfare_vector,
 )
 from balex.fixtures import load_fixture
-from balex.model import Instance, MarginalPreference, Matching
-from balex.responsive import cir_trichotomous, is_component_wise_IR, prefix_counts
+from balex.mechanism import run_ir_priority
+from balex.model import Instance, MarginalPreference, Matching, canon
+from balex.responsive import (
+    cir_trichotomous,
+    exists_strict_preference,
+    is_component_wise_IR,
+    prefix_counts,
+    strict_witness_extension,
+)
 from conftest import make_instance, random_matching, random_profile
 
 
@@ -85,6 +94,78 @@ def _ref_core_matching(instance, prefs, matchings) -> Matching | None:
     return None
 
 
+def _ref_weak_core(instance, mu, prefs, strict_acceptability=False) -> BlockWitness | None:
+    """The weak-core search as it was before it used mask_matchings: per-member
+    candidate lists of frozensets and a disjointness recursion over them."""
+    margs = marginal_profile(instance, prefs)
+    if strict_acceptability and not cir_trichotomous(instance, mu, prefs):
+        raise ValueError(
+            "strict-acceptability core audit requires a CIR candidate matching"
+        )
+
+    def strictly_better(agent: str, bundle: frozenset[str]) -> bool:
+        if strict_acceptability:
+            p = prefs[agent]
+            if bundle - p.acceptable():
+                return False
+            return len(bundle & p.attractive) > len(
+                mu.assignment[agent] & p.attractive
+            )
+        return exists_strict_preference(bundle, mu.assignment[agent], margs[agent])
+
+    agents = instance.agents
+    for size in range(1, len(agents) + 1):
+        for coalition in itertools.combinations(agents, size):
+            pool = frozenset().union(*(instance.endowment[a] for a in coalition))
+            options: list[list[frozenset[str]]] = []
+            feasible = True
+            for a in coalition:
+                cands = [
+                    frozenset(c)
+                    for c in itertools.combinations(canon(pool), len(instance.endowment[a]))
+                    if strictly_better(a, frozenset(c))
+                ]
+                if not cands:
+                    feasible = False
+                    break
+                options.append(cands)
+            if not feasible:
+                continue
+            pick = _assemble_disjoint(options)
+            if pick is None:
+                continue
+            reallocation = {a: pick[k] for k, a in enumerate(coalition)}
+            certificates = {
+                a: strict_witness_extension(reallocation[a], mu.assignment[a], margs[a])
+                for a in coalition
+            }
+            return BlockWitness(
+                coalition=coalition,
+                reallocation=reallocation,
+                certificates=certificates,
+            )
+    return None
+
+
+def _assemble_disjoint(options: list[list[frozenset[str]]]) -> list[frozenset[str]] | None:
+    """First (canonical order) pairwise-disjoint selection, one bundle per list."""
+
+    def rec(i: int, used: frozenset[str], acc: list[frozenset[str]]) -> bool:
+        if i == len(options):
+            return True
+        for cand in options[i]:
+            if cand & used:
+                continue
+            acc.append(cand)
+            if rec(i + 1, used | cand, acc):
+                return True
+            acc.pop()
+        return False
+
+    acc: list[frozenset[str]] = []
+    return acc if rec(0, frozenset(), acc) else None
+
+
 def _four_class_profile(instance: Instance, rng: random.Random) -> dict[str, MarginalPreference]:
     """Class-based marginals with 4 classes, one of them left empty."""
     out = {}
@@ -146,9 +227,61 @@ def test_core_selection_agrees_with_the_frozenset_loop():
         assert find_efficient_core_matching(inst, prefs) == want
 
 
+def _same_witness(got: BlockWitness | None, want: BlockWitness | None) -> bool:
+    if got is None or want is None:
+        return got is want
+    return (
+        got.coalition == want.coalition
+        and got.reallocation == want.reallocation
+        and {a: dict(c.utility) for a, c in got.certificates.items()}
+        == {a: dict(c.utility) for a, c in want.certificates.items()}
+    )
+
+
+def test_weak_core_agrees_with_the_candidate_list_search():
+    """Non-strict mode on trichotomous and 4-class marginals, strict mode on
+    the endowment, the mechanism output and every CIR matching (an unacceptable
+    object decides the strict verdict only in a few of them)."""
+    checked = 0
+    blocked = {False: 0, True: 0}  # by strict_acceptability
+    for rng, inst in _markets(19, 40, 8):
+        for prefs in (random_profile(inst, rng), _four_class_profile(inst, rng)):
+            for mu in [inst.endowment_matching()] + [random_matching(inst, rng) for _ in range(3)]:
+                want = _ref_weak_core(inst, mu, prefs)
+                assert _same_witness(unambiguously_in_weak_core(inst, mu, prefs), want)
+                checked += 1
+                blocked[False] += want is not None
+        prefs = random_profile(inst, rng)
+        cir = [mu for mu in enumerate_matchings(inst) if cir_trichotomous(inst, mu, prefs)]
+        candidates = [inst.endowment_matching(), run_ir_priority(inst, prefs)[0]]
+        for mu in candidates + cir:
+            want = _ref_weak_core(inst, mu, prefs, strict_acceptability=True)
+            got = unambiguously_in_weak_core(inst, mu, prefs, strict_acceptability=True)
+            assert _same_witness(got, want)
+            checked += 1
+            blocked[True] += want is not None
+    assert checked == 857 and blocked[False] > 0 and blocked[True] > 0
+
+
+def test_weak_core_agrees_with_the_candidate_list_search_on_fixtures():
+    """Class-based fixture profiles too: the non-strict audit reads marginals only."""
+    for name, label, coalition in [
+        ("thm1-nu0", None, ("1", "3")),
+        ("thm1-nu1", None, ("1", "2")),
+        ("example1", None, ("1", "2")),
+        ("example1", "famous_matching", ("2",)),
+    ]:
+        fx = load_fixture(name)
+        mu = fx.expected[label] if label else fx.instance.endowment_matching()
+        want = _ref_weak_core(fx.instance, mu, fx.prefs)
+        got = unambiguously_in_weak_core(fx.instance, mu, fx.prefs, bound=12)
+        assert _same_witness(got, want) and got.coalition == coalition
+
+
 def test_object_names_only_for_core_candidates(monkeypatch):
     """Brute efficiency names no objects; core selection names them once per
-    agent of each candidate it checks against the weak core."""
+    agent of each candidate it checks against the weak core, and the strict
+    weak-core audit names only its witness, one bundle per coalition member."""
     fx = load_fixture("thm4-p3")
     named = []
     checked = []
@@ -160,8 +293,10 @@ def test_object_names_only_for_core_candidates(monkeypatch):
         return unmask(self, mask)
 
     def counting_core(*args, **kwargs):
-        checked.append(args[1])
-        return in_core(*args, **kwargs)
+        before = len(named)
+        witness = in_core(*args, **kwargs)
+        checked.append((witness, len(named) - before))
+        return witness
 
     monkeypatch.setattr(Instance, "unmask", counting_unmask)
     monkeypatch.setattr(audits, "unambiguously_in_weak_core", counting_core)
@@ -169,5 +304,7 @@ def test_object_names_only_for_core_candidates(monkeypatch):
         unambiguously_efficient(fx.instance, mu, fx.prefs, mode="brute")
     assert named == []
     find_efficient_core_matching(fx.instance, fx.prefs)
-    assert len(checked) == 2
-    assert len(named) == 2 * len(fx.instance.agents) == 8
+    (blocked, in_blocked), (unblocked, in_unblocked) = checked
+    assert blocked.coalition == ("2", "3") and in_blocked == len(blocked.coalition)
+    assert unblocked is None and in_unblocked == 0
+    assert len(named) - in_blocked == 2 * len(fx.instance.agents) == 8

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import balex
 from balex.cli import main
@@ -229,3 +233,116 @@ def test_unreadable_file_is_invalid_input(command, unreadable, thm4_file, tmp_pa
         argv = ["audit", "--input", thm4_file, "--matching", str(path)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+def test_strict_core_audit_refuses_a_matching_that_is_not_cir(thm4_file, tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"assignment": {"1": ["p"], "2": ["o"], "3": ["q1", "q2"], "4": ["r"]}}))
+    argv = ["audit", "--input", thm4_file, "--matching", str(mu), "--core"]
+    assert main(argv + ["--strict-acceptability"]) == 1
+    assert capsys.readouterr().err == "error: strict-acceptability core audit needs a CIR matching\n"
+    assert main(argv) == 2
+    assert "not CIR; witness agent 1, pivot o" in capsys.readouterr().out
+
+
+def _thm4_doc() -> dict:
+    fx = load_fixture("thm4-base")
+    return market_to_json(fx.instance, fx.prefs)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("endowments", "1"), 5, "endowment of agent '1' must be a list"),
+        (("endowments", "1"), "o", "endowment of agent '1' must be a list"),
+        (("preferences", "1", "attractive"), 3, "'attractive' of agent '1' must be a list"),
+        (("preferences", "1", "bearable"), None, "'bearable' of agent '1' must be a list"),
+        (("preferences", "1"), {"classes": 5}, "'classes' of agent '1' must be a list"),
+        (("preferences", "1"), {"classes": ["o", "p"]}, "a class of agent '1' must be a list"),
+        (("objects",), {"o": 1}, "'objects' must be a list"),
+        (("agents",), [["x"]], "agent identifiers must be strings"),
+        ((), ["agents"], "market document must be a JSON object"),
+    ],
+)
+def test_malformed_market_documents_are_invalid_input(path, value, message, tmp_path, capsys):
+    doc = _thm4_doc()
+    if path:
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    else:
+        doc = value
+    market = tmp_path / "m.json"
+    market.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(market)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"assignment": {"1": 5, "2": ["p"], "3": ["q1", "q2"], "4": ["r"]}}, "bundle of agent '1'"),
+        ({"assignment": {"1": "o", "2": ["p"], "3": ["q1", "q2"], "4": ["r"]}}, "bundle of agent '1'"),
+        ([["1", "o"]], "matching document must be a JSON object"),
+    ],
+)
+def test_malformed_matching_documents_are_invalid_input(doc, message, thm4_file, tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(doc))
+    assert main(["audit", "--input", thm4_file, "--matching", str(mu)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def _paths(node, prefix=()):
+    """Every place in a JSON document that holds a value: map values and list items."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_OTHER_JSON = st.one_of(
+    st.integers(-3, 3),
+    st.text(max_size=3),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+    st.lists(st.lists(st.text(max_size=2), max_size=2), max_size=2),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_type_mutated_documents_never_raise(data, tmp_path_factory):
+    """Any one value of the thm4-base market or matching document replaced by a
+    value of another JSON type: exit 0 or 2 when the result is still valid,
+    otherwise exit 1 with one `error:` line."""
+    market = _thm4_doc()
+    matching = {"assignment": {"1": ["q1"], "2": ["r"], "3": ["o", "p"], "4": ["q2"]}}
+    target = data.draw(st.sampled_from([market, matching]))
+    path = data.draw(st.sampled_from(list(_paths(target))))
+    node = target
+    for key in path[:-1]:
+        node = node[key]
+    value = data.draw(_OTHER_JSON.filter(lambda v: type(v) is not type(node[path[-1]])))
+    node[path[-1]] = value
+
+    folder = tmp_path_factory.mktemp("mutated")
+    market_file, matching_file = folder / "m.json", folder / "mu.json"
+    market_file.write_text(json.dumps(market))
+    matching_file.write_text(json.dumps(matching))
+    for argv in (
+        ["run", "--input", str(market_file)],
+        ["audit", "--input", str(market_file), "--matching", str(matching_file)],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""

@@ -117,7 +117,7 @@ def test_domain_membership_dichotomous_rejects_third_class():
 
 
 def test_domain_membership_all_weak_orders_accepts_any_partition():
-    spec = DomainSpec.all_weak_orders(max_rank=6)
+    spec = DomainSpec.m_chotomous(6)
     pref = MarginalPreference("1", tuple(fs(o) for o in ["a", "b", "c", "d"]))
     assert domain_membership(pref, spec, fs("a"))
 
