@@ -5,6 +5,10 @@ coalitions and opponent profiles are enumerated in canonical order, and the
 first witness found (if any) is returned with an explicit additive extension
 certifying the strict preference it claims.  Brute-force auditors double as
 oracles for the flow-based mechanism pipeline.
+
+Bundles are judged as object masks, by their popcounts against the agent's
+responsive.prefix_masks and the one dominance rule, compare_prefix_counts;
+objects are named only for the matchings and witnesses an audit returns.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .cycles import find_cir_pareto_improving_cycle
 from .mechanism import run_ir_priority
@@ -29,9 +33,11 @@ from .model import (
 from .optimize import EnumerationLimitError, enumerate_matchings, mask_matchings
 from .optimize import _check_enumeration_bound, _matching_from_masks
 from .responsive import (
+    BundleComparison,
     ResponsiveExtension,
     cir_trichotomous,
-    exists_strict_preference,
+    compare_prefix_counts,
+    prefix_masks,
     strict_witness_extension,
 )
 
@@ -107,50 +113,54 @@ def welfare_vector(instance: Instance, mu: Matching, prefs: Profile) -> tuple[in
     )
 
 
-def _prefix_masks(instance: Instance, pref: MarginalPreference) -> list[int]:
-    """Entry k holds the objects ranked in class k + 1 or better; the last entry
-    holds every object, so popcounts against these masks are prefix_counts."""
-    out: list[int] = []
-    acc = 0
-    for cls in pref.classes:
-        acc |= instance.mask(cls)
-        out.append(acc)
-    out.append((1 << len(instance.object_ids)) - 1)
-    return out
+def _require_trichotomous(prefs: Mapping[str, object], what: str) -> None:
+    if not all(isinstance(p, TrichotomousPreference) for p in prefs.values()):
+        raise ValueError(f"{what} needs a trichotomous profile")
 
 
-_EQUAL, _WORSE, _STRICT = range(3)
+def _counts(mask: int, prefixes: list[int]) -> tuple[int, ...]:
+    """The prefix_counts of a bundle mask, from its agent's prefix_masks."""
+    return tuple([(mask & p).bit_count() for p in prefixes])
 
 
-def _is_dominated(
-    instance: Instance, mu: tuple[int, ...], prefixes: list[list[int]]
-) -> bool:
+def _cir_matchings(instance: Instance, prefixes: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """The component-wise IR matchings, as bundle masks in canonical order: at
+    the class of each endowed object, agent i's bundle holds as many objects of
+    that class or better as i's endowment does; prefixes[i] are i's prefix_masks."""
+    floors = [
+        [(p, (own & p).bit_count()) for prev, p in zip([0, *ps], ps) if own & p & ~prev]
+        for own, ps in zip(instance.endowment_masks, prefixes)
+    ]
+
+    def cir(i: int, mask: int) -> bool:
+        for p, need in floors[i]:
+            if (mask & p).bit_count() < need:
+                return False
+        return True
+
+    return mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, cir)
+
+
+def _is_dominated(instance: Instance, mu: tuple[int, ...], prefixes: list[list[int]]) -> bool:
     """Whether some matching Pareto-improves the matching with bundle masks `mu`
-    under SOME responsive profile; prefixes[i] are agent i's _prefix_masks.
+    under SOME responsive profile; prefixes[i] are agent i's prefix_masks.
 
     Per agent the improvement needs only one extension (extensions are chosen
     independently), so agent i's condition is that mu(i) does not unambiguously
     strictly dominate nu(i); one agent must additionally admit a strictly
     preferring extension.
     """
-    mu_counts = [[(m & p).bit_count() for p in ps] for m, ps in zip(mu, prefixes)]
-    verdicts: list[dict[int, int]] = [{} for _ in mu]
+    mu_counts = [_counts(m, ps) for m, ps in zip(mu, prefixes)]
+    verdicts: list[dict[int, BundleComparison]] = [{} for _ in mu]
 
     def keep(i: int, mask: int) -> bool:
         v = verdicts[i].get(mask)
         if v is None:
-            counts = [(mask & p).bit_count() for p in prefixes[i]]
-            if counts == mu_counts[i]:
-                v = _EQUAL
-            elif all(x <= y for x, y in zip(counts, mu_counts[i])):
-                v = _WORSE  # nu(i) unambiguously strictly worse: always-weakly-worse
-            else:
-                v = _STRICT  # some rank prefix strictly exceeds: a strict extension exists
-            verdicts[i][mask] = v
-        return v != _WORSE
+            v = verdicts[i][mask] = compare_prefix_counts(_counts(mask, prefixes[i]), mu_counts[i])
+        return v is not BundleComparison.ALWAYS_WEAKLY_WORSE
 
     for nu in mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, keep):
-        if any(verdicts[i][m] == _STRICT for i, m in enumerate(nu)):
+        if any(verdicts[i][m] is not BundleComparison.EQUIVALENT for i, m in enumerate(nu)):
             return True
     return False
 
@@ -169,8 +179,7 @@ def unambiguously_efficient(
     scans all matchings.
     """
     if mode == "cycle":
-        if not all(isinstance(p, TrichotomousPreference) for p in prefs.values()):
-            raise ValueError("cycle mode needs a trichotomous profile")
+        _require_trichotomous(prefs, "cycle mode")
         return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
     if mode != "brute":
         raise ValueError(f"unknown efficiency mode {mode!r}")
@@ -179,7 +188,7 @@ def unambiguously_efficient(
     return not _is_dominated(
         instance,
         tuple(instance.mask(mu.assignment[a]) for a in instance.agents),
-        [_prefix_masks(instance, margs[a]) for a in instance.agents],
+        [prefix_masks(instance, margs[a]) for a in instance.agents],
     )
 
 
@@ -191,21 +200,10 @@ def efficient_ir_set(
     """All matchings that are unambiguously individually rational and efficient."""
     _check_enumeration_bound(instance, bound)
     margs = marginal_profile(instance, prefs)
-    prefixes = [_prefix_masks(instance, margs[a]) for a in instance.agents]
-    # component-wise IR: at the class of each endowed object, the bundle holds
-    # as many objects of that class or better as the endowment does
-    floors = []
-    for a, ps, own in zip(instance.agents, prefixes, instance.endowment_masks):
-        ranks = margs[a].ranks
-        bars = sorted({ranks[o] for o in instance.endowment[a]})
-        floors.append([(ps[r - 1], (own & ps[r - 1]).bit_count()) for r in bars])
-
-    def cir(i: int, mask: int) -> bool:
-        return all((mask & p).bit_count() >= need for p, need in floors[i])
-
+    prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
     return [
         _matching_from_masks(instance, mu)
-        for mu in mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, cir)
+        for mu in _cir_matchings(instance, prefixes)
         if not _is_dominated(instance, mu, prefixes)
     ]
 
@@ -287,13 +285,15 @@ def _misreport_search(
     truth_final = cache.final(prefs)
     margs = marginal_profile(instance, prefs)
     for agent in instance.agents:
+        prefixes = prefix_masks(instance, margs[agent])
         truth_bundle = truth_final.assignment[agent]
+        truth_counts = _counts(instance.mask(truth_bundle), prefixes)
         for mis in reports(agent):
             if mis == prefs[agent]:
                 continue
-            outcome = cache.final({**prefs, agent: mis})
-            mis_bundle = outcome.assignment[agent]
-            if exists_strict_preference(mis_bundle, truth_bundle, margs[agent]):
+            mis_bundle = cache.final({**prefs, agent: mis}).assignment[agent]
+            mis_counts = _counts(instance.mask(mis_bundle), prefixes)
+            if compare_prefix_counts(mis_counts, truth_counts).admits_strict_preference:
                 return ManipulationWitness(
                     agent=agent,
                     truthful=prefs[agent],
@@ -329,10 +329,6 @@ def check_truncation_proofness(
         prefs,
         lambda agent: _reports(instance, agent, [prefs[agent].attractive]),
     )
-
-
-def _welfare_pair(bundle: frozenset[str], pref: TrichotomousPreference) -> tuple[int, int]:
-    return (len(bundle & pref.attractive), len(bundle & pref.acceptable()))
 
 
 def check_obvious_manipulability(
@@ -372,12 +368,15 @@ def check_obvious_manipulability(
 
         true_pref = prefs[agent]
         t = len(instance.endowment[agent])
+        true_marg = true_pref.to_classes(instance.objects)
+        prefixes, ranks = prefix_masks(instance, true_marg), true_marg.ranks
 
         def outcomes(report: TrichotomousPreference) -> list[tuple[frozenset[str], tuple[int, int]]]:
             seen = []
             for opp in opponents:
                 bundle = cache.final({**opp, agent: report}).assignment[agent]
-                seen.append((bundle, _welfare_pair(bundle, true_pref)))
+                # (attractive, acceptable) counts: the first two prefix counts
+                seen.append((bundle, _counts(instance.mask(bundle), prefixes)[:2]))
             return seen
 
         truth_outcomes = outcomes(true_pref)
@@ -394,14 +393,8 @@ def check_obvious_manipulability(
                     mis_pick = pick(mis_outcomes, key=value)
                     tru_pick = pick(truth_outcomes, key=value)
                     if value(mis_pick) > value(tru_pick):
-                        utility = {}
-                        for o in instance.object_ids:
-                            if o in true_pref.attractive:
-                                utility[o] = Fraction(alpha + beta)
-                            elif o in true_pref.bearable:
-                                utility[o] = Fraction(beta)
-                            else:
-                                utility[o] = Fraction(0)
+                        weights = (alpha + beta, beta, 0)  # classes A, B, rest
+                        utility = {o: Fraction(weights[ranks[o] - 1]) for o in instance.object_ids}
                         return ObviousManipulationWitness(
                             agent=agent,
                             truthful=true_pref,
@@ -431,36 +424,36 @@ def unambiguously_in_weak_core(
 
     Coalitions come by size, then as priority-order combinations; a coalition
     blocks with the first reallocation of its endowments that mask_matchings
-    yields in which every member may be strictly better off.  Each agent's
-    verdict on a bundle mask is kept for the whole call.
+    yields in which every member may be strictly better off: some responsive
+    extension ranks the member's new bundle strictly above its bundle under
+    `mu`, read from the popcounts of both against the member's prefix_masks.
+    Each agent's verdict on a bundle mask is kept for the whole call, and only
+    the returned witness names objects.
 
-    With strict_acceptability, extensions rank any bundle containing an
-    unacceptable object below the endowment; for CIR candidates blocking then
-    reduces to a strict attractive-count gain within acceptable bundles: a
-    popcount test, so only the returned witness names objects.  Otherwise each
-    judged bundle is named for exists_strict_preference.
+    With strict_acceptability (trichotomous profiles and CIR candidates only),
+    extensions rank any bundle containing an unacceptable object below the
+    endowment, so a member may be strictly better off only with a bundle
+    within A ∪ B; for a CIR `mu` that is a strict attractive-count gain.
     """
+    if strict_acceptability:
+        _require_trichotomous(prefs, "strict-acceptability core audit")
+        if not cir_trichotomous(instance, mu, prefs):
+            raise ValueError("strict-acceptability core audit requires a CIR candidate matching")
     _check_enumeration_bound(instance, bound)
     margs = marginal_profile(instance, prefs)
     agents = instance.agents
-    if strict_acceptability:
-        if not cir_trichotomous(instance, mu, prefs):
-            raise ValueError(
-                "strict-acceptability core audit requires a CIR candidate matching"
-            )
-        attractive = [instance.mask(prefs[a].attractive) for a in agents]
-        acceptable = [instance.mask(prefs[a].acceptable()) for a in agents]
-        held = [len(mu.assignment[a] & prefs[a].attractive) for a in agents]
+    prefixes = [prefix_masks(instance, margs[a]) for a in agents]
+    mu_counts = [_counts(instance.mask(mu.assignment[a]), ps) for a, ps in zip(agents, prefixes)]
     verdicts: list[dict[int, bool]] = [{} for _ in agents]
 
     def better(i: int, mask: int) -> bool:
         v = verdicts[i].get(mask)
         if v is None:
-            if strict_acceptability:
-                v = not mask & ~acceptable[i] and (mask & attractive[i]).bit_count() > held[i]
+            if strict_acceptability and mask & ~prefixes[i][1]:
+                v = False  # leaves A ∪ B, the second prefix of [A, B, rest]
             else:
-                a = agents[i]
-                v = exists_strict_preference(instance.unmask(mask), mu.assignment[a], margs[a])
+                counts = _counts(mask, prefixes[i])
+                v = compare_prefix_counts(counts, mu_counts[i]).admits_strict_preference
             verdicts[i][mask] = v
         return v
 
@@ -494,17 +487,13 @@ def find_efficient_core_matching(
 
     Candidates are the CIR matchings in canonical order whose attractive-count
     vector no other CIR matching Pareto-dominates."""
+    _require_trichotomous(prefs, "efficient core selection")
     _check_enumeration_bound(instance, bound)
-    attractive = [instance.mask(prefs[a].attractive) for a in instance.agents]
-    acceptable = [instance.mask(prefs[a].acceptable()) for a in instance.agents]
-    floor = [(own & att).bit_count() for own, att in zip(instance.endowment_masks, attractive)]
-
-    def cir(i: int, mask: int) -> bool:
-        return not mask & ~acceptable[i] and (mask & attractive[i]).bit_count() >= floor[i]
-
+    margs = marginal_profile(instance, prefs)
+    prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
     cir_set = [
-        (mu, tuple((m & att).bit_count() for m, att in zip(mu, attractive)))
-        for mu in mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, cir)
+        (mu, tuple((m & ps[0]).bit_count() for m, ps in zip(mu, prefixes)))
+        for mu in _cir_matchings(instance, prefixes)
     ]
     vectors = {w for _, w in cir_set}
     frontier = {

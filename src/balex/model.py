@@ -282,14 +282,14 @@ def validate_instance(raw: Mapping[str, object]) -> Instance:
     return Instance(tuple(agents), universe, endowment)
 
 
-def validate_matching(instance: Instance, raw: Mapping[str, Iterable[str]]) -> Matching:
+def validate_matching(instance: Instance, raw: Mapping[str, object]) -> Matching:
     """Validate an agent -> bundle map against the instance (balancedness, disjointness)."""
     if set(raw) != set(instance.agents):
         raise ValidationError("matching must assign a bundle to exactly the instance agents")
     assignment: dict[str, frozenset[str]] = {}
     seen: set[str] = set()
     for a in instance.agents:
-        bundle = frozenset(raw[a])
+        bundle = frozenset(_identifiers(raw[a], f"bundle of agent {a!r}"))
         stray = bundle - instance.objects
         if stray:
             raise ValidationError(f"agent {a!r} assigned unknown object(s) {canon(stray)}")
@@ -462,9 +462,7 @@ def matching_from_json(instance: Instance, doc: Mapping[str, object]) -> Matchin
     raw = doc.get("assignment")
     if not isinstance(raw, Mapping):
         raise ValidationError("matching document needs an 'assignment' map")
-    return validate_matching(
-        instance, {a: _identifiers(objs, f"bundle of agent {a!r}") for a, objs in raw.items()}
-    )
+    return validate_matching(instance, raw)
 
 
 def matching_to_json(instance: Instance, matching: Matching) -> dict[str, object]:

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .model import (
@@ -33,6 +34,11 @@ class BundleComparison(Enum):
     ALWAYS_WEAKLY_WORSE = "always-weakly-worse"
     EQUIVALENT = "equivalent"
     AMBIGUOUS = "ambiguous"
+
+    @property
+    def admits_strict_preference(self) -> bool:
+        """For the verdict on (X, Y): some responsive extension ranks X strictly above Y."""
+        return self is BundleComparison.ALWAYS_WEAKLY_BETTER or self is BundleComparison.AMBIGUOUS
 
 
 @dataclass(frozen=True)
@@ -59,44 +65,55 @@ class ResponsiveExtension:
 def prefix_counts(pref: MarginalPreference, bundle: Iterable[str]) -> tuple[int, ...]:
     """prefix[k-1] = number of bundle objects ranked in class k or better (k = 1..depth+1)."""
     depth = len(pref.classes)
-    counts = [0] * (depth + 2)
+    counts = [0] * (depth + 1)
     for o in bundle:
-        counts[pref.ranks.get(o, depth + 1)] += 1
-    for k in range(1, depth + 2):
-        counts[k] += counts[k - 1]
-    return tuple(counts[1:])
+        counts[pref.ranks.get(o, depth + 1) - 1] += 1
+    return tuple(accumulate(counts))
+
+
+def prefix_masks(instance: Instance, pref: MarginalPreference) -> list[int]:
+    """The mask twin of prefix_counts: entry k holds the objects ranked in class
+    k + 1 or better and the last entry every object, so the popcounts of a
+    bundle mask against these masks are the bundle's prefix_counts."""
+    out: list[int] = []
+    acc = 0
+    for cls in pref.classes:
+        acc |= instance.mask(cls)
+        out.append(acc)
+    out.append((1 << len(instance.object_ids)) - 1)
+    return out
+
+
+def compare_prefix_counts(px: tuple[int, ...], py: tuple[int, ...]) -> BundleComparison:
+    """Compare two equal-size bundles, given as prefix counts, across all responsive extensions.
+
+    X is always-weakly-better than Y exactly when a rank-preserving bijection
+    from Y\\X onto X\\Y exists, which for weak orders reduces to prefix-count
+    dominance: at every rank k, X holds at least as many objects of rank <= k
+    as Y does.  The last count is the bundle size.
+    """
+    if px[-1] != py[-1]:
+        raise ValueError(f"bundles must have equal cardinality ({px[-1]} vs {py[-1]})")
+    above = below = False  # X holds more (fewer) objects of rank <= k than Y, some k
+    for a, b in zip(px, py):
+        above |= a > b
+        below |= a < b
+    if above:
+        return BundleComparison.AMBIGUOUS if below else BundleComparison.ALWAYS_WEAKLY_BETTER
+    return BundleComparison.ALWAYS_WEAKLY_WORSE if below else BundleComparison.EQUIVALENT
 
 
 def compare_unambiguous(
     x: Iterable[str], y: Iterable[str], pref: MarginalPreference
 ) -> BundleComparison:
-    """Compare two equal-cardinality bundles across all responsive extensions.
-
-    X is always-weakly-better than Y exactly when a rank-preserving bijection
-    from Y\\X onto X\\Y exists, which for weak orders reduces to prefix-count
-    dominance: at every rank k, X holds at least as many objects of rank <= k
-    as Y does.
-    """
-    xs, ys = frozenset(x), frozenset(y)
-    if len(xs) != len(ys):
-        raise ValueError(f"bundles must have equal cardinality ({len(xs)} vs {len(ys)})")
-    px = prefix_counts(pref, xs)
-    py = prefix_counts(pref, ys)
-    if px == py:
-        return BundleComparison.EQUIVALENT
-    if all(a >= b for a, b in zip(px, py)):
-        return BundleComparison.ALWAYS_WEAKLY_BETTER
-    if all(a <= b for a, b in zip(px, py)):
-        return BundleComparison.ALWAYS_WEAKLY_WORSE
-    return BundleComparison.AMBIGUOUS
+    """Compare two equal-cardinality bundles of objects across all responsive extensions."""
+    px, py = prefix_counts(pref, frozenset(x)), prefix_counts(pref, frozenset(y))
+    return compare_prefix_counts(px, py)
 
 
-def exists_strict_preference(
-    x: Iterable[str], y: Iterable[str], pref: MarginalPreference
-) -> bool:
+def exists_strict_preference(x: Iterable[str], y: Iterable[str], pref: MarginalPreference) -> bool:
     """True iff some responsive extension of `pref` ranks X strictly above Y."""
-    verdict = compare_unambiguous(y, x, pref)
-    return verdict not in (BundleComparison.ALWAYS_WEAKLY_BETTER, BundleComparison.EQUIVALENT)
+    return compare_unambiguous(x, y, pref).admits_strict_preference
 
 
 def strict_witness_extension(
@@ -106,8 +123,7 @@ def strict_witness_extension(
     checked exists_strict_preference(x, y, pref) first."""
     xs, ys = frozenset(x), frozenset(y)
     depth = len(pref.classes)
-    px = prefix_counts(pref, xs)
-    py = prefix_counts(pref, ys)
+    px, py = prefix_counts(pref, xs), prefix_counts(pref, ys)
     pivot = next((k for k in range(depth + 1) if px[k] > py[k]), None)
     if pivot is None:
         raise ValueError("no responsive extension ranks X above Y")
@@ -168,14 +184,11 @@ def cir_violation(
     weakly above ω than her endowment does.
     """
     for a in instance.agents:
-        ranks = prefs[a].ranks
-        bundle = mu.assignment[a]
-        own = instance.endowment[a]
+        pref, own = prefs[a], instance.endowment[a]
+        have, keep = prefix_counts(pref, mu.assignment[a]), prefix_counts(pref, own)
         for pivot in sorted(own):
-            bar = ranks[pivot]
-            have = sum(1 for o in bundle if ranks[o] <= bar)
-            keep = sum(1 for o in own if ranks[o] <= bar)
-            if have < keep:
+            k = pref.ranks[pivot] - 1
+            if have[k] < keep[k]:
                 return a, pivot
     return None
 

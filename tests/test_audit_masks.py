@@ -1,29 +1,37 @@
-"""The mask-level efficiency, weak-core and core-selection audits against
-their frozenset formulation, kept here as the reference: every matching built
-from frozensets, bundles compared through prefix_counts, CIR read per object,
-coalition reallocations assembled from per-member candidate lists."""
+"""The mask-level efficiency, weak-core, core-selection and misreport audits
+against their frozenset formulation, kept here as the reference: every matching
+built from frozensets, bundles compared through prefix_counts or
+exists_strict_preference, CIR read per object, coalition reallocations
+assembled from per-member candidate lists, every misreport outcome from a fresh
+mechanism run."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from balex import audits
+from balex import audits, responsive
 from balex.audits import (
     BlockWitness,
+    ManipulationWitness,
+    check_strategy_proofness,
+    check_truncation_proofness,
     efficient_ir_set,
     enumerate_matchings,
     find_efficient_core_matching,
     marginal_profile,
+    trichotomous_reports,
     unambiguously_efficient,
     unambiguously_in_weak_core,
     welfare_vector,
 )
-from balex.fixtures import load_fixture
+from balex.fixtures import FIXTURE_NAMES, load_fixture
 from balex.mechanism import run_ir_priority
 from balex.model import Instance, MarginalPreference, Matching, canon
 from balex.responsive import (
+    BundleComparison,
     cir_trichotomous,
+    compare_unambiguous,
     exists_strict_preference,
     is_component_wise_IR,
     prefix_counts,
@@ -166,6 +174,55 @@ def _assemble_disjoint(options: list[list[frozenset[str]]]) -> list[frozenset[st
     return acc if rec(0, frozenset(), acc) else None
 
 
+def _ref_misreport_search(instance, prefs, reports, run) -> ManipulationWitness | None:
+    """The misreport search on object names: each outcome from its own call to
+    the mechanism `run`, profitability through exists_strict_preference on
+    frozensets."""
+    margs = marginal_profile(instance, prefs)
+    truth, _ = run(instance, prefs)
+    for agent in instance.agents:
+        truth_bundle = frozenset(truth.assignment[agent])
+        for mis in reports(agent):
+            if mis == prefs[agent]:
+                continue
+            outcome, _ = run(instance, {**prefs, agent: mis})
+            mis_bundle = frozenset(outcome.assignment[agent])
+            if exists_strict_preference(mis_bundle, truth_bundle, margs[agent]):
+                return ManipulationWitness(
+                    agent=agent,
+                    truthful=prefs[agent],
+                    misreport=mis,
+                    truthful_bundle=truth_bundle,
+                    misreport_bundle=mis_bundle,
+                    certificate=strict_witness_extension(mis_bundle, truth_bundle, margs[agent]),
+                )
+    return None
+
+
+def _ref_manipulation_audits(instance, prefs, run=run_ir_priority):
+    """Strategy-proofness over every report; truncation-proofness over the
+    reports that keep the agent's truthful attractive set, in the same order."""
+
+    def every(agent):
+        return trichotomous_reports(instance, agent)
+
+    def truncations(agent):
+        return [r for r in every(agent) if r.attractive == prefs[agent].attractive]
+
+    return (
+        _ref_misreport_search(instance, prefs, every, run),
+        _ref_misreport_search(instance, prefs, truncations, run),
+    )
+
+
+def _scrambled_run(instance, profile):
+    """A stand-in mechanism: a pseudo-random matching fixed by the reported
+    profile, under which profitable misreports and truncations are common."""
+    matchings = list(enumerate_matchings(instance))
+    key = repr([(canon(profile[a].attractive), canon(profile[a].bearable)) for a in instance.agents])
+    return matchings[random.Random(key).randrange(len(matchings))], None
+
+
 def _four_class_profile(instance: Instance, rng: random.Random) -> dict[str, MarginalPreference]:
     """Class-based marginals with 4 classes, one of them left empty."""
     out = {}
@@ -280,13 +337,16 @@ def test_weak_core_agrees_with_the_candidate_list_search_on_fixtures():
 
 def test_object_names_only_for_core_candidates(monkeypatch):
     """Brute efficiency names no objects; core selection names them once per
-    agent of each candidate it checks against the weak core, and the strict
-    weak-core audit names only its witness, one bundle per coalition member."""
+    agent of each candidate it checks against the weak core, and the weak-core
+    audit, strict or not, names only its witness, one bundle per coalition
+    member.  No audit compares bundles of object names."""
     fx = load_fixture("thm4-p3")
     named = []
     checked = []
+    compared = []
     unmask = Instance.unmask
     in_core = audits.unambiguously_in_weak_core
+    compare = responsive.compare_unambiguous
 
     def counting_unmask(self, mask):
         named.append(mask)
@@ -298,9 +358,15 @@ def test_object_names_only_for_core_candidates(monkeypatch):
         checked.append((witness, len(named) - before))
         return witness
 
+    def counting_compare(*args):
+        compared.append(args)
+        return compare(*args)
+
     monkeypatch.setattr(Instance, "unmask", counting_unmask)
     monkeypatch.setattr(audits, "unambiguously_in_weak_core", counting_core)
-    for mu in (fx.expected["mechanism_output"], fx.instance.endowment_matching()):
+    monkeypatch.setattr(responsive, "compare_unambiguous", counting_compare)
+    output, endowment = fx.expected["mechanism_output"], fx.instance.endowment_matching()
+    for mu in (output, endowment):
         unambiguously_efficient(fx.instance, mu, fx.prefs, mode="brute")
     assert named == []
     find_efficient_core_matching(fx.instance, fx.prefs)
@@ -308,3 +374,55 @@ def test_object_names_only_for_core_candidates(monkeypatch):
     assert blocked.coalition == ("2", "3") and in_blocked == len(blocked.coalition)
     assert unblocked is None and in_unblocked == 0
     assert len(named) - in_blocked == 2 * len(fx.instance.agents) == 8
+    checked.clear()
+    for mu in (output, endowment):
+        audits.unambiguously_in_weak_core(fx.instance, mu, fx.prefs)
+    (unblocked, in_unblocked), (blocked, in_blocked) = checked
+    assert unblocked is None and in_unblocked == 0
+    assert blocked.coalition == ("2", "3") and in_blocked == len(blocked.coalition) == 2
+    efficient_ir_set(fx.instance, fx.prefs)
+    check_strategy_proofness(fx.instance, fx.prefs)
+    check_truncation_proofness(fx.instance, fx.prefs)
+    assert compared == []
+
+
+def test_misreport_search_agrees_with_the_name_level_search():
+    """Equal witnesses, certificates included, from the mechanism on the
+    Theorem 4 fixtures (thm4-p2 is manipulable) and on random markets."""
+    cases = [
+        (fx.instance, fx.prefs)
+        for fx in (load_fixture(name) for name in FIXTURE_NAMES if name.startswith("thm4-"))
+    ]
+    cases += [(inst, random_profile(inst, rng)) for rng, inst in _markets(29, 15, 5)]
+    found = 0
+    for inst, prefs in cases:
+        want = _ref_manipulation_audits(inst, prefs)
+        assert (check_strategy_proofness(inst, prefs), check_truncation_proofness(inst, prefs)) == want
+        found += want[0] is not None
+    assert found == 1  # thm4-p2
+
+
+def test_misreport_search_agrees_with_the_name_level_search_where_witnesses_abound(monkeypatch):
+    """The same under a scrambled mechanism, so that both searches stop at
+    witnesses often, truncations included, some of them only ambiguously
+    better (more attractive objects, fewer acceptable ones)."""
+    monkeypatch.setattr(audits, "run_ir_priority", _scrambled_run)
+    rng = random.Random(37)
+    found = [0, 0]
+    ambiguous = markets = 0
+    while markets < 40:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        if sum(sizes) > 5 or max(sizes) < 2:
+            continue
+        markets += 1
+        inst = make_instance(sizes)
+        prefs = random_profile(inst, rng)
+        margs = marginal_profile(inst, prefs)
+        want = _ref_manipulation_audits(inst, prefs, _scrambled_run)
+        assert (check_strategy_proofness(inst, prefs), check_truncation_proofness(inst, prefs)) == want
+        for k, w in enumerate(want):
+            if w is not None:
+                found[k] += 1
+                verdict = compare_unambiguous(w.misreport_bundle, w.truthful_bundle, margs[w.agent])
+                ambiguous += verdict is BundleComparison.AMBIGUOUS
+    assert found == [36, 28] and ambiguous == 2

@@ -323,6 +323,21 @@ def test_weak_core_strict_acceptability_requires_cir():
         unambiguously_in_weak_core(fx.instance, bad, fx.prefs, strict_acceptability=True)
 
 
+@pytest.mark.parametrize("name", ["example1", "thm1-nu0", "thm1-nu1"])
+def test_strict_acceptability_needs_a_trichotomous_profile(name):
+    """Class-based profiles are refused before any work: even a bound the
+    market exceeds is not reached."""
+    fx = load_fixture(name)
+    mu = fx.instance.endowment_matching()
+    for bound in (12, 1):
+        with pytest.raises(ValueError, match="^strict-acceptability core audit needs a trichotomous"):
+            unambiguously_in_weak_core(
+                fx.instance, mu, fx.prefs, strict_acceptability=True, bound=bound
+            )
+    with pytest.raises(ValueError, match="^efficient core selection needs a trichotomous"):
+        find_efficient_core_matching(fx.instance, fx.prefs, bound=1)
+
+
 def test_strict_acceptability_shrinks_blocking_power():
     # no-pe-core: every efficient-IR matching is blocked without strict
     # acceptability, but the first one is in the weak core with it

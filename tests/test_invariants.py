@@ -63,3 +63,23 @@ def test_package_counts_bits_with_bit_count():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_audits_judge_bundles_only_through_compare_prefix_counts():
+    """One prefix-count rule: audits reach prefix-count dominance through
+    `responsive.compare_prefix_counts` on bundle masks, never through the
+    name-level comparisons."""
+    named_level = {"exists_strict_preference", "compare_unambiguous", "prefix_counts"}
+    offenders = []
+    for node in ast.walk(ast.parse((SRC / "audits.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in named_level:
+            offenders.append(f"audits.py:{getattr(node, 'lineno', '?')} {name}")
+    assert offenders == []

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from balex.fixtures import load_fixture
 from balex.model import (
     DomainSpec,
     MarginalPreference,
@@ -75,6 +76,18 @@ def test_validate_matching_accepts_endowment_and_rejects_unbalanced():
         validate_matching(inst, {"a1": ["o1"], "a2": ["o2", "o3"]})
     with pytest.raises(ValidationError, match="assigned twice"):
         validate_matching(inst, {"a1": ["o1", "o3"], "a2": ["o3"]})
+
+
+@pytest.mark.parametrize("bundle", ["o", 5, {"o": 1}, None])
+def test_validate_matching_rejects_a_bundle_that_is_not_a_list(bundle):
+    """A string is not read as its characters, and null is invalid input, not a TypeError."""
+    inst = load_fixture("thm4-base").instance
+    raw = {"1": bundle, "2": ["p"], "3": ["q1", "q2"], "4": ["r"]}
+    message = "^bundle of agent '1' must be a list of identifiers$"
+    with pytest.raises(ValidationError, match=message):
+        validate_matching(inst, raw)
+    with pytest.raises(ValidationError, match=message):
+        matching_from_json(inst, {"assignment": raw})
 
 
 def test_to_trichotomous_collapses_lower_classes():
