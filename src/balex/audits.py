@@ -20,14 +20,13 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .cycles import find_cir_pareto_improving_cycle
-from .mechanism import run_ir_priority
+from .mechanism import _run_masks, run_ir_priority
 from .model import (
     DomainSpec,
     Instance,
     MarginalPreference,
     Matching,
     TrichotomousPreference,
-    domain_membership,
 )
 # enumerate_matchings lives in optimize; audits re-exports it
 from .optimize import EnumerationLimitError, enumerate_matchings, mask_matchings
@@ -212,97 +211,130 @@ def efficient_ir_set(
 # report enumeration
 # ---------------------------------------------------------------------------
 
+# A report as (attractive, bearable) object masks, and a reported profile as
+# one report per agent in priority order.
+Report = tuple[int, int]
+MaskProfile = tuple[Report, ...]
+
 
 def trichotomous_reports(
     instance: Instance, agent: str, domain: DomainSpec | None = None
 ) -> list[TrichotomousPreference]:
     """All (A, B) reports available to one agent, optionally domain-filtered."""
-    objects = instance.object_ids
-    every_attractive_set = (
-        frozenset(o for k, o in enumerate(objects) if a_mask >> k & 1)
-        for a_mask in range(1 << len(objects))
-    )
-    return _reports(instance, agent, every_attractive_set, domain)
+    every = range(1 << len(instance.object_ids))
+    return [
+        _named(instance, agent, report)
+        for report in _report_masks(instance, instance.agent_index[agent], every, domain)
+    ]
 
 
-def _reports(
+def _named(instance: Instance, agent: str, report: Report) -> TrichotomousPreference:
+    return TrichotomousPreference(agent, instance.unmask(report[0]), instance.unmask(report[1]))
+
+
+def _report_masks(
     instance: Instance,
-    agent: str,
-    attractive_sets: Iterable[frozenset[str]],
+    i: int,
+    attractive_masks: Iterable[int],
     domain: DomainSpec | None = None,
-) -> list[TrichotomousPreference]:
-    """The reports with each of `attractive_sets` in turn, optionally domain-filtered.
+) -> list[Report]:
+    """Agent i's reports with each of `attractive_masks` in turn, optionally
+    domain-filtered.
 
-    B is the endowment outside A plus some bearable extra; a non-empty extra
-    puts a non-endowed object in class 2, so a domain with nu(2) != 1 only
-    sees reports with no extra."""
-    endow = instance.endowment[agent]
-    others = [o for o in instance.object_ids if o not in endow]
+    B is the endowment outside A plus some bearable extra, a submask of the
+    objects outside both, taken in increasing order; a non-empty extra puts a
+    non-endowed object in class 2, so a domain with nu(2) != 1 only sees
+    reports with no extra."""
+    endow = instance.endowment_masks[i]
+    full = (1 << len(instance.object_ids)) - 1
     extras = domain is None or domain.nu_at(2) == 1
     out = []
-    for attractive in attractive_sets:
-        floor = endow - attractive
-        pool = [o for o in others if o not in attractive] if extras else []
-        for x_mask in range(1 << len(pool)):
-            extra = frozenset(o for k, o in enumerate(pool) if x_mask >> k & 1)
-            pref = TrichotomousPreference(agent, attractive, floor | extra)
-            if domain is not None and not domain_membership(
-                pref.to_classes(instance.objects), domain, endow
-            ):
-                continue
-            out.append(pref)
+    for a in attractive_masks:
+        floor = endow & ~a
+        pool = full & ~(endow | a) if extras else 0
+        x = 0
+        while True:
+            b = floor | x
+            if domain is None or _in_domain(domain, endow, (a, b, full & ~(a | b))):
+                out.append((a, b))
+            x = (x - pool) & pool  # the next submask of pool
+            if not x:
+                break
     return out
 
 
+def _in_domain(domain: DomainSpec, endow: int, classes: tuple[int, ...]) -> bool:
+    """model.domain_membership on class masks, for an agent endowed with `endow`."""
+    for k, c in enumerate(classes, start=1):
+        if (c & endow and domain.eps_at(k) != 1) or (c & ~endow and domain.nu_at(k) != 1):
+            return False
+    return True
+
+
 class _OutcomeCache:
-    """Memoized mechanism outcomes keyed by the full reported profile; every audit
-    gets its outcomes here (perfbench counts `final` and rebinds `run_ir_priority`)."""
+    """Memoized mechanism outcomes, the final bundle masks, keyed by the
+    reported profile as (A, B) mask pairs in priority order.  Every misreport
+    audit reads its outcomes here, starting from the truthful run's, and a miss
+    runs `mechanism._run_masks` (perfbench counts the calls to `final`)."""
 
-    def __init__(self, instance: Instance) -> None:
-        self.instance = instance
-        self.cache: dict[tuple[tuple[frozenset[str], frozenset[str]], ...], Matching] = {}
-
-    def final(self, profile: Profile) -> Matching:
-        key = tuple(
-            (profile[a].attractive, profile[a].bearable) for a in self.instance.agents
+    def __init__(self, instance: Instance, prefs: Profile) -> None:
+        final, _ = run_ir_priority(instance, prefs)
+        agents = instance.agents
+        self.truth: MaskProfile = tuple(
+            (instance.mask(prefs[a].attractive), instance.mask(prefs[a].bearable)) for a in agents
         )
-        hit = self.cache.get(key)
+        self.cache = {self.truth: [instance.mask(final.assignment[a]) for a in agents]}
+        self.sizes = list(instance.sizes)
+        self.endow = list(instance.endowment_masks)
+        self.m = len(instance.object_ids)
+
+    def final(self, profile: MaskProfile) -> list[int]:
+        hit = self.cache.get(profile)
         if hit is None:
-            hit, _ = run_ir_priority(self.instance, profile)
-            self.cache[key] = hit
+            a_masks = [a for a, _ in profile]
+            b_masks = [b for _, b in profile]
+            hit = _run_masks(self.sizes, a_masks, b_masks, self.endow, self.m)[0]
+            self.cache[profile] = hit
         return hit
+
+
+def _require_profile(instance: Instance, prefs: Mapping[str, object], what: str) -> None:
+    """A ValueError unless `prefs` is trichotomous and covers every agent."""
+    _require_trichotomous(prefs, what)
+    for a in instance.agents:
+        if a not in prefs:
+            raise ValueError(f"{what}: no preference given for agent {a!r}")
 
 
 def _misreport_search(
     instance: Instance,
     prefs: Profile,
-    reports: Callable[[str], list[TrichotomousPreference]],
+    reports: Callable[[int, Report], list[Report]],
 ) -> ManipulationWitness | None:
     """First profitable misreport, agents in priority order and each agent's
-    `reports` in order.  A misreport counts as profitable when some responsive
-    extension of the TRUE marginal strictly prefers its outcome."""
-    cache = _OutcomeCache(instance)
-    truth_final = cache.final(prefs)
+    `reports` (given its index and truthful report) in order.  A misreport
+    counts as profitable when some responsive extension of the TRUE marginal
+    strictly prefers its outcome."""
+    cache = _OutcomeCache(instance, prefs)
+    truth = cache.truth
+    truth_final = cache.final(truth)
     margs = marginal_profile(instance, prefs)
-    for agent in instance.agents:
+    for i, agent in enumerate(instance.agents):
         prefixes = prefix_masks(instance, margs[agent])
-        truth_bundle = truth_final.assignment[agent]
-        truth_counts = _counts(instance.mask(truth_bundle), prefixes)
-        for mis in reports(agent):
-            if mis == prefs[agent]:
+        truth_counts = _counts(truth_final[i], prefixes)
+        for mis in reports(i, truth[i]):
+            if mis == truth[i]:
                 continue
-            mis_bundle = cache.final({**prefs, agent: mis}).assignment[agent]
-            mis_counts = _counts(instance.mask(mis_bundle), prefixes)
-            if compare_prefix_counts(mis_counts, truth_counts).admits_strict_preference:
+            bundle = cache.final(truth[:i] + (mis,) + truth[i + 1:])[i]
+            if compare_prefix_counts(_counts(bundle, prefixes), truth_counts).admits_strict_preference:
+                truth_bundle, mis_bundle = instance.unmask(truth_final[i]), instance.unmask(bundle)
                 return ManipulationWitness(
                     agent=agent,
                     truthful=prefs[agent],
-                    misreport=mis,
+                    misreport=_named(instance, agent, mis),
                     truthful_bundle=truth_bundle,
                     misreport_bundle=mis_bundle,
-                    certificate=strict_witness_extension(
-                        mis_bundle, truth_bundle, margs[agent]
-                    ),
+                    certificate=strict_witness_extension(mis_bundle, truth_bundle, margs[agent]),
                 )
     return None
 
@@ -311,23 +343,29 @@ def check_strategy_proofness(
     instance: Instance,
     prefs: Profile,
     domain: DomainSpec | None = None,
+    bound: int = 10,
 ) -> ManipulationWitness | None:
     """Exhaustive search over every (domain-filtered) report for a misreport whose
-    outcome some responsive extension of the TRUE marginal strictly prefers."""
+    outcome some responsive extension of the TRUE marginal strictly prefers.
+    Reports range over every attractive set, so markets with more than `bound`
+    objects are refused up front."""
+    _require_profile(instance, prefs, "strategy-proofness audit")
+    _check_enumeration_bound(instance, bound)
+    every = range(1 << len(instance.object_ids))
     return _misreport_search(
-        instance, prefs, lambda agent: trichotomous_reports(instance, agent, domain)
+        instance, prefs, lambda i, _: _report_masks(instance, i, every, domain)
     )
 
 
 def check_truncation_proofness(
-    instance: Instance, prefs: Profile
+    instance: Instance, prefs: Profile, bound: int = 10
 ) -> ManipulationWitness | None:
     """check_strategy_proofness's search over the reports that keep each agent's
     truthful attractive set and vary only the bearable extras."""
+    _require_profile(instance, prefs, "truncation audit")
+    _check_enumeration_bound(instance, bound)
     return _misreport_search(
-        instance,
-        prefs,
-        lambda agent: _reports(instance, agent, [prefs[agent].attractive]),
+        instance, prefs, lambda i, truth: _report_masks(instance, i, [truth[0]])
     )
 
 
@@ -344,49 +382,46 @@ def check_obvious_manipulability(
     counts, so candidate extensions reduce to positive weight pairs with
     bounded integer components.
     """
-    cache = _OutcomeCache(instance)
-    m = len(instance.objects)
-    reports: dict[str, list[TrichotomousPreference]] = {}
-    for agent in instance.agents:
-        others = [a for a in instance.agents if a != agent]
-        # an agent holding w objects has 2^w * 3^(m - w) reports; none is built
-        # before the first agent's opponent space passes the limit
-        total = math.prod(
-            2 ** len(instance.endowment[a]) * 3 ** (m - len(instance.endowment[a]))
-            for a in others
-        )
+    _require_profile(instance, prefs, "obvious-manipulability audit")
+    agents = instance.agents
+    m = len(instance.object_ids)
+    reports: list[list[Report]] = []
+    for i, agent in enumerate(agents):
+        others = [k for k in range(len(agents)) if k != i]
+        # an agent holding w objects has 2^w * 3^(m - w) reports; none is built,
+        # and the mechanism does not run, before the first agent's opponent
+        # space passes the limit
+        total = math.prod(2 ** instance.sizes[k] * 3 ** (m - instance.sizes[k]) for k in others)
         if total > limit:
             raise EnumerationLimitError(
                 f"opponent space has {total} profiles, limit is {limit}"
             )
         if not reports:
-            reports = {a: trichotomous_reports(instance, a) for a in instance.agents}
-        opponents = [
-            dict(zip(others, combo))
-            for combo in itertools.product(*(reports[a] for a in others))
-        ]
+            cache = _OutcomeCache(instance, prefs)
+            reports = [_report_masks(instance, k, range(1 << m)) for k in range(len(agents))]
+        opponents = list(itertools.product(*(reports[k] for k in others)))
 
         true_pref = prefs[agent]
-        t = len(instance.endowment[agent])
+        t = instance.sizes[i]
         true_marg = true_pref.to_classes(instance.objects)
         prefixes, ranks = prefix_masks(instance, true_marg), true_marg.ranks
 
-        def outcomes(report: TrichotomousPreference) -> list[tuple[frozenset[str], tuple[int, int]]]:
+        def outcomes(report: Report) -> list[tuple[int, tuple[int, ...]]]:
             seen = []
             for opp in opponents:
-                bundle = cache.final({**opp, agent: report}).assignment[agent]
+                bundle = cache.final(opp[:i] + (report,) + opp[i:])[i]
                 # (attractive, acceptable) counts: the first two prefix counts
-                seen.append((bundle, _counts(instance.mask(bundle), prefixes)[:2]))
+                seen.append((bundle, _counts(bundle, prefixes)[:2]))
             return seen
 
-        truth_outcomes = outcomes(true_pref)
-        for mis in reports[agent]:
-            if mis == true_pref:
+        truth_outcomes = outcomes(cache.truth[i])
+        for mis in reports[i]:
+            if mis == cache.truth[i]:
                 continue
             mis_outcomes = outcomes(mis)
             for alpha, beta in itertools.product(range(1, 2 * t + 2), repeat=2):
 
-                def value(outcome: tuple[frozenset[str], tuple[int, int]]) -> int:
+                def value(outcome: tuple[int, tuple[int, ...]]) -> int:
                     return alpha * outcome[1][0] + beta * outcome[1][1]
 
                 for scenario, pick in (("best", max), ("worst", min)):
@@ -398,10 +433,10 @@ def check_obvious_manipulability(
                         return ObviousManipulationWitness(
                             agent=agent,
                             truthful=true_pref,
-                            misreport=mis,
+                            misreport=_named(instance, agent, mis),
                             scenario=scenario,
-                            truthful_bundle=tru_pick[0],
-                            misreport_bundle=mis_pick[0],
+                            truthful_bundle=instance.unmask(tru_pick[0]),
+                            misreport_bundle=instance.unmask(mis_pick[0]),
                             certificate=ResponsiveExtension(agent, utility),
                         )
     return None

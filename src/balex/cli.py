@@ -92,7 +92,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for p in margs.values():
         p.validate_universe(instance.objects)
     if args.sp or args.truncation:
-        # both audits enumerate reports over every object, about 2^m per agent
+        # both audits refuse the same bound; checked here before any other work
         _check_enumeration_bound(instance, args.bound)
 
     trichotomous = True
@@ -169,7 +169,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             domain = model.DomainSpec.strongly_trichotomous()
         elif args.domain == "dichotomous":
             domain = model.DomainSpec.dichotomous()
-        witness = audits.check_strategy_proofness(instance, prefs, domain)
+        witness = audits.check_strategy_proofness(instance, prefs, domain, bound=args.bound)
         checks["strategy_proofness"] = {
             "verdict": witness is None,
             "witness": None
@@ -190,7 +190,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.truncation:
         if not trichotomous:
             raise ValidationError("truncation audit needs a trichotomous profile")
-        witness = audits.check_truncation_proofness(instance, prefs)
+        witness = audits.check_truncation_proofness(instance, prefs, bound=args.bound)
         checks["truncation_proofness"] = {"verdict": witness is None}
         failed |= witness is not None
 

@@ -14,9 +14,11 @@ the round at which each agent's bearable set was first read, so the claim that
 the mechanism consumes bearable-set information only once an agent stops
 improving is a checkable trace property.
 
-A run works on object masks throughout and names only its final matching.  The
-trace keeps the other rounds as masks, with a snapshot of the reported
-profile, and names them when `MechanismTrace.rounds` is first read.
+A run is `_run_masks`, which works on object masks throughout; the misreport
+audits call it on (A, B) masks directly.  `run_ir_priority` validates and masks
+the profile, runs it and names only the final matching.  The trace keeps the
+other rounds as masks, with a snapshot of the reported profile, and names them
+when `MechanismTrace.rounds` is first read.
 """
 
 from __future__ import annotations
@@ -211,6 +213,71 @@ def non_improvable_set(
     return frozenset(a for i, a in enumerate(instance.agents) if not flow.can_improve(i))
 
 
+class _RunFailed(MechanismInvariantError):
+    """A broken invariant inside `_run_masks`; its second argument holds the
+    finished rounds as masks, which `run_ir_priority` names."""
+
+
+def _run_masks(
+    sizes: list[int],
+    a_masks: list[int],
+    b_masks: list[int],
+    endow: list[int],
+    m: int,
+) -> tuple[list[int], list[MaskRound], dict[int, int], int]:
+    """The mechanism on masks: per agent in priority order its size, reported
+    attractive and bearable masks and endowment mask, over m objects.
+
+    Returns the final bundle masks, the rounds (the last is the final pass),
+    the round at which each agent's bearable set was first read, by agent
+    index in elicitation order, and the flow-query count.  Each endowment must
+    lie within its agent's A ∪ B.  One network serves the whole run: each
+    round's refinement, improvability check and the final pass retarget it at
+    the matching it holds.
+    """
+    n = len(sizes)
+    full = (1 << m) - 1
+    b_floor = [e & ~a for e, a in zip(endow, a_masks)]
+    b_ceil = [full & ~a for a in a_masks]
+    everyone = (1 << n) - 1
+    elicited = 0
+    rounds: list[MaskRound] = []
+    elicitation_round: dict[int, int] = {}
+    order = list(range(n))
+    flow = _network(sizes, a_masks, [a | b for a, b in zip(a_masks, b_floor)], endow, m)
+
+    for t in range(1, n + 1):
+        promises = _dictatorship(flow)
+        bundles = flow.extract_canonical(order)
+
+        # per agent, its true bearable mask once elicited, else the widest
+        flow.retarget([b_masks[i] if elicited >> i & 1 else b_ceil[i] for i in order])
+        non_improvable = 0
+        for i in order:
+            if not flow.can_improve(i):
+                non_improvable |= 1 << i
+        if elicited & ~non_improvable:
+            raise _RunFailed(f"non-improvable set shrank at round {t}", rounds)
+        if non_improvable == elicited and non_improvable != everyone:
+            raise _RunFailed(f"non-improvable set failed to grow at round {t}", rounds)
+        for i in order:
+            if (non_improvable & ~elicited) >> i & 1:
+                elicitation_round[i] = t
+        elicited = non_improvable
+        rounds.append((bundles, promises, elicited))
+        flow.retarget([b_masks[i] if elicited >> i & 1 else b_floor[i] for i in order])
+        if elicited == everyone:
+            break
+    else:
+        raise _RunFailed(f"outer loop did not terminate within {n} rounds", rounds)
+
+    # final pass with every true bearable set revealed
+    promises = _dictatorship(flow)
+    bundles = flow.extract_canonical(order)
+    rounds.append((bundles, promises, everyone))
+    return bundles, rounds, elicitation_round, flow.queries
+
+
 def run_ir_priority(
     instance: Instance, prefs: Mapping[str, TrichotomousPreference]
 ) -> tuple[Matching, MechanismTrace]:
@@ -218,73 +285,30 @@ def run_ir_priority(
 
     The outer loop performs at most one elicitation round per agent; failure of
     the non-improvable set to grow raises MechanismInvariantError with the
-    named states of the finished rounds as its second argument.  One network
-    serves the whole run: each round's refinement, improvability check and the
-    final pass retarget it at the matching it holds.  The rounds stay masks,
-    and the agent sets bitmasks over agent indices, until the trace is read.
+    named states of the finished rounds as its second argument.  The run
+    itself is `_run_masks`; the rounds stay masks, and the agent sets bitmasks
+    over agent indices, until the trace is read.
     """
     agents = instance.agents
-    n = len(agents)
-    m = len(instance.object_ids)
     profile: Profile = tuple((prefs[a].attractive, prefs[a].bearable) for a in agents)
     a_masks = [instance.mask(attractive) for attractive, _ in profile]
-    b_true = [instance.mask(bearable) for _, bearable in profile]
-    full = (1 << m) - 1
+    b_masks = [instance.mask(bearable) for _, bearable in profile]
     endow = list(instance.endowment_masks)
     for i, a in enumerate(agents):
-        if endow[i] & ~(a_masks[i] | b_true[i]):
+        if endow[i] & ~(a_masks[i] | b_masks[i]):
             raise ValueError(f"agent {a!r}: endowment not contained in A ∪ B")
-    b_floor = [endow[i] & ~a_masks[i] for i in range(n)]
-    b_ceil = [full & ~a_masks[i] for i in range(n)]
-
-    def pick(elicited: int, base: list[int]) -> list[int]:
-        """Per agent, its true bearable mask once elicited, else `base`."""
-        return [b_true[i] if elicited >> i & 1 else base[i] for i in range(n)]
-
-    def broken(message: str) -> MechanismInvariantError:
-        return MechanismInvariantError(message, _name_rounds(instance, profile, rounds))
-
-    everyone = (1 << n) - 1
-    elicited = 0
-    rounds: list[MaskRound] = []
-    elicitation_round: dict[str, int] = {}
-    order = list(range(n))
-    allowed = [a_masks[i] | b_floor[i] for i in range(n)]
-    flow = _network(list(instance.sizes), a_masks, allowed, endow, m)
-
-    for t in range(1, n + 1):
-        promises = _dictatorship(flow)
-        bundles = flow.extract_canonical(order)
-
-        flow.retarget(pick(elicited, b_ceil))
-        non_improvable = 0
-        for i in order:
-            if not flow.can_improve(i):
-                non_improvable |= 1 << i
-        if elicited & ~non_improvable:
-            raise broken(f"non-improvable set shrank at round {t}")
-        if non_improvable == elicited and non_improvable != everyone:
-            raise broken(f"non-improvable set failed to grow at round {t}")
-        for i in order:
-            if (non_improvable & ~elicited) >> i & 1:
-                elicitation_round[agents[i]] = t
-        elicited = non_improvable
-        rounds.append((bundles, promises, elicited))
-        flow.retarget(pick(elicited, b_floor))
-        if elicited == everyone:
-            break
-    else:
-        raise broken(f"outer loop did not terminate within {n} rounds")
-
-    # final pass with every true bearable set revealed
-    promises = _dictatorship(flow)
-    bundles = flow.extract_canonical(order)
+    try:
+        bundles, rounds, elicited, queries = _run_masks(
+            list(instance.sizes), a_masks, b_masks, endow, len(instance.object_ids)
+        )
+    except _RunFailed as exc:
+        message, finished = exc.args
+        raise MechanismInvariantError(message, _name_rounds(instance, profile, finished)) from exc
     final = Matching({a: instance.unmask(bundles[i]) for i, a in enumerate(agents)})
-    rounds.append((bundles, promises, everyone))
     trace = MechanismTrace(
         final=final,
-        elicitation_round=elicitation_round,
-        flow_queries=flow.queries,
+        elicitation_round={agents[i]: t for i, t in elicited.items()},
+        flow_queries=queries,
         _instance=instance,
         _profile=profile,
         _masks=tuple(rounds),

@@ -39,6 +39,22 @@ def random_profile(
     return prefs
 
 
+def on_masks(instance: Instance, run):
+    """A stand-in for `run_ir_priority` on `instance` as a stand-in for the
+    mechanism's mask-level kernel, `mechanism._run_masks`: the same final
+    matching, as bundle masks, with no rounds and no flow queries."""
+
+    def kernel(sizes, a_masks, b_masks, endow, m):
+        profile = {
+            a: TrichotomousPreference(a, instance.unmask(x), instance.unmask(y))
+            for a, x, y in zip(instance.agents, a_masks, b_masks)
+        }
+        final, _ = run(instance, profile)
+        return [instance.mask(final.assignment[a]) for a in instance.agents], [], {}, 0
+
+    return kernel
+
+
 def random_matching(instance: Instance, rng: random.Random) -> Matching:
     objs = list(instance.object_ids)
     rng.shuffle(objs)

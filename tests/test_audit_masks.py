@@ -27,7 +27,15 @@ from balex.audits import (
 )
 from balex.fixtures import FIXTURE_NAMES, load_fixture
 from balex.mechanism import run_ir_priority
-from balex.model import Instance, MarginalPreference, Matching, canon
+from balex.model import (
+    DomainSpec,
+    Instance,
+    MarginalPreference,
+    Matching,
+    TrichotomousPreference,
+    canon,
+    domain_membership,
+)
 from balex.responsive import (
     BundleComparison,
     cir_trichotomous,
@@ -37,7 +45,7 @@ from balex.responsive import (
     prefix_counts,
     strict_witness_extension,
 )
-from conftest import make_instance, random_matching, random_profile
+from conftest import make_instance, on_masks, random_matching, random_profile
 
 
 def _ref_matchings(instance: Instance) -> list[Matching]:
@@ -197,6 +205,23 @@ def _ref_misreport_search(instance, prefs, reports, run) -> ManipulationWitness 
                     certificate=strict_witness_extension(mis_bundle, truth_bundle, margs[agent]),
                 )
     return None
+
+
+def _ref_reports(instance, agent, attractive_sets, domain=None):
+    """Each attractive set in turn, with the endowment outside A plus every
+    bearable extra, named and filtered by domain_membership."""
+    endow = instance.endowment[agent]
+    others = [o for o in instance.object_ids if o not in endow]
+    extras = domain is None or domain.nu_at(2) == 1
+    out = []
+    for attractive in attractive_sets:
+        pool = [o for o in others if o not in attractive] if extras else []
+        for x_mask in range(1 << len(pool)):
+            extra = frozenset(o for k, o in enumerate(pool) if x_mask >> k & 1)
+            pref = TrichotomousPreference(agent, attractive, endow - attractive | extra)
+            if domain is None or domain_membership(pref.to_classes(instance.objects), domain, endow):
+                out.append(pref)
+    return out
 
 
 def _ref_manipulation_audits(instance, prefs, run=run_ir_priority):
@@ -416,6 +441,7 @@ def test_misreport_search_agrees_with_the_name_level_search_where_witnesses_abou
             continue
         markets += 1
         inst = make_instance(sizes)
+        monkeypatch.setattr(audits, "_run_masks", on_masks(inst, _scrambled_run))
         prefs = random_profile(inst, rng)
         margs = marginal_profile(inst, prefs)
         want = _ref_manipulation_audits(inst, prefs, _scrambled_run)
@@ -426,3 +452,61 @@ def test_misreport_search_agrees_with_the_name_level_search_where_witnesses_abou
                 verdict = compare_unambiguous(w.misreport_bundle, w.truthful_bundle, margs[w.agent])
                 ambiguous += verdict is BundleComparison.AMBIGUOUS
     assert found == [36, 28] and ambiguous == 2
+
+
+def test_mask_reports_are_the_named_reports_in_order():
+    """_report_masks and its named view trichotomous_reports give the frozenset
+    enumeration's reports in its order, for every attractive set and for the
+    truthful one alone, under no domain and under three domains."""
+    domains = [
+        None,
+        DomainSpec.strongly_trichotomous(),
+        DomainSpec.trichotomous(),
+        DomainSpec.dichotomous(),
+    ]
+    lengths = set()
+    for rng, inst in _markets(41, 12, 6):
+        prefs = random_profile(inst, rng)
+        objects = inst.object_ids
+        every = [
+            frozenset(o for k, o in enumerate(objects) if a >> k & 1)
+            for a in range(1 << len(objects))
+        ]
+        for i, agent in enumerate(inst.agents):
+            truthful = prefs[agent].attractive
+            for domain in domains:
+                want = _ref_reports(inst, agent, every, domain)
+                assert trichotomous_reports(inst, agent, domain) == want
+                got = audits._report_masks(inst, i, range(1 << len(objects)), domain)
+                assert got == [(inst.mask(p.attractive), inst.mask(p.bearable)) for p in want]
+                lengths.add(len(want))
+                want = _ref_reports(inst, agent, [truthful], domain)
+                got = audits._report_masks(inst, i, [inst.mask(truthful)], domain)
+                assert got == [(inst.mask(p.attractive), inst.mask(p.bearable)) for p in want]
+    assert len(lengths) > 10
+
+
+def test_a_witness_free_audit_names_objects_only_for_its_truthful_run(monkeypatch):
+    """Reports, outcome lookups and verdicts stay masks: a strategy-proofness
+    audit that finds nothing unmasks only the truthful run's final bundles and
+    builds no TrichotomousPreference."""
+    inst = make_instance([2, 2, 1])
+    prefs = random_profile(inst, random.Random(8), strongly=True)
+    unmasked, built = [], []
+    unmask, post_init = Instance.unmask, TrichotomousPreference.__post_init__
+
+    def counting_unmask(self, mask):
+        unmasked.append(mask)
+        return unmask(self, mask)
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Instance, "unmask", counting_unmask)
+    monkeypatch.setattr(TrichotomousPreference, "__post_init__", counting_post_init)
+    assert check_strategy_proofness(inst, prefs, DomainSpec.strongly_trichotomous()) is None
+    assert len(unmasked) == len(inst.agents) and built == []
+    unmasked.clear()
+    assert check_strategy_proofness(inst, prefs) is None
+    assert len(unmasked) == len(inst.agents) and built == []

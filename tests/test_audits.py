@@ -20,11 +20,11 @@ from balex.audits import (
     welfare_vector,
 )
 from balex.fixtures import load_fixture
-from balex.mechanism import run_ir_priority
+from balex.mechanism import _run_masks, run_ir_priority
 from balex.model import DomainSpec, Matching, TrichotomousPreference
 from balex.optimize import EnumerationLimitError
 from balex.responsive import cir_trichotomous
-from conftest import make_instance, random_profile
+from conftest import make_instance, on_masks, random_profile
 
 
 def fs(*objs):
@@ -178,6 +178,7 @@ def test_truncation_witness_is_the_first_profitable_report(monkeypatch):
         return (swapped if profile["a1"].bearable > fs("o1") else endowment), None
 
     monkeypatch.setattr(audits, "run_ir_priority", stub)
+    monkeypatch.setattr(audits, "_run_masks", on_masks(inst, stub))
     w = check_truncation_proofness(inst, prefs)
     # a1's extras in enumeration order: {}, {o3}, {o4}, {o3, o4}; {} is the truth
     assert w is not None and w.agent == "a1"
@@ -197,11 +198,16 @@ def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
         runs.append(profile)
         return run_ir_priority(instance, profile)
 
+    def counting_kernel(*args):
+        runs.append(args)
+        return _run_masks(*args)
+
     def counting_final(self, profile):
         lookups.append(profile)
         return final(self, profile)
 
     monkeypatch.setattr(audits, "run_ir_priority", counting_run)
+    monkeypatch.setattr(audits, "_run_masks", counting_kernel)
     monkeypatch.setattr(audits._OutcomeCache, "final", counting_final)
     inst = make_instance([2, 1, 1])
     prefs = random_profile(inst, random.Random(5), strongly=True)
@@ -258,17 +264,55 @@ def test_obvious_manipulability_refuses_before_building_reports(monkeypatch):
 
     inst = make_instance([1, 15])
     prefs = {a: TrichotomousPreference(a, fs(), inst.endowment[a]) for a in inst.agents}
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return TrichotomousPreference(*args)
-
-    monkeypatch.setattr(audits, "TrichotomousPreference", counting)
+    calls = []
+    monkeypatch.setattr(audits, "_report_masks", lambda *args: calls.append(args))
+    monkeypatch.setattr(audits, "run_ir_priority", lambda *args: calls.append(args))
     # a2 alone has 2^15 * 3^1 reports
     with pytest.raises(EnumerationLimitError, match="opponent space has 98304 profiles"):
         check_obvious_manipulability(inst, prefs)
-    assert built == []
+    assert calls == []
+
+
+MANIPULATION_AUDITS = {
+    "strategy-proofness audit": check_strategy_proofness,
+    "truncation audit": check_truncation_proofness,
+    "obvious-manipulability audit": check_obvious_manipulability,
+}
+
+
+@pytest.mark.parametrize("what", sorted(MANIPULATION_AUDITS))
+def test_manipulation_audits_refuse_bad_profiles_before_any_report(what, monkeypatch):
+    """A class-based profile, or one that omits an agent, is a ValueError
+    raised before the mechanism runs or any report is built."""
+    from balex import audits
+
+    calls = []
+    monkeypatch.setattr(audits, "_report_masks", lambda *args: calls.append(args))
+    monkeypatch.setattr(audits, "run_ir_priority", lambda *args: calls.append(args))
+    audit = MANIPULATION_AUDITS[what]
+    fx = load_fixture("example1")
+    with pytest.raises(ValueError, match=f"^{what} needs a trichotomous profile"):
+        audit(fx.instance, fx.prefs)
+    fx = load_fixture("thm4-base")
+    partial = {a: p for a, p in fx.prefs.items() if a != "1"}
+    with pytest.raises(ValueError, match=f"^{what}: no preference given for agent '1'"):
+        audit(fx.instance, partial)
+    assert calls == []
+
+
+def test_misreport_searches_refuse_markets_over_the_bound(monkeypatch):
+    from balex import audits
+
+    runs = []
+    monkeypatch.setattr(audits, "run_ir_priority", lambda *args: runs.append(args))
+    inst = make_instance([4, 4, 4])
+    prefs = random_profile(inst, random.Random(3))
+    for audit in (check_strategy_proofness, check_truncation_proofness):
+        with pytest.raises(EnumerationLimitError, match="12 objects, enumeration bound is 10"):
+            audit(inst, prefs)
+        with pytest.raises(EnumerationLimitError, match="enumeration bound is 11"):
+            audit(inst, prefs, bound=11)
+    assert runs == []
 
 
 def test_weak_core_unit_demand_example():

@@ -8,15 +8,22 @@ import random
 import pytest
 
 from balex.cycles import find_cir_pareto_improving_cycle
-from balex.fixtures import load_fixture
+from balex.fixtures import FIXTURE_NAMES, load_fixture
 from balex.flownet import ExchangeFlow
 from balex.mechanism import (
+    _run_masks,
     non_improvable_set,
     run_ir_priority,
     serial_refine,
     trace_to_json,
 )
-from balex.model import Instance, MechanismInvariantError, TrichotomousPreference
+from balex.model import (
+    Instance,
+    MechanismInvariantError,
+    NotTrichotomousError,
+    TrichotomousPreference,
+    trichotomous_profile,
+)
 from balex.responsive import cir_trichotomous, compare_unambiguous, BundleComparison
 from conftest import (
     make_instance,
@@ -296,6 +303,44 @@ def test_an_invariant_failure_carries_the_finished_rounds(monkeypatch):
     with pytest.raises(MechanismInvariantError, match="at round 2") as info:
         run_ir_priority(inst, prefs)
     assert info.value.args[1] == [trace.rounds[0]]
+
+
+def test_the_kernel_is_the_run_on_masks():
+    """_run_masks on the masked profile gives the wrapper's final matching,
+    rounds, elicitation rounds (in the same order) and flow-query count, on
+    every trichotomous fixture and on 200 random markets."""
+    cases = []
+    for name in FIXTURE_NAMES:
+        fx = load_fixture(name)
+        try:
+            cases.append((fx.instance, trichotomous_profile(fx.instance, fx.prefs)))
+        except NotTrichotomousError:
+            continue
+    rng = random.Random(71)
+    for _ in range(200):
+        inst = make_instance([rng.randint(1, 3) for _ in range(rng.randint(1, 4))])
+        cases.append((inst, random_profile(inst, rng)))
+    multi_round = 0
+    for inst, prefs in cases:
+        agents = inst.agents
+        final, trace = run_ir_priority(inst, prefs)
+        bundles, rounds, elicited, queries = _run_masks(
+            list(inst.sizes),
+            [inst.mask(prefs[a].attractive) for a in agents],
+            [inst.mask(prefs[a].bearable) for a in agents],
+            list(inst.endowment_masks),
+            len(inst.object_ids),
+        )
+        assert bundles == [inst.mask(final.assignment[a]) for a in agents]
+        assert len(rounds) == len(trace.rounds)
+        for (masks, promises, non_improvable), named in zip(rounds, trace.rounds):
+            assert masks == [inst.mask(named.mu.assignment[a]) for a in agents]
+            assert tuple(promises) == named.promises
+            assert named.non_improvable == {a for i, a in enumerate(agents) if non_improvable >> i & 1}
+        assert [(agents[i], t) for i, t in elicited.items()] == list(trace.elicitation_round.items())
+        assert queries == trace.flow_queries
+        multi_round += len(rounds) > 2
+    assert len(cases) > 200 and multi_round > 20
 
 
 def test_marginality_mechanism_sees_only_the_ab_pairs():
