@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .cycles import find_cir_pareto_improving_cycle
-from .mechanism import _run_masks, run_ir_priority
+from .mechanism import _network, _run_masks, run_ir_priority
 from .model import (
     DomainSpec,
     Instance,
@@ -275,7 +275,9 @@ class _OutcomeCache:
     """Memoized mechanism outcomes, the final bundle masks, keyed by the
     reported profile as (A, B) mask pairs in priority order.  Every misreport
     audit reads its outcomes here, starting from the truthful run's, and a miss
-    runs `mechanism._run_masks` (perfbench counts the calls to `final`)."""
+    runs `mechanism._run_masks` (perfbench counts the calls to `final`).  Every
+    miss runs on the one network the cache keeps: the market's sizes and
+    object count fix its layout, and each run installs its own system on it."""
 
     def __init__(self, instance: Instance, prefs: Profile) -> None:
         final, _ = run_ir_priority(instance, prefs)
@@ -284,16 +286,15 @@ class _OutcomeCache:
             (instance.mask(prefs[a].attractive), instance.mask(prefs[a].bearable)) for a in agents
         )
         self.cache = {self.truth: [instance.mask(final.assignment[a]) for a in agents]}
-        self.sizes = list(instance.sizes)
         self.endow = list(instance.endowment_masks)
-        self.m = len(instance.object_ids)
+        self.flow = _network(list(instance.sizes), len(instance.object_ids))
 
     def final(self, profile: MaskProfile) -> list[int]:
         hit = self.cache.get(profile)
         if hit is None:
             a_masks = [a for a, _ in profile]
             b_masks = [b for _, b in profile]
-            hit = _run_masks(self.sizes, a_masks, b_masks, self.endow, self.m)[0]
+            hit = _run_masks(self.flow, a_masks, b_masks, self.endow)[0]
             self.cache[profile] = hit
         return hit
 

@@ -19,14 +19,17 @@ A network gets its first feasible point in one of two ways: from a matching
 known to satisfy the constraints (the mechanism's incumbent), or in the two
 phases of `solve_feasible`.  One network then serves a whole mechanism run:
 `retarget` makes the matching it holds the incumbent of the next constraint
-system.  Beyond feasibility the network supports the operations the mechanism
-needs: maximize the attractive-tier flow of one agent (augmenting cycles
-through its tier edge), freeze that edge, test single-unit improvability
-without mutating the flow, and extract the lexicographically least witness
-matching by pinning objects one at a time, rerouting the flow when a pin needs
-it.  Every one of them searches the residual graph with the same shortest-path
-BFS, which takes a tier's object arcs with one big-int operation (the
-bit-parallel search of Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
+system.  The layout depends only on the agents' sizes and the object count,
+so `restart` installs a new run's system on the same network, and one
+network serves every run of a misreport search.  Beyond feasibility the
+network supports the operations the mechanism needs: maximize the
+attractive-tier flow of one agent (augmenting cycles through its tier edge),
+freeze that edge, test single-unit improvability without mutating the flow,
+and extract the lexicographically least witness matching by pinning objects
+one at a time, rerouting the flow when a pin needs it.  Every one of them
+searches the residual graph with the same shortest-path BFS, which takes a
+tier's object arcs with one big-int operation (the bit-parallel search of
+Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
 
 Most candidate objects in an extraction cannot be pinned.  A failed search
 marks every node it reached as unable to reach the target tier, and later
@@ -78,14 +81,9 @@ class ExchangeFlow:
         n_objects: int,
     ) -> None:
         n = len(sizes)
-        m = n_objects
-        allowed_a = [s & a for s, a in zip(allowed, attractive)]
-        allowed_b = [s & ~a for s, a in zip(allowed, attractive)]
         self.n = n
-        self.m = m
+        self.m = n_objects
         self.sizes = sizes
-        self.allowed_a = allowed_a
-        self.allowed_b = allowed_b
         self.agent0 = 0
         self.tier_a0 = n
         self.tier_b0 = 2 * n
@@ -94,27 +92,40 @@ class ExchangeFlow:
 
         # per agent i, edge pairs 2i (agent -> attractive tier, the tier edge)
         # and 2i + 1 (agent -> bearable tier), each forwards then backwards
-        if hi is None:
-            hi = sizes
         self.to: list[int] = []
-        self.cap: list[int] = []
         for i in range(n):
             self.to += (self.tier_a0 + i, i, self.tier_b0 + i, i)
-            self.cap += (min(hi[i], sizes[i], allowed_a[i].bit_count()), -lo[i], sizes[i], 0)
         self.adj: list[list[int]] = (
             [[4 * i, 4 * i + 2] for i in range(n)]
             + [[4 * i + 1, _OBJECTS] for i in range(n)]
             + [[4 * i + 3, _OBJECTS] for i in range(n)]
             + [[]]
         )
-        self.frozen = bytearray(2 * n)
         self.tier_edge_a = list(range(0, 4 * n, 4))
+        self._install(attractive, allowed, lo, hi)
+
+    def _install(
+        self, attractive: list[int], allowed: list[int], lo: list[int], hi: list[int] | None
+    ) -> None:
+        """Give the network a constraint system and no flow: the layout, which
+        depends only on the sizes and the object count, stays."""
+        sizes = self.sizes
+        allowed_a = [s & a for s, a in zip(allowed, attractive)]
+        allowed_b = [s & ~a for s, a in zip(allowed, attractive)]
+        self.allowed_a = allowed_a
+        self.allowed_b = allowed_b
+        if hi is None:
+            hi = sizes
+        self.cap: list[int] = []
+        for i in range(self.n):
+            self.cap += (min(hi[i], sizes[i], allowed_a[i].bit_count()), -lo[i], sizes[i], 0)
+        self.frozen = bytearray(2 * self.n)
 
         # per node: the objects it has arcs to and the objects it holds
-        self.allow = [0] * n + allowed_a + allowed_b + [0]
+        self.allow = [0] * self.n + allowed_a + allowed_b + [0]
         self.held = [0] * self.nn
-        self.held[self.free] = (1 << m) - 1
-        self.holder = [self.free] * m
+        self.held[self.free] = (1 << self.m) - 1
+        self.holder = [self.free] * self.m
         self.pinned = 0
         self.queries = 0
 
@@ -140,10 +151,21 @@ class ExchangeFlow:
 
     # -- the first feasible point --------------------------------------------
 
+    def restart(self, attractive: list[int], allowed: list[int], bundles: list[int]) -> bool:
+        """Install the system under these attractive and allowed masks whose
+        lower bounds are the attractive counts of the balanced matching
+        `bundles`, and make that matching the flow; False as `start_from`.
+        The layout stays; the query count starts again at 0."""
+        self._install(
+            attractive, allowed, [(b & a).bit_count() for b, a in zip(bundles, attractive)], None
+        )
+        return self.start_from(bundles)
+
     def start_from(self, bundles: list[int]) -> bool:
         """Make the balanced matching `bundles` (one object mask per agent) the
-        flow of this new network; False, leaving the network unusable, when
-        the matching leaves an allowed set or breaks a tier bound."""
+        flow of this network's newly installed system; False, leaving the
+        network unusable until the next install, when the matching leaves an
+        allowed set or breaks a tier bound."""
         taken = 0
         for i, bundle in enumerate(bundles):
             eid = self.tier_edge_a[i]

@@ -7,18 +7,23 @@ locked in as her promise.  Outer loop: starting from the endowment and the
 minimal bearable sets, agents whose promise can no longer grow even under
 maximal bearable sets for everyone un-elicited are asked to reveal their true
 bearable sets, and the dictatorship is re-run; the loop ends when nobody can
-improve, after at most one round per agent.
+improve, after at most one round per agent.  A re-run over an unchanged
+constraint system would repeat the last pass, so it is skipped: when every
+agent revealed since that pass reports just its endowment outside its
+attractive set, as on strongly trichotomous profiles.  `flow_queries` counts
+the queries a run actually asks.
 
 Elicitation is simulated: the full profile is an input, but the trace records
 the round at which each agent's bearable set was first read, so the claim that
 the mechanism consumes bearable-set information only once an agent stops
 improving is a checkable trace property.
 
-A run is `_run_masks`, which works on object masks throughout; the misreport
-audits call it on (A, B) masks directly.  `run_ir_priority` validates and masks
-the profile, runs it and names only the final matching.  The trace keeps the
-other rounds as masks, with a snapshot of the reported profile, and names them
-when `MechanismTrace.rounds` is first read.
+A run is `_run_masks`, which works on object masks throughout, on a network
+its caller passes; the misreport audits call it on (A, B) masks directly, all
+runs of one search on one network.  `run_ir_priority` validates and masks the
+profile, runs it on a new network and names only the final matching.  The
+trace keeps the other rounds as masks, with a snapshot of the reported
+profile, and names them when `MechanismTrace.rounds` is first read.
 """
 
 from __future__ import annotations
@@ -119,10 +124,6 @@ def _name_rounds(
     return named
 
 
-def _welfare(mu_masks: list[int], a_masks: list[int]) -> list[int]:
-    return [(mu & a).bit_count() for mu, a in zip(mu_masks, a_masks)]
-
-
 def _query_masks(
     instance: Instance,
     attractive: Mapping[str, frozenset[str]],
@@ -136,17 +137,20 @@ def _query_masks(
     return a_masks, allowed, mu_masks
 
 
-def _network(
-    sizes: list[int],
-    a_masks: list[int],
-    allowed: list[int],
-    incumbent: list[int],
-    m: int,
+def _network(sizes: list[int], m: int) -> ExchangeFlow:
+    """A network for the constraint systems of a market with these agent
+    sizes and m objects; it holds none until `_start` installs one."""
+    n = len(sizes)
+    return ExchangeFlow(sizes, [0] * n, [0] * n, [0] * n, n_objects=m)
+
+
+def _start(
+    flow: ExchangeFlow, a_masks: list[int], allowed: list[int], incumbent: list[int]
 ) -> ExchangeFlow:
-    """The network of CIR matchings giving every agent at least as many
-    attractive objects as the `incumbent` matching, started from it."""
-    flow = ExchangeFlow(sizes, a_masks, allowed, _welfare(incumbent, a_masks), n_objects=m)
-    if not flow.start_from(incumbent):
+    """`flow`, restarted on the CIR matchings under these masks that give
+    every agent at least as many attractive objects as the `incumbent`
+    matching, from that matching."""
+    if not flow.restart(a_masks, allowed, incumbent):
         raise MechanismInvariantError("the incumbent matching does not satisfy the constraint set")
     return flow
 
@@ -168,7 +172,7 @@ def _refine_masks(
     m: int,
 ) -> tuple[list[int], ExchangeFlow]:
     """One serial-dictatorship pass from `incumbent`: promises and the network."""
-    flow = _network(sizes, a_masks, allowed, incumbent, m)
+    flow = _start(_network(sizes, m), a_masks, allowed, incumbent)
     return _dictatorship(flow), flow
 
 
@@ -209,7 +213,9 @@ def non_improvable_set(
     """Agents whose attractive count cannot rise in any CIR matching weakly
     improving `mu` under the given (maximal) bearable sets."""
     a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable_outer, mu)
-    flow = _network(list(instance.sizes), a_masks, allowed, mu_masks, len(instance.object_ids))
+    flow = _start(
+        _network(list(instance.sizes), len(instance.object_ids)), a_masks, allowed, mu_masks
+    )
     return frozenset(a for i, a in enumerate(instance.agents) if not flow.can_improve(i))
 
 
@@ -219,24 +225,40 @@ class _RunFailed(MechanismInvariantError):
 
 
 def _run_masks(
-    sizes: list[int],
+    flow: ExchangeFlow,
     a_masks: list[int],
     b_masks: list[int],
     endow: list[int],
-    m: int,
 ) -> tuple[list[int], list[MaskRound], dict[int, int], int]:
-    """The mechanism on masks: per agent in priority order its size, reported
-    attractive and bearable masks and endowment mask, over m objects.
+    """The mechanism on masks, on `flow`, a network for the market's sizes and
+    object count: per agent in priority order its reported attractive and
+    bearable masks and its endowment mask.
 
     Returns the final bundle masks, the rounds (the last is the final pass),
     the round at which each agent's bearable set was first read, by agent
     index in elicitation order, and the flow-query count.  Each endowment must
-    lie within its agent's A ∪ B.  One network serves the whole run: each
-    round's refinement, improvability check and the final pass retarget it at
-    the matching it holds.
+    lie within its agent's A ∪ B.  The run installs its first system on `flow`,
+    whatever an earlier run left there; each round's refinement, improvability
+    check and the final pass then retarget it at the matching it holds.
+
+    A round's pass, and the final pass, run only when the system's bearable
+    masks differ from those of the last pass that ran; otherwise they keep
+    that pass's bundles and promises.  Lemma: a serial-dictatorship pass over
+    a system whose lower bounds are an earlier pass's own promises, on that
+    pass's allowed masks, returns the same promises and the same canonical
+    matching.  Each promise is still attainable (the held matching attains
+    it) and no larger count is, as the earlier pass ran on a superset, so
+    once every agent is frozen the feasible set is {each agent's attractive
+    count = its promise}, as it was.  `maximize` reaches the exact maximum
+    and extraction pins the lexicographically least point of that set;
+    neither depends on the flow it starts from.  Retargeting sets the lower
+    bounds to the held matching's counts, the last pass's promises, so the
+    lemma applies whenever no agent elicited since that pass reports a
+    bearable set other than its endowment outside A: after the first pass,
+    always on strongly trichotomous profiles.
     """
-    n = len(sizes)
-    full = (1 << m) - 1
+    n = flow.n
+    full = (1 << flow.m) - 1
     b_floor = [e & ~a for e, a in zip(endow, a_masks)]
     b_ceil = [full & ~a for a in a_masks]
     everyone = (1 << n) - 1
@@ -244,11 +266,18 @@ def _run_masks(
     rounds: list[MaskRound] = []
     elicitation_round: dict[int, int] = {}
     order = list(range(n))
-    flow = _network(sizes, a_masks, [a | b for a, b in zip(a_masks, b_floor)], endow, m)
+    _start(flow, a_masks, [a | b for a, b in zip(a_masks, b_floor)], endow)
+    bearable, solved = b_floor, None  # the held system's bearable masks, the last pass's
 
-    for t in range(1, n + 1):
-        promises = _dictatorship(flow)
-        bundles = flow.extract_canonical(order)
+    for t in range(1, n + 2):
+        if bearable != solved:
+            promises = _dictatorship(flow)
+            bundles = flow.extract_canonical(order)
+            solved = bearable
+        if elicited == everyone:
+            break  # that was the final pass, with every true bearable set revealed
+        if t > n:
+            raise _RunFailed(f"outer loop did not terminate within {n} rounds", rounds)
 
         # per agent, its true bearable mask once elicited, else the widest
         flow.retarget([b_masks[i] if elicited >> i & 1 else b_ceil[i] for i in order])
@@ -265,15 +294,9 @@ def _run_masks(
                 elicitation_round[i] = t
         elicited = non_improvable
         rounds.append((bundles, promises, elicited))
-        flow.retarget([b_masks[i] if elicited >> i & 1 else b_floor[i] for i in order])
-        if elicited == everyone:
-            break
-    else:
-        raise _RunFailed(f"outer loop did not terminate within {n} rounds", rounds)
+        bearable = [b_masks[i] if elicited >> i & 1 else b_floor[i] for i in order]
+        flow.retarget(bearable)
 
-    # final pass with every true bearable set revealed
-    promises = _dictatorship(flow)
-    bundles = flow.extract_canonical(order)
     rounds.append((bundles, promises, everyone))
     return bundles, rounds, elicitation_round, flow.queries
 
@@ -299,7 +322,7 @@ def run_ir_priority(
             raise ValueError(f"agent {a!r}: endowment not contained in A ∪ B")
     try:
         bundles, rounds, elicited, queries = _run_masks(
-            list(instance.sizes), a_masks, b_masks, endow, len(instance.object_ids)
+            _network(list(instance.sizes), len(instance.object_ids)), a_masks, b_masks, endow
         )
     except _RunFailed as exc:
         message, finished = exc.args

@@ -44,7 +44,7 @@ def on_masks(instance: Instance, run):
     mechanism's mask-level kernel, `mechanism._run_masks`: the same final
     matching, as bundle masks, with no rounds and no flow queries."""
 
-    def kernel(sizes, a_masks, b_masks, endow, m):
+    def kernel(flow, a_masks, b_masks, endow):
         profile = {
             a: TrichotomousPreference(a, instance.unmask(x), instance.unmask(y))
             for a, x, y in zip(instance.agents, a_masks, b_masks)

@@ -4,15 +4,19 @@ against a brute-force greedy over them."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balex.audits import check_strategy_proofness
 from balex.fixtures import load_fixture
 from balex.flownet import ExchangeFlow
 from balex.generate import random_market
 from balex.mechanism import run_ir_priority
+from balex.model import DomainSpec
+from conftest import make_instance, random_profile
 
 
 def _popcount(x: int) -> int:
@@ -60,6 +64,20 @@ def test_start_from_matching_agrees_with_path_augmentation(case):
     assert started.start_from(bundles)
     assert solved.solve_feasible()
     assert _dictatorship(started, order) == _dictatorship(solved, order)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(systems_with_a_matching())
+def test_a_pass_over_its_own_promises_repeats_itself(case):
+    """The lemma behind the mechanism's skipped passes: a second pass over
+    the same allowed masks, from the first pass's matching with its promises
+    as lower bounds, gives the same promises and canonical matching."""
+    (sizes, attractive, allowed, lo, hi, m), bundles, order = case
+    flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
+    assert flow.start_from(bundles)
+    first = _dictatorship(flow, order)
+    flow.retarget(list(flow.allowed_b))
+    assert _dictatorship(flow, order) == first
 
 
 def _balanced_matchings(sizes: list[int], allowed: list[int], m: int):
@@ -230,6 +248,50 @@ def test_start_from_rejects_a_matching_that_breaks_the_constraints():
     assert not network([0, 1]).start_from([0b01, 0b10])  # below agent 1's lower bound
     assert not network([0, 0]).start_from([0b11, 0b00])  # not one object per agent
     assert not network([0, 0], allowed=(0b01, 0b01)).start_from([0b01, 0b01])
+
+
+def test_restart_rejects_what_start_from_rejects():
+    """`restart` on a network that held another system takes its lower bounds
+    from the matching, then judges it as `start_from` judges it on a new one."""
+    shared = ExchangeFlow([1, 1], [0b10, 0b10], [0b11, 0b11], [0, 0], n_objects=2)
+    assert shared.start_from([0b10, 0b01])
+    for allowed, bundles in (
+        ((0b01, 0b11), [0b01, 0b10]),
+        ((0b01, 0b11), [0b10, 0b01]),  # outside agent 0's allowed set
+        ((0b11, 0b11), [0b11, 0b00]),  # not one object per agent
+        ((0b01, 0b01), [0b01, 0b01]),  # one object twice
+        ((0b11, 0b11), [0b10, 0b01]),
+    ):
+        lo = [_popcount(b & 0b01) for b in bundles]
+        fresh = ExchangeFlow([1, 1], [0b01, 0b01], list(allowed), lo, n_objects=2)
+        verdict = fresh.start_from(bundles)
+        assert shared.restart([0b01, 0b01], list(allowed), bundles) == verdict
+        if verdict:
+            assert shared.dump() == fresh.dump()
+            assert shared.cap == fresh.cap and shared.queries == 0
+
+
+def test_a_misreport_search_builds_two_networks(monkeypatch):
+    """A witness-free strategy-proofness audit builds one network for the
+    truthful `run_ir_priority` and one that every misreport run restarts."""
+    builds, restarts = [], []
+    build, restart = ExchangeFlow.__init__, ExchangeFlow.restart
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    def counting_restart(self, *args):
+        restarts.append(1)
+        return restart(self, *args)
+
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
+    monkeypatch.setattr(ExchangeFlow, "restart", counting_restart)
+    instance = make_instance([2, 1, 1])
+    prefs = random_profile(instance, random.Random(5), strongly=True)
+    assert check_strategy_proofness(instance, prefs, DomainSpec.strongly_trichotomous()) is None
+    assert len(builds) == 2
+    assert len(restarts) == 46  # the truthful run and 45 misreports
 
 
 def test_mechanism_networks_start_from_the_incumbent(monkeypatch):

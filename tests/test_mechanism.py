@@ -11,6 +11,7 @@ from balex.cycles import find_cir_pareto_improving_cycle
 from balex.fixtures import FIXTURE_NAMES, load_fixture
 from balex.flownet import ExchangeFlow
 from balex.mechanism import (
+    _network,
     _run_masks,
     non_improvable_set,
     run_ir_priority,
@@ -196,6 +197,9 @@ def test_strongly_trichotomous_collapses_to_single_pass():
         assert final == single
         for r in trace.rounds:
             assert r.mu == final
+        # one pass, then n improvability checks per outer round
+        n = len(inst.agents)
+        assert trace.flow_queries == n + n * (len(trace.rounds) - 1)
 
 
 def test_run_invariants_on_random_instances():
@@ -217,8 +221,9 @@ def test_run_invariants_on_random_instances():
         assert len(trace.rounds) <= len(inst.agents) + 1
         for earlier, later in zip(trace.rounds, trace.rounds[1:]):
             assert all(x <= y for x, y in zip(earlier.promises, later.promises))
-        # query accounting for the bench criterion
-        assert trace.flow_queries <= 2 * len(inst.agents) * len(trace.rounds)
+        # query accounting for the bench criterion: n maximize queries per
+        # pass, at most one pass per round, n improvability checks per outer round
+        assert trace.flow_queries <= len(inst.agents) * (2 * len(trace.rounds) - 1)
 
 
 def test_round_state_bearable_maps_reveal_true_sets_once_non_improvable():
@@ -305,10 +310,8 @@ def test_an_invariant_failure_carries_the_finished_rounds(monkeypatch):
     assert info.value.args[1] == [trace.rounds[0]]
 
 
-def test_the_kernel_is_the_run_on_masks():
-    """_run_masks on the masked profile gives the wrapper's final matching,
-    rounds, elicitation rounds (in the same order) and flow-query count, on
-    every trichotomous fixture and on 200 random markets."""
+def _kernel_cases() -> list[tuple[Instance, dict[str, TrichotomousPreference]]]:
+    """Every trichotomous fixture and 200 random markets, with bearable extras."""
     cases = []
     for name in FIXTURE_NAMES:
         fx = load_fixture(name)
@@ -320,16 +323,29 @@ def test_the_kernel_is_the_run_on_masks():
     for _ in range(200):
         inst = make_instance([rng.randint(1, 3) for _ in range(rng.randint(1, 4))])
         cases.append((inst, random_profile(inst, rng)))
+    return cases
+
+
+def _kernel_args(inst: Instance, prefs) -> tuple[list[int], list[int], list[int]]:
+    """The attractive, bearable and endowment masks `_run_masks` takes."""
+    return (
+        [inst.mask(prefs[a].attractive) for a in inst.agents],
+        [inst.mask(prefs[a].bearable) for a in inst.agents],
+        list(inst.endowment_masks),
+    )
+
+
+def test_the_kernel_is_the_run_on_masks():
+    """_run_masks on the masked profile gives the wrapper's final matching,
+    rounds, elicitation rounds (in the same order) and flow-query count, on
+    every trichotomous fixture and on 200 random markets."""
+    cases = _kernel_cases()
     multi_round = 0
     for inst, prefs in cases:
         agents = inst.agents
         final, trace = run_ir_priority(inst, prefs)
         bundles, rounds, elicited, queries = _run_masks(
-            list(inst.sizes),
-            [inst.mask(prefs[a].attractive) for a in agents],
-            [inst.mask(prefs[a].bearable) for a in agents],
-            list(inst.endowment_masks),
-            len(inst.object_ids),
+            _network(list(inst.sizes), len(inst.object_ids)), *_kernel_args(inst, prefs)
         )
         assert bundles == [inst.mask(final.assignment[a]) for a in agents]
         assert len(rounds) == len(trace.rounds)
@@ -341,6 +357,125 @@ def test_the_kernel_is_the_run_on_masks():
         assert queries == trace.flow_queries
         multi_round += len(rounds) > 2
     assert len(cases) > 200 and multi_round > 20
+
+
+def _ref_run_masks(sizes, a_masks, b_masks, endow, m):
+    """The kernel as it was before passes over an unchanged system were
+    skipped, kept as the reference: every round, and the final pass, runs the
+    serial dictatorship, on a network of its own."""
+    n = len(sizes)
+    full = (1 << m) - 1
+    b_floor = [e & ~a for e, a in zip(endow, a_masks)]
+    b_ceil = [full & ~a for a in a_masks]
+    everyone = (1 << n) - 1
+    elicited = 0
+    rounds = []
+    elicitation_round = {}
+    order = list(range(n))
+    allowed = [a | b for a, b in zip(a_masks, b_floor)]
+    flow = ExchangeFlow(
+        sizes, a_masks, allowed, [(e & a).bit_count() for e, a in zip(endow, a_masks)], n_objects=m
+    )
+    assert flow.start_from(endow)
+
+    def dictatorship():
+        promises = []
+        for i in order:
+            promises.append(flow.maximize(i))
+            flow.freeze(i)
+        return promises
+
+    for t in range(1, n + 1):
+        promises = dictatorship()
+        bundles = flow.extract_canonical(order)
+        flow.retarget([b_masks[i] if elicited >> i & 1 else b_ceil[i] for i in order])
+        non_improvable = 0
+        for i in order:
+            if not flow.can_improve(i):
+                non_improvable |= 1 << i
+        assert not elicited & ~non_improvable
+        assert non_improvable != elicited or non_improvable == everyone
+        for i in order:
+            if (non_improvable & ~elicited) >> i & 1:
+                elicitation_round[i] = t
+        elicited = non_improvable
+        rounds.append((bundles, promises, elicited))
+        flow.retarget([b_masks[i] if elicited >> i & 1 else b_floor[i] for i in order])
+        if elicited == everyone:
+            break
+    else:
+        raise AssertionError("reference kernel did not terminate")
+    promises = dictatorship()
+    bundles = flow.extract_canonical(order)
+    rounds.append((bundles, promises, everyone))
+    return bundles, rounds, elicitation_round, flow.queries
+
+
+def test_the_kernel_skips_exactly_the_passes_that_would_repeat(monkeypatch):
+    """_run_masks gives the reference kernel's bundles, rounds, promises and
+    elicitation rounds on every case; each pass it skips saves the reference's
+    n maximize queries.  The cases skip passes and run later ones."""
+    from balex import mechanism
+
+    passes = []
+    dictatorship = mechanism._dictatorship
+
+    def counting_dictatorship(flow):
+        passes.append(1)
+        return dictatorship(flow)
+
+    monkeypatch.setattr(mechanism, "_dictatorship", counting_dictatorship)
+    skipped = later_ran = 0
+    for inst, prefs in _kernel_cases():
+        sizes, m, n = list(inst.sizes), len(inst.object_ids), len(inst.agents)
+        args = _kernel_args(inst, prefs)
+        want = _ref_run_masks(sizes, *args, m)
+        passes.clear()
+        got = _run_masks(_network(sizes, m), *args)
+        assert got[:3] == want[:3]
+        assert want[3] - got[3] == n * (len(want[1]) - len(passes))
+        skipped += len(want[1]) - len(passes)
+        later_ran += len(passes) - 1
+    assert skipped > 50 and later_ran > 150
+
+
+def test_flow_queries_count_the_queries_asked():
+    """A pass over an unchanged system is not asked again."""
+    for name, queries in (("thm4-base", 16), ("no-pe-core", 9)):
+        fx = load_fixture(name)
+        _, trace = run_ir_priority(fx.instance, trichotomous_profile(fx.instance, fx.prefs))
+        assert trace.flow_queries == queries
+
+
+def test_a_shared_network_leaks_nothing_between_runs(monkeypatch):
+    """Misreport profiles run in shuffled order on one network, between runs
+    that stop with _RunFailed, give what they give on fresh networks."""
+    from balex.mechanism import _RunFailed
+
+    rng = random.Random(83)
+    can_improve = ExchangeFlow.can_improve
+    for _ in range(12):
+        inst = make_instance([rng.randint(1, 2) for _ in range(3)])
+        sizes, m = list(inst.sizes), len(inst.object_ids)
+        profiles = [_kernel_args(inst, random_profile(inst, rng)) for _ in range(12)]
+        fresh = [_run_masks(_network(sizes, m), *args) for args in profiles]
+        shared = _network(sizes, m)
+        order = list(range(len(profiles)))
+        rng.shuffle(order)
+        for k in order:
+            calls = []
+
+            def improvable_after(self, i, _limit=rng.randint(0, 6)):
+                calls.append(i)
+                return can_improve(self, i) if len(calls) <= _limit else True
+
+            monkeypatch.setattr(ExchangeFlow, "can_improve", improvable_after)
+            try:
+                _run_masks(shared, *profiles[rng.randrange(len(profiles))])
+            except _RunFailed:
+                pass
+            monkeypatch.setattr(ExchangeFlow, "can_improve", can_improve)
+            assert _run_masks(shared, *profiles[k]) == fresh[k]
 
 
 def test_marginality_mechanism_sees_only_the_ab_pairs():
