@@ -27,6 +27,7 @@ from .model import (
     MarginalPreference,
     Matching,
     TrichotomousPreference,
+    canon,
 )
 # enumerate_matchings lives in optimize; audits re-exports it
 from .optimize import EnumerationLimitError, enumerate_matchings, mask_matchings
@@ -300,11 +301,17 @@ class _OutcomeCache:
 
 
 def _require_profile(instance: Instance, prefs: Mapping[str, object], what: str) -> None:
-    """A ValueError unless `prefs` is trichotomous and covers every agent."""
+    """A ValueError unless `prefs` is trichotomous, covers every agent and
+    names only the instance's objects."""
     _require_trichotomous(prefs, what)
     for a in instance.agents:
         if a not in prefs:
             raise ValueError(f"{what}: no preference given for agent {a!r}")
+        stray = prefs[a].acceptable() - instance.objects
+        if stray:
+            raise ValueError(
+                f"{what}: preference of agent {a!r} names unknown object(s) {canon(stray)}"
+            )
 
 
 def _misreport_search(
@@ -315,7 +322,14 @@ def _misreport_search(
     """First profitable misreport, agents in priority order and each agent's
     `reports` (given its index and truthful report) in order.  A misreport
     counts as profitable when some responsive extension of the TRUE marginal
-    strictly prefers its outcome."""
+    strictly prefers its outcome.
+
+    An agent whose truthful bundle already holds min(size, |P_k|) objects of
+    every prefix mask P_k is skipped without running its reports.  The rule is
+    exact and reads only the preferences and the truthful bundle, nothing the
+    mechanism guarantees: every outcome gives the agent `size` objects, so none
+    holds more of any P_k, and compare_prefix_counts admits a strict
+    preference only when some count rises above the truthful one."""
     cache = _OutcomeCache(instance, prefs)
     truth = cache.truth
     truth_final = cache.final(truth)
@@ -323,6 +337,9 @@ def _misreport_search(
     for i, agent in enumerate(instance.agents):
         prefixes = prefix_masks(instance, margs[agent])
         truth_counts = _counts(truth_final[i], prefixes)
+        size = instance.sizes[i]
+        if all(c == min(size, p.bit_count()) for c, p in zip(truth_counts, prefixes)):
+            continue
         for mis in reports(i, truth[i]):
             if mis == truth[i]:
                 continue
@@ -349,7 +366,9 @@ def check_strategy_proofness(
     """Exhaustive search over every (domain-filtered) report for a misreport whose
     outcome some responsive extension of the TRUE marginal strictly prefers.
     Reports range over every attractive set, so markets with more than `bound`
-    objects are refused up front."""
+    objects are refused up front.  An agent whose truthful bundle no bundle of
+    its size beats at any class prefix cannot gain from a report, so its
+    reports are not run (see _misreport_search)."""
     _require_profile(instance, prefs, "strategy-proofness audit")
     _check_enumeration_bound(instance, bound)
     every = range(1 << len(instance.object_ids))

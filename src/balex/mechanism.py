@@ -33,7 +33,13 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .flownet import ExchangeFlow
-from .model import Instance, Matching, MechanismInvariantError, TrichotomousPreference
+from .model import (
+    Instance,
+    Matching,
+    MechanismInvariantError,
+    TrichotomousPreference,
+    validate_matching,
+)
 from .responsive import cir_trichotomous
 
 # Per agent in priority order, the reported (attractive, bearable) sets.
@@ -185,8 +191,9 @@ def serial_refine(
     """One full serial-dictatorship pass over the CIR matchings weakly improving `mu`.
 
     Returns the canonical (lexicographically least) matching complying with all
-    promises, plus the promise vector.
+    promises, plus the promise vector.  An unbalanced `mu` raises ValidationError.
     """
+    validate_matching(instance, mu.assignment)
     prefs = {
         a: TrichotomousPreference(a, frozenset(attractive[a]), frozenset(bearable[a]))
         for a in instance.agents
@@ -211,7 +218,9 @@ def non_improvable_set(
     mu: Matching,
 ) -> frozenset[str]:
     """Agents whose attractive count cannot rise in any CIR matching weakly
-    improving `mu` under the given (maximal) bearable sets."""
+    improving `mu` under the given (maximal) bearable sets.  An unbalanced
+    `mu` raises ValidationError."""
+    validate_matching(instance, mu.assignment)
     a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable_outer, mu)
     flow = _start(
         _network(list(instance.sizes), len(instance.object_ids)), a_masks, allowed, mu_masks

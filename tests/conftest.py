@@ -55,6 +55,21 @@ def on_masks(instance: Instance, run):
     return kernel
 
 
+def unbeatable(instance: Instance, prefs, final: Matching) -> list[bool]:
+    """Per agent in priority order, whether its bundle in `final` holds
+    min(size, |P|) objects of every class prefix P of its preference [A, B,
+    rest]: then no bundle of its size holds more of any prefix, so no
+    responsive extension ranks any such bundle strictly above it."""
+    out = []
+    for a in instance.agents:
+        size, prefix, full = len(instance.endowment[a]), set(), True
+        for cls in prefs[a].to_classes(instance.objects).classes:
+            prefix |= cls
+            full &= len(final.assignment[a] & prefix) == min(size, len(prefix))
+        out.append(full)
+    return out
+
+
 def random_matching(instance: Instance, rng: random.Random) -> Matching:
     objs = list(instance.object_ids)
     rng.shuffle(objs)

@@ -45,7 +45,7 @@ from balex.responsive import (
     prefix_counts,
     strict_witness_extension,
 )
-from conftest import make_instance, on_masks, random_matching, random_profile
+from conftest import make_instance, on_masks, random_matching, random_profile, unbeatable
 
 
 def _ref_matchings(instance: Instance) -> list[Matching]:
@@ -510,3 +510,92 @@ def test_a_witness_free_audit_names_objects_only_for_its_truthful_run(monkeypatc
     unmasked.clear()
     assert check_strategy_proofness(inst, prefs) is None
     assert len(unmasked) == len(inst.agents) and built == []
+
+
+def _record_lookups(monkeypatch) -> list:
+    """The profiles that outcome tables are asked for from now on, in order."""
+    lookups = []
+    final = audits._OutcomeCache.final
+
+    def counting_final(self, profile):
+        lookups.append(profile)
+        return final(self, profile)
+
+    monkeypatch.setattr(audits._OutcomeCache, "final", counting_final)
+    return lookups
+
+
+def _deviators(inst, truth, lookups):
+    """The agents whose report differs from the truthful one in each looked-up
+    profile, one per lookup (None for the truthful profile itself)."""
+    out = []
+    for profile in lookups:
+        diff = [a for a, r, t in zip(inst.agents, profile, truth) if r != t]
+        out.append(diff[0] if diff else None)
+    return out
+
+
+def test_skipped_agents_have_no_profitable_report(monkeypatch):
+    """An agent whose truthful bundle holds min(size, |P|) objects of every
+    class prefix P has none of its reports run by the misreport searches,
+    and every other agent's are run.  Under the mechanism and under the
+    scrambled stand-in, every report of every such agent is run without
+    pruning, and no outcome is one that some responsive extension of the true
+    marginal strictly prefers."""
+    lookups = _record_lookups(monkeypatch)
+    rng = random.Random(53)
+    skipped = {}
+    for run, count in ((run_ir_priority, 50), (_scrambled_run, 20)):
+        monkeypatch.setattr(audits, "run_ir_priority", run)
+        skipped[run.__name__] = markets = 0
+        while markets < count:
+            sizes = [rng.randint(1, 2) for _ in range(rng.randint(2, 4))]
+            if sum(sizes) > 6:
+                continue
+            markets += 1
+            inst = make_instance(sizes)
+            if run is _scrambled_run:
+                monkeypatch.setattr(audits, "_run_masks", on_masks(inst, run))
+            prefs = random_profile(inst, rng, strongly=markets % 2 == 0)
+            margs = marginal_profile(inst, prefs)
+            truth = run(inst, prefs)[0]
+            full = unbeatable(inst, prefs, truth)
+            cache = audits._OutcomeCache(inst, prefs)
+            lookups.clear()
+            # the search over every report runs those of every agent the rule
+            # keeps, up to the first witness's agent
+            w = check_strategy_proofness(inst, prefs)
+            stop = inst.agents.index(w.agent) + 1 if w else len(inst.agents)
+            kept = {a for a, f in zip(inst.agents[:stop], full) if not f}
+            assert set(_deviators(inst, cache.truth, lookups)) - {None} == kept
+            check_truncation_proofness(inst, prefs)
+            check_strategy_proofness(inst, prefs, DomainSpec.strongly_trichotomous())
+            deviators = set(_deviators(inst, cache.truth, lookups))
+            every = range(1 << len(inst.object_ids))
+            for i, agent in enumerate(inst.agents):
+                if not full[i]:
+                    continue
+                skipped[run.__name__] += 1
+                assert agent not in deviators
+                for mis in audits._report_masks(inst, i, every):
+                    profile = cache.truth[:i] + (mis,) + cache.truth[i + 1:]
+                    bundle = inst.unmask(cache.final(profile)[i])
+                    assert not exists_strict_preference(bundle, truth.assignment[agent], margs[agent])
+    assert skipped == {"run_ir_priority": 117, "_scrambled_run": 21}
+
+
+def test_a_misreport_search_runs_only_the_rationed_agents_reports(monkeypatch):
+    """On thm4-base the truthful bundles of agents 1, 3 and 4 hold every class
+    prefix in full, so the strategy-proofness audit looks up agent 2's
+    reports and no others."""
+    fx = load_fixture("thm4-base")
+    inst, prefs = fx.instance, fx.prefs
+    truth, _ = run_ir_priority(inst, prefs)
+    assert unbeatable(inst, prefs, truth) == [True, False, True, True]
+    lookups = _record_lookups(monkeypatch)
+    assert check_strategy_proofness(inst, prefs) is None
+    reports = len(trichotomous_reports(inst, "2"))
+    truthful = tuple(
+        (inst.mask(prefs[a].attractive), inst.mask(prefs[a].bearable)) for a in inst.agents
+    )
+    assert _deviators(inst, truthful, lookups) == [None] + ["2"] * (reports - 1)

@@ -24,7 +24,7 @@ from balex.mechanism import _run_masks, run_ir_priority
 from balex.model import DomainSpec, Matching, TrichotomousPreference
 from balex.optimize import EnumerationLimitError
 from balex.responsive import cir_trichotomous
-from conftest import make_instance, on_masks, random_profile
+from conftest import make_instance, on_masks, random_profile, unbeatable
 
 
 def fs(*objs):
@@ -209,21 +209,40 @@ def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
     monkeypatch.setattr(audits, "run_ir_priority", counting_run)
     monkeypatch.setattr(audits, "_run_masks", counting_kernel)
     monkeypatch.setattr(audits._OutcomeCache, "final", counting_final)
+    strong = DomainSpec.strongly_trichotomous()
+    # each search runs the truthful profile once, then every distinct report
+    # of each agent whose truthful bundle some bundle of its size could beat
     inst = make_instance([2, 1, 1])
     prefs = random_profile(inst, random.Random(5), strongly=True)
-    strong = DomainSpec.strongly_trichotomous()
+    assert unbeatable(inst, prefs, run_ir_priority(inst, prefs)[0]) == [True, True, True]
+    assert check_strategy_proofness(inst, prefs, strong) is None
+    assert len(runs) == len(lookups) == 1
+    runs.clear()
+    lookups.clear()
+    assert check_truncation_proofness(inst, prefs) is None
+    assert len(runs) == len(lookups) == 1
+    runs.clear()
+    lookups.clear()
+    # a profile on which every agent misses an attractive object it could hold
+    inst = make_instance([2, 2, 1])
+    prefs = {
+        "a1": TrichotomousPreference("a1", fs("o1", "o4"), fs("o2")),
+        "a2": TrichotomousPreference("a2", fs("o1", "o4"), fs("o3")),
+        "a3": TrichotomousPreference("a3", fs("o2"), fs("o5")),
+    }
+    assert unbeatable(inst, prefs, run_ir_priority(inst, prefs)[0]) == [False, False, False]
     assert check_strategy_proofness(inst, prefs, strong) is None
     reports = [len(trichotomous_reports(inst, a, strong)) for a in inst.agents]
-    assert reports == [16, 16, 16]
-    assert len(runs) == len(lookups) == 1 + sum(k - 1 for k in reports) == 46
+    assert reports == [32, 32, 32]
+    assert len(runs) == len(lookups) == 1 + sum(k - 1 for k in reports) == 94
     runs.clear()
     lookups.clear()
     assert check_truncation_proofness(inst, prefs) is None
     pools = [
         len(inst.object_ids) - len(inst.endowment[a] | prefs[a].attractive) for a in inst.agents
     ]
-    assert pools == [2, 3, 3]
-    assert len(runs) == len(lookups) == 1 + sum(2**k - 1 for k in pools) == 18
+    assert pools == [2, 2, 3]
+    assert len(runs) == len(lookups) == 1 + sum(2**k - 1 for k in pools) == 14
     runs.clear()
     lookups.clear()
     unit = make_instance([1, 1])
@@ -282,8 +301,9 @@ MANIPULATION_AUDITS = {
 
 @pytest.mark.parametrize("what", sorted(MANIPULATION_AUDITS))
 def test_manipulation_audits_refuse_bad_profiles_before_any_report(what, monkeypatch):
-    """A class-based profile, or one that omits an agent, is a ValueError
-    raised before the mechanism runs or any report is built."""
+    """A class-based profile, one that omits an agent, or one that names an
+    object outside the instance is a ValueError raised before the mechanism
+    runs or any report is built."""
     from balex import audits
 
     calls = []
@@ -297,6 +317,11 @@ def test_manipulation_audits_refuse_bad_profiles_before_any_report(what, monkeyp
     partial = {a: p for a, p in fx.prefs.items() if a != "1"}
     with pytest.raises(ValueError, match=f"^{what}: no preference given for agent '1'"):
         audit(fx.instance, partial)
+    p = fx.prefs["3"]
+    stray = TrichotomousPreference("3", p.attractive | {"zz"}, p.bearable | {"yy"})
+    unknown = rf"^{what}: preference of agent '3' names unknown object\(s\) \('yy', 'zz'\)"
+    with pytest.raises(ValueError, match=unknown):
+        audit(fx.instance, {**fx.prefs, "3": stray})
     assert calls == []
 
 

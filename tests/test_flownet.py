@@ -15,7 +15,7 @@ from balex.fixtures import load_fixture
 from balex.flownet import ExchangeFlow
 from balex.generate import random_market
 from balex.mechanism import run_ir_priority
-from balex.model import DomainSpec
+from balex.model import DomainSpec, TrichotomousPreference
 from conftest import make_instance, random_profile
 
 
@@ -273,7 +273,9 @@ def test_restart_rejects_what_start_from_rejects():
 
 def test_a_misreport_search_builds_two_networks(monkeypatch):
     """A witness-free strategy-proofness audit builds one network for the
-    truthful `run_ir_priority` and one that every misreport run restarts."""
+    truthful `run_ir_priority` and one that every misreport run restarts;
+    agents whose truthful bundle no bundle of their size beats run no
+    reports."""
     builds, restarts = [], []
     build, restart = ExchangeFlow.__init__, ExchangeFlow.restart
 
@@ -287,11 +289,23 @@ def test_a_misreport_search_builds_two_networks(monkeypatch):
 
     monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
     monkeypatch.setattr(ExchangeFlow, "restart", counting_restart)
+    strong = DomainSpec.strongly_trichotomous()
     instance = make_instance([2, 1, 1])
     prefs = random_profile(instance, random.Random(5), strongly=True)
-    assert check_strategy_proofness(instance, prefs, DomainSpec.strongly_trichotomous()) is None
+    assert check_strategy_proofness(instance, prefs, strong) is None
     assert len(builds) == 2
-    assert len(restarts) == 46  # the truthful run and 45 misreports
+    assert len(restarts) == 1  # the truthful run; every agent's bundle is unbeatable
+    builds.clear()
+    restarts.clear()
+    instance = make_instance([2, 2, 1])
+    prefs = {
+        "a1": TrichotomousPreference("a1", frozenset({"o1", "o4"}), frozenset({"o2"})),
+        "a2": TrichotomousPreference("a2", frozenset({"o1", "o4"}), frozenset({"o3"})),
+        "a3": TrichotomousPreference("a3", frozenset({"o2"}), frozenset({"o5"})),
+    }
+    assert check_strategy_proofness(instance, prefs, strong) is None
+    assert len(builds) == 2
+    assert len(restarts) == 94  # the truthful run and 31 misreports per agent
 
 
 def test_mechanism_networks_start_from_the_incumbent(monkeypatch):

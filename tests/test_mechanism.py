@@ -20,9 +20,11 @@ from balex.mechanism import (
 )
 from balex.model import (
     Instance,
+    Matching,
     MechanismInvariantError,
     NotTrichotomousError,
     TrichotomousPreference,
+    ValidationError,
     trichotomous_profile,
 )
 from balex.responsive import cir_trichotomous, compare_unambiguous, BundleComparison
@@ -97,10 +99,21 @@ def test_serial_refine_rejects_non_cir_base():
         "1": fs("p"),
         "2": fs("o"),
     }
-    from balex.model import Matching
-
     with pytest.raises(ValueError, match="CIR"):
         serial_refine(inst, A, B0, Matching(swapped))
+
+
+def test_refinement_queries_refuse_an_unbalanced_matching():
+    """A matching that moves one of agent 3's objects to agent 1 is bad input,
+    a ValidationError, not a broken invariant of the mechanism."""
+    inst, prefs = thm4()
+    A = {a: prefs[a].attractive for a in inst.agents}
+    B = {a: prefs[a].bearable for a in inst.agents}
+    moved = {"1": fs("o", "q1"), "3": fs("q2")}
+    unbalanced = Matching(inst.endowment_matching().assignment | moved)
+    for query in (serial_refine, non_improvable_set):
+        with pytest.raises(ValidationError, match="agent '1' gets 2 objects but is endowed with 1"):
+            query(inst, A, B, unbalanced)
 
 
 def test_non_improvable_set_thm4_round1():
