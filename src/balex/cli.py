@@ -250,14 +250,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         start = time.perf_counter()
         _, trace = mechanism.run_ir_priority(instance, prefs)
-        rounds = len(trace.rounds)  # names the rounds, inside the timed region
         elapsed = time.perf_counter() - start
         writer.writerow(
             [
                 args.seed,
                 n,
                 len(instance.objects),
-                rounds,
+                trace.round_count,
                 trace.flow_queries,
                 f"{elapsed:.4f}",
             ]

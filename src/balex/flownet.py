@@ -35,6 +35,9 @@ Most candidate objects in an extraction cannot be pinned.  A failed search
 marks every node it reached as unable to reach the target tier, and later
 candidates held by a marked tier are refused without a search: pins only
 remove residual arcs, so the marks stay true until a reroute pushes flow.
+And once an agent's attractive-tier edge is frozen, a tier of its that holds
+only pinned objects is full: no search can enter it, so its remaining
+candidates take none.
 
 Everything is integral; no floating point.
 """
@@ -334,6 +337,11 @@ class ExchangeFlow:
 
     # -- mechanism-facing operations ----------------------------------------
 
+    def matching(self) -> list[int]:
+        """The bundle masks of the matching the network holds, one per agent."""
+        held = self.held
+        return [held[self.tier_a0 + i] | held[self.tier_b0 + i] for i in range(self.n)]
+
     def tier_count(self, i: int) -> int:
         return self.held[self.tier_a0 + i].bit_count()
 
@@ -346,6 +354,10 @@ class ExchangeFlow:
 
     def freeze(self, i: int) -> None:
         self.frozen[self.tier_edge_a[i] >> 1] = 1
+
+    def freeze_all(self) -> None:
+        """Freeze every agent's attractive-tier edge (edge pair 2i of agent i)."""
+        self.frozen[::2] = b"\x01" * self.n
 
     def can_improve(self, i: int) -> bool:
         """Whether some feasible point gives agent i strictly more than its lower bound."""
@@ -394,6 +406,14 @@ class ExchangeFlow:
         (which removes residual arcs) none can start to, so a later candidate
         held by a dead tier is refused without searching.  A reroute pushes
         flow along a cycle and so can add arcs; it drops every mark.
+
+        Once an agent's attractive-tier edge is frozen, as in the mechanism,
+        its agent node can be reached only through that edge or from its
+        bearable tier, so each of its tiers can be entered only through an
+        object the tier holds.  A tier whose held objects are all pinned is
+        full: no search reaches it, and its remaining candidates are dropped
+        without one.  A reroute for the other tier cannot enter it either, so
+        it stays full.
         """
         if self.held[self.free]:
             raise MechanismInvariantError("canonical extraction needs a feasible flow")
@@ -402,6 +422,7 @@ class ExchangeFlow:
             dead: dict[int, _Dead] = {}  # target tier -> marks of failed searches
             need = self.sizes[i]
             got = 0
+            frozen = self.frozen[self.tier_edge_a[i] >> 1]
             rem = (self.allowed_a[i] | self.allowed_b[i]) & ~self.pinned
             while rem and got < need:
                 bit = rem & -rem
@@ -410,6 +431,9 @@ class ExchangeFlow:
                 t_node = self.tier_a0 + i if bit & self.allowed_a[i] else self.tier_b0 + i
                 src_tier = self.holder[j]
                 if src_tier != t_node:
+                    if frozen and not self.held[t_node] & ~self.pinned:
+                        rem &= ~self.allow[t_node]  # a full tier: no search can enter it
+                        continue
                     marks = dead.get(t_node)
                     if marks is None:
                         marks = dead[t_node] = _Dead(self.nn)

@@ -21,9 +21,13 @@ improving is a checkable trace property.
 A run is `_run_masks`, which works on object masks throughout, on a network
 its caller passes; the misreport audits call it on (A, B) masks directly, all
 runs of one search on one network.  `run_ir_priority` validates and masks the
-profile, runs it on a new network and names only the final matching.  The
-trace keeps the other rounds as masks, with a snapshot of the reported
-profile, and names them when `MechanismTrace.rounds` is first read.
+profile, runs it on a new network and names only the final matching, the
+only matching a run extracts.  The trace keeps the other rounds as the run
+kept them, with a snapshot of the reported profile: an earlier pass as its
+bearable masks, its promises and the matching the network held after it.
+When `MechanismTrace.rounds` is first read, each earlier pass's canonical
+matching is extracted on a network restarted from that matching, and the
+rounds are named.
 """
 
 from __future__ import annotations
@@ -38,14 +42,16 @@ from .model import (
     Matching,
     MechanismInvariantError,
     TrichotomousPreference,
+    ValidationError,
+    canon,
     validate_matching,
 )
 from .responsive import cir_trichotomous
 
 # Per agent in priority order, the reported (attractive, bearable) sets.
 Profile = tuple[tuple[frozenset[str], frozenset[str]], ...]
-# One round as a run keeps it: bundle masks, promises, and the non-improvable
-# agents as a mask over agent indices.
+# One round with its pass resolved: bundle masks, promises, and the
+# non-improvable agents as a mask over agent indices.
 MaskRound = tuple[list[int], list[int], int]
 
 
@@ -65,9 +71,10 @@ class RoundState:
 class MechanismTrace:
     """Full record of a run: per-round states, first-elicitation rounds, final matching.
 
-    A run keeps its rounds as masks, next to a snapshot of the reported
-    profile, and names only the final matching.  `rounds` names the rest the
-    first time it is read and keeps the result; its last entry is the final
+    A run keeps its rounds as `_run_masks` keeps them, next to a snapshot of
+    the reported profile, and names only the final matching.  `round_count`
+    counts them; `rounds` extracts each earlier pass and names the rounds the
+    first time it is read, and keeps the result.  Its last entry is the final
     pass, whose `mu` is `final`.
     """
 
@@ -76,11 +83,21 @@ class MechanismTrace:
     flow_queries: int
     _instance: Instance = field(repr=False)
     _profile: Profile = field(repr=False)
-    _masks: tuple[MaskRound, ...] = field(repr=False)
+    _rounds: tuple[KeptRound, ...] = field(repr=False)
+
+    @property
+    def round_count(self) -> int:
+        """How many entries `rounds` has, the final pass included; reads none."""
+        return len(self._rounds)
 
     @cached_property
     def rounds(self) -> tuple[RoundState, ...]:
-        return tuple(_name_rounds(self._instance, self._profile, self._masks, self.final))
+        instance = self._instance
+        a_masks = [instance.mask(attractive) for attractive, _ in self._profile]
+        masks = _resolve_rounds(
+            list(instance.sizes), len(instance.object_ids), a_masks, self._rounds
+        )
+        return tuple(_name_rounds(instance, self._profile, masks, self.final))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MechanismTrace):
@@ -230,7 +247,46 @@ def non_improvable_set(
 
 class _RunFailed(MechanismInvariantError):
     """A broken invariant inside `_run_masks`; its second argument holds the
-    finished rounds as masks, which `run_ir_priority` names."""
+    finished rounds as the run keeps them, which `run_ir_priority` names."""
+
+
+class _Pass:
+    """A serial-dictatorship pass as a run keeps it: the bearable masks it ran
+    under and its promises, and either the matching the network held after it
+    (`held`) or its canonical bundles (`bundles`).  The run's last pass gets
+    its bundles; an earlier one keeps the held matching until it is read."""
+
+    __slots__ = ("bearable", "promises", "held", "bundles")
+
+    def __init__(self, bearable: list[int], promises: list[int]) -> None:
+        self.bearable = bearable
+        self.promises = promises
+        self.held: list[int] | None = None
+        self.bundles: list[int] | None = None
+
+
+# One round as a run keeps it: its pass and the non-improvable agents as a
+# mask over agent indices.
+KeptRound = tuple[_Pass, int]
+
+
+def _resolve_rounds(
+    sizes: list[int], m: int, a_masks: list[int], rounds: Sequence[KeptRound]
+) -> list[MaskRound]:
+    """Kept rounds as bundle masks, promises and non-improvable masks.
+
+    A pass without bundles gets them here, once: a network restarted from
+    its held matching under its masks has its promises as lower bounds, and
+    with every agent frozen, extraction pins the lexicographically least
+    matching that meets them, as it would have after the pass.
+    """
+    for kept, _ in rounds:
+        if kept.bundles is None:
+            allowed = [a | b for a, b in zip(a_masks, kept.bearable)]
+            flow = _start(_network(sizes, m), a_masks, allowed, kept.held)
+            flow.freeze_all()
+            kept.bundles = flow.extract_canonical(list(range(flow.n)))
+    return [(kept.bundles, kept.promises, elicited) for kept, elicited in rounds]
 
 
 def _run_masks(
@@ -238,33 +294,43 @@ def _run_masks(
     a_masks: list[int],
     b_masks: list[int],
     endow: list[int],
-) -> tuple[list[int], list[MaskRound], dict[int, int], int]:
+) -> tuple[list[int], list[KeptRound], dict[int, int], int]:
     """The mechanism on masks, on `flow`, a network for the market's sizes and
     object count: per agent in priority order its reported attractive and
     bearable masks and its endowment mask.
 
-    Returns the final bundle masks, the rounds (the last is the final pass),
-    the round at which each agent's bearable set was first read, by agent
-    index in elicitation order, and the flow-query count.  Each endowment must
-    lie within its agent's A ∪ B.  The run installs its first system on `flow`,
-    whatever an earlier run left there; each round's refinement, improvability
-    check and the final pass then retarget it at the matching it holds.
+    Returns the final bundle masks, the rounds as kept (the last is the final
+    pass; `_resolve_rounds` gives their bundles), the round at which each
+    agent's bearable set was first read, by agent index in elicitation order,
+    and the flow-query count.  Each endowment must lie within its agent's
+    A ∪ B.  The run installs its first system on `flow`, whatever an earlier
+    run left there; each round's refinement, improvability check and the
+    final pass then retarget it at the matching it holds.
 
     A round's pass, and the final pass, run only when the system's bearable
     masks differ from those of the last pass that ran; otherwise they keep
-    that pass's bundles and promises.  Lemma: a serial-dictatorship pass over
-    a system whose lower bounds are an earlier pass's own promises, on that
-    pass's allowed masks, returns the same promises and the same canonical
-    matching.  Each promise is still attainable (the held matching attains
-    it) and no larger count is, as the earlier pass ran on a superset, so
-    once every agent is frozen the feasible set is {each agent's attractive
-    count = its promise}, as it was.  `maximize` reaches the exact maximum
-    and extraction pins the lexicographically least point of that set;
-    neither depends on the flow it starts from.  Retargeting sets the lower
-    bounds to the held matching's counts, the last pass's promises, so the
-    lemma applies whenever no agent elicited since that pass reports a
-    bearable set other than its endowment outside A: after the first pass,
-    always on strongly trichotomous profiles.
+    that pass's promises.  Only the final bundles are extracted, once, at
+    the end; a skipped final pass leaves the freezes that `retarget`
+    cleared, so every agent is frozen first.  An earlier pass keeps the
+    matching the network held after it, taken just before a later pass
+    moves the flow or a `_RunFailed` is raised, so a one-pass run keeps
+    none.
+
+    Lemma: once every agent is frozen after a pass, the feasible set is
+    {each agent's attractive count = its promise} on the pass's allowed
+    masks.  `maximize` reaches the exact maximum, and extraction pins the
+    lexicographically least point of that set, whatever flow either starts
+    from.  So (a) a pass's canonical matching can be extracted later from
+    any point of the set, such as the matching the network held after it,
+    and the next pass, whose lower bounds `retarget` sets to the held
+    matching's counts (the same promises), needs only such a point; and
+    (b) a pass over a system whose lower bounds are an earlier pass's own
+    promises, on that pass's allowed masks, returns the same promises and
+    canonical matching: each promise is still attainable (the held matching
+    attains it) and no larger count is, as the earlier pass ran on a
+    superset.  By (b) a pass is skipped whenever no agent elicited since the
+    last one reports a bearable set other than its endowment outside A:
+    after the first pass, always on strongly trichotomous profiles.
     """
     n = flow.n
     full = (1 << flow.m) - 1
@@ -272,42 +338,48 @@ def _run_masks(
     b_ceil = [full & ~a for a in a_masks]
     everyone = (1 << n) - 1
     elicited = 0
-    rounds: list[MaskRound] = []
+    rounds: list[KeptRound] = []
     elicitation_round: dict[int, int] = {}
     order = list(range(n))
     _start(flow, a_masks, [a | b for a, b in zip(a_masks, b_floor)], endow)
-    bearable, solved = b_floor, None  # the held system's bearable masks, the last pass's
+    bearable = b_floor  # the held system's bearable masks
+    kept = _Pass(bearable, _dictatorship(flow))  # the last pass that ran
 
-    for t in range(1, n + 2):
-        if bearable != solved:
-            promises = _dictatorship(flow)
-            bundles = flow.extract_canonical(order)
-            solved = bearable
-        if elicited == everyone:
-            break  # that was the final pass, with every true bearable set revealed
-        if t > n:
-            raise _RunFailed(f"outer loop did not terminate within {n} rounds", rounds)
+    try:
+        for t in range(1, n + 2):
+            if bearable != kept.bearable:
+                kept.held = flow.matching()  # the pass below moves the flow
+                kept = _Pass(bearable, _dictatorship(flow))
+            if elicited == everyone:
+                break  # that was the final pass, with every true bearable set revealed
+            if t > n:
+                raise _RunFailed(f"outer loop did not terminate within {n} rounds", rounds)
 
-        # per agent, its true bearable mask once elicited, else the widest
-        flow.retarget([b_masks[i] if elicited >> i & 1 else b_ceil[i] for i in order])
-        non_improvable = 0
-        for i in order:
-            if not flow.can_improve(i):
-                non_improvable |= 1 << i
-        if elicited & ~non_improvable:
-            raise _RunFailed(f"non-improvable set shrank at round {t}", rounds)
-        if non_improvable == elicited and non_improvable != everyone:
-            raise _RunFailed(f"non-improvable set failed to grow at round {t}", rounds)
-        for i in order:
-            if (non_improvable & ~elicited) >> i & 1:
-                elicitation_round[i] = t
-        elicited = non_improvable
-        rounds.append((bundles, promises, elicited))
-        bearable = [b_masks[i] if elicited >> i & 1 else b_floor[i] for i in order]
-        flow.retarget(bearable)
+            # per agent, its true bearable mask once elicited, else the widest
+            flow.retarget([b_masks[i] if elicited >> i & 1 else b_ceil[i] for i in order])
+            non_improvable = 0
+            for i in order:
+                if not flow.can_improve(i):
+                    non_improvable |= 1 << i
+            if elicited & ~non_improvable:
+                raise _RunFailed(f"non-improvable set shrank at round {t}", rounds)
+            if non_improvable == elicited and non_improvable != everyone:
+                raise _RunFailed(f"non-improvable set failed to grow at round {t}", rounds)
+            for i in order:
+                if (non_improvable & ~elicited) >> i & 1:
+                    elicitation_round[i] = t
+            elicited = non_improvable
+            rounds.append((kept, elicited))
+            bearable = [b_masks[i] if elicited >> i & 1 else b_floor[i] for i in order]
+            flow.retarget(bearable)
+    except _RunFailed:
+        kept.held = flow.matching()  # the finished rounds are read from it
+        raise
 
-    rounds.append((bundles, promises, everyone))
-    return bundles, rounds, elicitation_round, flow.queries
+    flow.freeze_all()
+    kept.bundles = flow.extract_canonical(order)
+    rounds.append((kept, everyone))
+    return kept.bundles, rounds, elicitation_round, flow.queries
 
 
 def run_ir_priority(
@@ -315,27 +387,40 @@ def run_ir_priority(
 ) -> tuple[Matching, MechanismTrace]:
     """Run the priority mechanism; returns the final matching and a full trace.
 
-    The outer loop performs at most one elicitation round per agent; failure of
-    the non-improvable set to grow raises MechanismInvariantError with the
-    named states of the finished rounds as its second argument.  The run
-    itself is `_run_masks`; the rounds stay masks, and the agent sets bitmasks
-    over agent indices, until the trace is read.
+    A profile that misses an agent or names an object outside the instance
+    raises ValidationError before any network is built.  The outer loop
+    performs at most one elicitation round per agent; failure of the
+    non-improvable set to grow raises MechanismInvariantError with the named
+    states of the finished rounds as its second argument.  The run itself is
+    `_run_masks`; the rounds stay as it keeps them, and the agent sets
+    bitmasks over agent indices, until the trace is read.
     """
     agents = instance.agents
-    profile: Profile = tuple((prefs[a].attractive, prefs[a].bearable) for a in agents)
-    a_masks = [instance.mask(attractive) for attractive, _ in profile]
-    b_masks = [instance.mask(bearable) for _, bearable in profile]
+    try:
+        profile: Profile = tuple((prefs[a].attractive, prefs[a].bearable) for a in agents)
+        a_masks = [instance.mask(attractive) for attractive, _ in profile]
+        b_masks = [instance.mask(bearable) for _, bearable in profile]
+    except KeyError:  # name the first agent at fault
+        for a in agents:
+            if a not in prefs:
+                raise ValidationError(f"no preference given for agent {a!r}") from None
+            stray = prefs[a].acceptable() - instance.objects
+            if stray:
+                raise ValidationError(f"agent {a!r}: unknown object(s) {canon(stray)}") from None
+        raise
     endow = list(instance.endowment_masks)
     for i, a in enumerate(agents):
         if endow[i] & ~(a_masks[i] | b_masks[i]):
             raise ValueError(f"agent {a!r}: endowment not contained in A ∪ B")
+    sizes, m = list(instance.sizes), len(instance.object_ids)
     try:
         bundles, rounds, elicited, queries = _run_masks(
-            _network(list(instance.sizes), len(instance.object_ids)), a_masks, b_masks, endow
+            _network(sizes, m), a_masks, b_masks, endow
         )
     except _RunFailed as exc:
         message, finished = exc.args
-        raise MechanismInvariantError(message, _name_rounds(instance, profile, finished)) from exc
+        named = _name_rounds(instance, profile, _resolve_rounds(sizes, m, a_masks, finished))
+        raise MechanismInvariantError(message, named) from exc
     final = Matching({a: instance.unmask(bundles[i]) for i, a in enumerate(agents)})
     trace = MechanismTrace(
         final=final,
@@ -343,7 +428,7 @@ def run_ir_priority(
         flow_queries=queries,
         _instance=instance,
         _profile=profile,
-        _masks=tuple(rounds),
+        _rounds=tuple(rounds),
     )
     return final, trace
 

@@ -233,16 +233,31 @@ class DomainSpec:
         return DomainSpec(eps, nu, name="strongly-trichotomous")
 
 
-def _identifiers(value: object, what: str) -> list[str]:
+def _identifiers(
+    value: object, what: str, agent: str = "", names: Mapping[str, str] | None = None
+) -> list[str]:
     """The items of a list of identifiers, as strings; a string, a number, a
-    map or null where the list belongs is invalid."""
+    map or null where the list belongs is invalid, and the error names the
+    list as `what`, with any `{!r}` in it filled by `agent`.  With `names`, a
+    market's table of its object identifiers, each item that is one of them
+    becomes the table's own string, so a market keeps one string per object."""
     if not isinstance(value, (list, tuple, set, frozenset)):
-        raise ValidationError(f"{what} must be a list of identifiers")
+        raise ValidationError(f"{what.format(agent)} must be a list of identifiers")
+    if names is not None:
+        try:
+            return list(map(names.__getitem__, value))
+        except (KeyError, TypeError):  # an unknown or unhashable item
+            pass
     return [str(o) for o in value]
 
 
 def validate_instance(raw: Mapping[str, object]) -> Instance:
     """Validate raw instance data (agents, objects, endowments) into an Instance."""
+    return _validate_instance(raw)[0]
+
+
+def _validate_instance(raw: Mapping[str, object]) -> tuple[Instance, dict[str, str]]:
+    """validate_instance, and the market's table of its object identifiers."""
     agents = raw.get("agents")
     endowments = raw.get("endowments")
     if not isinstance(agents, (list, tuple)) or not agents:
@@ -254,16 +269,17 @@ def validate_instance(raw: Mapping[str, object]) -> Instance:
     objects = _identifiers(raw.get("objects"), "'objects'")
     if not isinstance(endowments, Mapping):
         raise ValidationError("instance needs an 'endowments' map")
-    universe = frozenset(objects)
-    if len(universe) != len(objects):
+    names = {o: o for o in objects}
+    if len(names) != len(objects):
         raise ValidationError("duplicate object identifiers")
+    universe = frozenset(names)
     if set(endowments) != set(agents):
         raise ValidationError("endowments must cover exactly the listed agents")
 
     endowment: dict[str, frozenset[str]] = {}
     claimed: dict[str, str] = {}
     for a in agents:
-        own = frozenset(_identifiers(endowments[a], f"endowment of agent {a!r}"))
+        own = frozenset(_identifiers(endowments[a], "endowment of agent {!r}", a, names))
         if not own:
             raise ValidationError(f"agent {a!r} has an empty endowment")
         stray = own - universe
@@ -279,7 +295,7 @@ def validate_instance(raw: Mapping[str, object]) -> Instance:
     orphans = universe - set(claimed)
     if orphans:
         raise ValidationError(f"object(s) {canon(orphans)} are owned by nobody")
-    return Instance(tuple(agents), universe, endowment)
+    return Instance(tuple(agents), universe, endowment), names
 
 
 def validate_matching(instance: Instance, raw: Mapping[str, object]) -> Matching:
@@ -289,7 +305,7 @@ def validate_matching(instance: Instance, raw: Mapping[str, object]) -> Matching
     assignment: dict[str, frozenset[str]] = {}
     seen: set[str] = set()
     for a in instance.agents:
-        bundle = frozenset(_identifiers(raw[a], f"bundle of agent {a!r}"))
+        bundle = frozenset(_identifiers(raw[a], "bundle of agent {!r}", a))
         stray = bundle - instance.objects
         if stray:
             raise ValidationError(f"agent {a!r} assigned unknown object(s) {canon(stray)}")
@@ -383,7 +399,7 @@ def market_from_json(
     unknown = set(doc) - _MARKET_FIELDS
     if unknown:
         raise ValidationError(f"unknown field(s) in market document: {canon(unknown)}")
-    instance = validate_instance(doc)
+    instance, names = _validate_instance(doc)
     prefs: dict[str, MarginalPreference | TrichotomousPreference] = {}
     raw_prefs = doc.get("preferences", {})
     if not isinstance(raw_prefs, Mapping):
@@ -399,7 +415,8 @@ def market_from_json(
             if not isinstance(p["classes"], list):
                 raise ValidationError(f"'classes' of agent {a!r} must be a list of lists")
             classes = tuple(
-                frozenset(_identifiers(cls, f"a class of agent {a!r}")) for cls in p["classes"]
+                frozenset(_identifiers(cls, "a class of agent {!r}", a, names))
+                for cls in p["classes"]
             )
             pref = MarginalPreference(a, classes)
             pref.validate_universe(instance.objects)
@@ -407,15 +424,16 @@ def market_from_json(
         elif keys == _PREF_FIELDS_AB:
             tri = TrichotomousPreference(
                 a,
-                frozenset(_identifiers(p["attractive"], f"'attractive' of agent {a!r}")),
-                frozenset(_identifiers(p["bearable"], f"'bearable' of agent {a!r}")),
+                frozenset(_identifiers(p["attractive"], "'attractive' of agent {!r}", a, names)),
+                frozenset(_identifiers(p["bearable"], "'bearable' of agent {!r}", a, names)),
             )
-            missing = instance.endowment[a] - tri.acceptable()
+            acceptable = tri.acceptable()
+            missing = instance.endowment[a] - acceptable
             if missing:
                 raise ValidationError(
                     f"agent {a!r}: endowed object(s) {canon(missing)} outside A ∪ B"
                 )
-            stray = tri.acceptable() - instance.objects
+            stray = acceptable - instance.objects
             if stray:
                 raise ValidationError(f"agent {a!r}: unknown object(s) {canon(stray)}")
             prefs[a] = tri

@@ -136,7 +136,7 @@ def test_solve_feasible_finds_a_point_iff_enumeration_does(case):
     flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
     assert flow.solve_feasible() == bool(fitting)
     if fitting:
-        held = [flow.held[flow.tier_a0 + i] | flow.held[flow.tier_b0 + i] for i in range(len(sizes))]
+        held = flow.matching()
         assert tuple(held) in set(_balanced_matchings(sizes, allowed, m))
         assert all(_fits(*system, i, bundle) for i, bundle in enumerate(held))
 
@@ -175,6 +175,52 @@ def test_extraction_agrees_with_greedy_over_enumerated_matchings(case, dictators
     assert extracted == greedy
 
 
+def _extract_by_search(flow: ExchangeFlow, order: list[int]) -> list[int]:
+    """Canonical extraction with one search per candidate held elsewhere: no
+    marks of failed searches and no full-tier rule."""
+    bundles = [0] * flow.n
+    for i in order:
+        got = 0
+        rem = (flow.allowed_a[i] | flow.allowed_b[i]) & ~flow.pinned
+        while rem and got < flow.sizes[i]:
+            bit = rem & -rem
+            rem ^= bit
+            j = bit.bit_length() - 1
+            target = flow.tier_a0 + i if bit & flow.allowed_a[i] else flow.tier_b0 + i
+            if flow.holder[j] != target:
+                path = flow._find_path(flow.holder[j], target)
+                if path is None:
+                    continue
+                flow._push(path)
+                flow._move(j, target)
+            flow.pinned |= bit
+            bundles[i] |= bit
+            got += 1
+    return bundles
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(systems_with_a_matching(), st.integers(0, 4), st.booleans())
+def test_full_tiers_are_dropped_only_where_no_search_enters_them(case, dictators, solved):
+    """Extraction, which drops the remaining candidates of a frozen agent's
+    tier once it holds only pinned objects, against extraction that searches
+    for every candidate, on mechanism networks started from a matching and on
+    `optimize` networks solved by path augmentation, with the first
+    `dictators` agents of the order maximized and frozen."""
+    (sizes, attractive, allowed, lo, hi, m), bundles, order = case
+    networks = []
+    for _ in range(2):
+        flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
+        assert flow.solve_feasible() if solved else flow.start_from(bundles)
+        for i in order[:dictators]:
+            flow.maximize(i)
+            flow.freeze(i)
+        networks.append(flow)
+    fast, slow = networks
+    assert fast.extract_canonical(order) == _extract_by_search(slow, order)
+    assert fast.matching() == slow.matching()
+
+
 def test_extraction_skips_candidates_a_failed_search_reached(monkeypatch):
     instance, prefs = random_market(
         0, 24, 4, p_attractive_other=0.025, p_bearable_other=0.5, exact_endowment=4
@@ -198,9 +244,10 @@ def test_extraction_skips_candidates_a_failed_search_reached(monkeypatch):
     monkeypatch.setattr(ExchangeFlow, "_find_path", counting_find_path)
     monkeypatch.setattr(ExchangeFlow, "extract_canonical", counting_extract)
     run_ir_priority(instance, prefs)
-    # without the marks of failed searches, extraction searches 653 times here
-    assert len(searches) == 235
-    assert sum(searches) == 28
+    # one extraction, of the final pass; without the marks of failed
+    # searches it searches 71 times here
+    assert len(searches) == 65
+    assert sum(searches) == 15
 
 
 def test_search_trajectory_on_the_bench_market(monkeypatch):
@@ -233,7 +280,8 @@ def test_search_trajectory_on_the_bench_market(monkeypatch):
 
         monkeypatch.setattr(ExchangeFlow, method, counting)
     run_ir_priority(instance, prefs)
-    assert (len(searches["extract"]), sum(searches["extract"])) == (224, 165)
+    # the final pass's extraction alone; full tiers are searched no more
+    assert (len(searches["extract"]), sum(searches["extract"])) == (170, 165)
     assert (len(searches["maximize"]), sum(searches["maximize"])) == (123, 123)
     assert searches["can_improve"] == []
 
@@ -326,6 +374,10 @@ def test_mechanism_networks_start_from_the_incumbent(monkeypatch):
     _, trace = run_ir_priority(fx.instance, fx.prefs)
     # every round's refinement and improvability check, and the final pass,
     # retarget the one network built from the endowment
-    assert len(trace.rounds) == 3
+    assert trace.round_count == 3
     assert len(builds) == 1
+    # reading the trace restarts one network from the held matching of each
+    # earlier pass; here the final pass was skipped, so there is one
+    assert len(trace.rounds) == 3
+    assert len(builds) == 2
     assert solves == []

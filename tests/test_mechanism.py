@@ -12,7 +12,9 @@ from balex.fixtures import FIXTURE_NAMES, load_fixture
 from balex.flownet import ExchangeFlow
 from balex.mechanism import (
     _network,
+    _resolve_rounds,
     _run_masks,
+    _RunFailed,
     non_improvable_set,
     run_ir_priority,
     serial_refine,
@@ -357,9 +359,10 @@ def test_the_kernel_is_the_run_on_masks():
     for inst, prefs in cases:
         agents = inst.agents
         final, trace = run_ir_priority(inst, prefs)
-        bundles, rounds, elicited, queries = _run_masks(
-            _network(list(inst.sizes), len(inst.object_ids)), *_kernel_args(inst, prefs)
-        )
+        sizes, m = list(inst.sizes), len(inst.object_ids)
+        args = _kernel_args(inst, prefs)
+        run = _run_masks(_network(sizes, m), *args)
+        bundles, rounds, elicited, queries = _resolved(sizes, m, args, run)
         assert bundles == [inst.mask(final.assignment[a]) for a in agents]
         assert len(rounds) == len(trace.rounds)
         for (masks, promises, non_improvable), named in zip(rounds, trace.rounds):
@@ -372,10 +375,19 @@ def test_the_kernel_is_the_run_on_masks():
     assert len(cases) > 200 and multi_round > 20
 
 
+def _resolved(sizes, m, args, result):
+    """A `_run_masks` result on the kernel arguments `args`, its kept rounds
+    resolved to bundle masks, promises and non-improvable masks."""
+    bundles, rounds, elicited, queries = result
+    return bundles, _resolve_rounds(sizes, m, args[0], rounds), elicited, queries
+
+
 def _ref_run_masks(sizes, a_masks, b_masks, endow, m):
     """The kernel as it was before passes over an unchanged system were
-    skipped, kept as the reference: every round, and the final pass, runs the
-    serial dictatorship, on a network of its own."""
+    skipped and earlier rounds extracted only when read, kept as the
+    reference: every round, and the final pass, runs the serial dictatorship
+    and extracts its canonical matching, on a network of its own.  A broken
+    invariant raises _RunFailed with the finished rounds."""
     n = len(sizes)
     full = (1 << m) - 1
     b_floor = [e & ~a for e, a in zip(endow, a_masks)]
@@ -406,8 +418,10 @@ def _ref_run_masks(sizes, a_masks, b_masks, endow, m):
         for i in order:
             if not flow.can_improve(i):
                 non_improvable |= 1 << i
-        assert not elicited & ~non_improvable
-        assert non_improvable != elicited or non_improvable == everyone
+        if elicited & ~non_improvable:
+            raise _RunFailed(f"non-improvable set shrank at round {t}", rounds)
+        if non_improvable == elicited and non_improvable != everyone:
+            raise _RunFailed(f"non-improvable set failed to grow at round {t}", rounds)
         for i in order:
             if (non_improvable & ~elicited) >> i & 1:
                 elicitation_round[i] = t
@@ -444,7 +458,7 @@ def test_the_kernel_skips_exactly_the_passes_that_would_repeat(monkeypatch):
         args = _kernel_args(inst, prefs)
         want = _ref_run_masks(sizes, *args, m)
         passes.clear()
-        got = _run_masks(_network(sizes, m), *args)
+        got = _resolved(sizes, m, args, _run_masks(_network(sizes, m), *args))
         assert got[:3] == want[:3]
         assert want[3] - got[3] == n * (len(want[1]) - len(passes))
         skipped += len(want[1]) - len(passes)
@@ -463,15 +477,15 @@ def test_flow_queries_count_the_queries_asked():
 def test_a_shared_network_leaks_nothing_between_runs(monkeypatch):
     """Misreport profiles run in shuffled order on one network, between runs
     that stop with _RunFailed, give what they give on fresh networks."""
-    from balex.mechanism import _RunFailed
-
     rng = random.Random(83)
     can_improve = ExchangeFlow.can_improve
     for _ in range(12):
         inst = make_instance([rng.randint(1, 2) for _ in range(3)])
         sizes, m = list(inst.sizes), len(inst.object_ids)
         profiles = [_kernel_args(inst, random_profile(inst, rng)) for _ in range(12)]
-        fresh = [_run_masks(_network(sizes, m), *args) for args in profiles]
+        fresh = [
+            _resolved(sizes, m, args, _run_masks(_network(sizes, m), *args)) for args in profiles
+        ]
         shared = _network(sizes, m)
         order = list(range(len(profiles)))
         rng.shuffle(order)
@@ -488,7 +502,120 @@ def test_a_shared_network_leaks_nothing_between_runs(monkeypatch):
             except _RunFailed:
                 pass
             monkeypatch.setattr(ExchangeFlow, "can_improve", can_improve)
-            assert _run_masks(shared, *profiles[k]) == fresh[k]
+            assert _resolved(sizes, m, profiles[k], _run_masks(shared, *profiles[k])) == fresh[k]
+
+
+def test_read_rounds_are_the_eagerly_extracted_rounds():
+    """Every round a trace names, earlier ones extracted only when read, has
+    the reference kernel's canonical bundles, promises and non-improvable
+    agents, on every trichotomous fixture and on 200 random markets."""
+    cases = _kernel_cases()
+    earlier_passes = 0
+    for inst, prefs in cases:
+        agents = inst.agents
+        sizes, m = list(inst.sizes), len(inst.object_ids)
+        _, trace = run_ir_priority(inst, prefs)
+        _, want, _, _ = _ref_run_masks(sizes, *_kernel_args(inst, prefs), m)
+        got = [
+            (
+                [inst.mask(r.mu.assignment[a]) for a in agents],
+                list(r.promises),
+                sum(1 << i for i, a in enumerate(agents) if a in r.non_improvable),
+            )
+            for r in trace.rounds
+        ]
+        assert got == want
+        assert trace.round_count == len(want)
+        earlier_passes += len({id(kept) for kept, _ in trace._rounds}) - 1
+    assert earlier_passes > 150
+
+
+def test_a_failed_run_names_the_rounds_eager_extraction_names(monkeypatch):
+    """A run stopped by _RunFailed, once every agent claims to improve after
+    a random number of honest answers, carries finished rounds that resolve
+    to the reference kernel's eagerly extracted ones, with its message."""
+    rng = random.Random(89)
+    can_improve = ExchangeFlow.can_improve
+    failures = with_rounds = 0
+    for inst, prefs in _kernel_cases():
+        sizes, m = list(inst.sizes), len(inst.object_ids)
+        args = _kernel_args(inst, prefs)
+        limit = rng.randint(0, 2 * len(sizes))
+        outcomes = []
+        for kernel in (
+            lambda: _ref_run_masks(sizes, *args, m),
+            lambda: _run_masks(_network(sizes, m), *args),
+        ):
+            calls = []
+
+            def improvable_after(self, i):
+                calls.append(i)
+                return can_improve(self, i) if len(calls) <= limit else True
+
+            monkeypatch.setattr(ExchangeFlow, "can_improve", improvable_after)
+            try:
+                kernel()
+            except _RunFailed as exc:
+                outcomes.append(exc.args)
+            monkeypatch.setattr(ExchangeFlow, "can_improve", can_improve)
+        if not outcomes:
+            continue
+        assert len(outcomes) == 2  # both kernels fail, or neither
+        (want_message, want), (message, finished) = outcomes
+        assert message == want_message
+        assert _resolve_rounds(sizes, m, args[0], finished) == want
+        failures += 1
+        with_rounds += bool(want)
+    assert failures > 100 and with_rounds > 30
+
+
+def test_an_unread_trace_costs_one_extraction_on_one_network(monkeypatch):
+    """A run extracts its final bundles alone, on the network it built;
+    reading the trace extracts each earlier pass once, on a network of its
+    own."""
+    builds, extractions = [], []
+    build, extract = ExchangeFlow.__init__, ExchangeFlow.extract_canonical
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    def counting_extract(self, order):
+        extractions.append(1)
+        return extract(self, order)
+
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
+    monkeypatch.setattr(ExchangeFlow, "extract_canonical", counting_extract)
+    inst, prefs = thm4()
+    _, trace = run_ir_priority(inst, prefs)
+    assert (len(builds), len(extractions)) == (1, 1)
+    assert trace.round_count == 3  # two passes: the final one was skipped
+    assert (len(builds), len(extractions)) == (1, 1)
+    trace_to_json(inst, trace)
+    trace_to_json(inst, trace)
+    assert (len(builds), len(extractions)) == (2, 2)
+
+
+def test_a_bad_profile_raises_a_typed_error_before_any_network(monkeypatch):
+    """A preference naming an unknown object, or a profile missing an agent,
+    is invalid input that names the agent, not a bare KeyError."""
+    builds = []
+    build = ExchangeFlow.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
+    inst, prefs = thm4()
+    zz = TrichotomousPreference("2", prefs["2"].attractive | {"zz"}, prefs["2"].bearable)
+    stray = {**prefs, "2": zz}
+    with pytest.raises(ValidationError, match=r"agent '2': unknown object\(s\) \('zz',\)"):
+        run_ir_priority(inst, stray)
+    missing = {a: p for a, p in prefs.items() if a != "1"}
+    with pytest.raises(ValidationError, match="no preference given for agent '1'"):
+        run_ir_priority(inst, missing)
+    assert builds == []
 
 
 def test_marginality_mechanism_sees_only_the_ab_pairs():

@@ -213,6 +213,26 @@ def test_market_json_round_trip_and_unknown_field_rejection():
         market_from_json(bad)
 
 
+def test_a_loaded_market_keeps_one_string_per_object():
+    """Endowments and both preference forms hold the `objects` list's own
+    strings, not one parsed copy per occurrence; an identifier that is not
+    one of them still loads as its string and meets the usual error."""
+    inst = make_instance([2, 1])
+    prefs = {
+        "a1": TrichotomousPreference("a1", fs("o3"), fs("o1", "o2")),
+        "a2": MarginalPreference("a2", (fs("o1"), fs("o3"), fs("o2"))),
+    }
+    loaded, prefs2 = market_from_json(json.loads(json.dumps(market_to_json(inst, prefs))))
+    own = {id(o) for o in loaded.objects}
+    held = [loaded.endowment[a] for a in loaded.agents]
+    held += [prefs2["a1"].attractive, prefs2["a1"].bearable, *prefs2["a2"].classes]
+    assert all(id(o) in own for objs in held for o in objs)
+    doc = market_to_json(inst, prefs)
+    doc["preferences"]["a1"]["bearable"] = ["o1", "o2", 7]
+    with pytest.raises(ValidationError, match=r"agent 'a1': unknown object\(s\) \('7',\)"):
+        market_from_json(doc)
+
+
 def test_matching_json_round_trip():
     inst = make_instance([1, 2])
     mu = inst.endowment_matching()
