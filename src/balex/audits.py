@@ -20,7 +20,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .cycles import find_cir_pareto_improving_cycle
-from .mechanism import _network, _run_masks, run_ir_priority
+from .mechanism import _network, _require_endowment, _run_masks
+# no audit calls run_ir_priority; the name stays bound here for perfbench's tracer
+from .mechanism import run_ir_priority  # noqa: F401
 from .model import (
     DomainSpec,
     Instance,
@@ -275,20 +277,24 @@ def _in_domain(domain: DomainSpec, endow: int, classes: tuple[int, ...]) -> bool
 class _OutcomeCache:
     """Memoized mechanism outcomes, the final bundle masks, keyed by the
     reported profile as (A, B) mask pairs in priority order.  Every misreport
-    audit reads its outcomes here, starting from the truthful run's, and a miss
-    runs `mechanism._run_masks` (perfbench counts the calls to `final`).  Every
-    miss runs on the one network the cache keeps: the market's sizes and
-    object count fix its layout, and each run installs its own system on it."""
+    audit reads its outcomes here, starting from the truthful run's (perfbench
+    counts the calls to `final`).  The truthful profile, run when the cache is
+    made, and every miss run `mechanism._run_masks` on the one network the
+    cache keeps: the market's sizes and object count fix its layout, and each
+    run installs its own system on it.  An endowment outside its agent's
+    truthful A ∪ B is a ValidationError, raised before the network is built."""
 
     def __init__(self, instance: Instance, prefs: Profile) -> None:
-        final, _ = run_ir_priority(instance, prefs)
-        agents = instance.agents
         self.truth: MaskProfile = tuple(
-            (instance.mask(prefs[a].attractive), instance.mask(prefs[a].bearable)) for a in agents
+            (instance.mask(prefs[a].attractive), instance.mask(prefs[a].bearable))
+            for a in instance.agents
         )
-        self.cache = {self.truth: [instance.mask(final.assignment[a]) for a in agents]}
+        a_masks = [a for a, _ in self.truth]
+        b_masks = [b for _, b in self.truth]
+        _require_endowment(instance, a_masks, b_masks)
         self.endow = list(instance.endowment_masks)
         self.flow = _network(list(instance.sizes), len(instance.object_ids))
+        self.cache = {self.truth: _run_masks(self.flow, a_masks, b_masks, self.endow)[0]}
 
     def final(self, profile: MaskProfile) -> list[int]:
         hit = self.cache.get(profile)

@@ -21,7 +21,8 @@ phases of `solve_feasible`.  One network then serves a whole mechanism run:
 `retarget` makes the matching it holds the incumbent of the next constraint
 system.  The layout depends only on the agents' sizes and the object count,
 so `restart` installs a new run's system on the same network, and one
-network serves every run of a misreport search.  Beyond feasibility the
+network serves every run of a misreport search.  Installing a system is one
+pass per agent, with or without a starting matching.  Beyond feasibility the
 network supports the operations the mechanism needs: maximize the
 attractive-tier flow of one agent (augmenting cycles through its tier edge),
 freeze that edge, test single-unit improvability without mutating the flow,
@@ -31,13 +32,9 @@ searches the residual graph with the same shortest-path BFS, which takes a
 tier's object arcs with one big-int operation (the bit-parallel search of
 Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
 
-Most candidate objects in an extraction cannot be pinned.  A failed search
-marks every node it reached as unable to reach the target tier, and later
-candidates held by a marked tier are refused without a search: pins only
-remove residual arcs, so the marks stay true until a reroute pushes flow.
-And once an agent's attractive-tier edge is frozen, a tier of its that holds
-only pinned objects is full: no search can enter it, so its remaining
-candidates take none.
+Most candidate objects in an extraction cannot be pinned.  Once an agent's
+attractive-tier edge is frozen, a tier of its that holds only pinned objects
+is full: no search can enter it, so its remaining candidates take none.
 
 Everything is integral; no floating point.
 """
@@ -52,17 +49,6 @@ _OBJECTS = -1  # adjacency entry: where a node's object arcs sit among its edges
 # crosses, (object, node it enters the object from); pushing the path hands
 # the object to that node.
 Path = tuple[list[int], list[tuple[int, int]]]
-
-
-class _Dead:
-    """What failed searches for one target reached: nodes, and objects whose
-    exit leads to one of them.  None of them has a residual path to the target."""
-
-    __slots__ = ("nodes", "objects")
-
-    def __init__(self, nn: int) -> None:
-        self.nodes = bytearray(nn)
-        self.objects = 0
 
 
 class ExchangeFlow:
@@ -108,29 +94,62 @@ class ExchangeFlow:
         self._install(attractive, allowed, lo, hi)
 
     def _install(
-        self, attractive: list[int], allowed: list[int], lo: list[int], hi: list[int] | None
-    ) -> None:
-        """Give the network a constraint system and no flow: the layout, which
-        depends only on the sizes and the object count, stays."""
-        sizes = self.sizes
-        allowed_a = [s & a for s, a in zip(allowed, attractive)]
-        allowed_b = [s & ~a for s, a in zip(allowed, attractive)]
-        self.allowed_a = allowed_a
-        self.allowed_b = allowed_b
-        if hi is None:
-            hi = sizes
-        self.cap: list[int] = []
-        for i in range(self.n):
-            self.cap += (min(hi[i], sizes[i], allowed_a[i].bit_count()), -lo[i], sizes[i], 0)
-        self.frozen = bytearray(2 * self.n)
+        self,
+        attractive: list[int],
+        allowed: list[int],
+        lo: list[int] | None,
+        hi: list[int] | None,
+        bundles: list[int] | None = None,
+    ) -> bool:
+        """Give the network a constraint system in one pass per agent: its
+        allowed masks and its four residuals, and, from the balanced matching
+        `bundles` when one is given, the held masks and the holders.  The
+        layout, which depends only on the sizes and the object count, stays.
 
+        Without `bundles` the flow is 0.  With them the matching is the flow,
+        the lower bounds default to its attractive counts, and the result is
+        False, leaving the network unusable until the next install, when the
+        matching leaves an allowed set or breaks a tier bound."""
+        n, sizes, free = self.n, self.sizes, self.free
+        tier_a0, tier_b0 = self.tier_a0, self.tier_b0
+        self.allowed_a = allowed_a = [0] * n
+        self.allowed_b = allowed_b = [0] * n
+        self.cap = cap = []
         # per node: the objects it has arcs to and the objects it holds
-        self.allow = [0] * self.n + allowed_a + allowed_b + [0]
-        self.held = [0] * self.nn
-        self.held[self.free] = (1 << self.m) - 1
-        self.holder = [self.free] * self.m
-        self.pinned = 0
-        self.queries = 0
+        self.allow = allow = [0] * self.nn
+        self.held = held = [0] * self.nn
+        self.holder = holder = [free] * self.m
+        self.frozen = bytearray(2 * n)
+        self.pinned = self.queries = 0
+        taken = 0
+        for i in range(n):
+            size, mask = sizes[i], allowed[i]
+            a = mask & attractive[i]
+            allowed_a[i] = allow[tier_a0 + i] = a
+            allowed_b[i] = allow[tier_b0 + i] = mask & ~a
+            top = min(size if hi is None else hi[i], size, a.bit_count())
+            if bundles is None:
+                cap += (top, -lo[i], size, 0)
+                continue
+            bundle = bundles[i]
+            if bundle & taken or bundle & ~mask or bundle.bit_count() != size:
+                return False
+            taken |= bundle
+            mine = bundle & a
+            held[tier_a0 + i], held[tier_b0 + i] = mine, bundle & ~a
+            count = mine.bit_count()
+            low = count if lo is None else lo[i]
+            if not low <= count <= top:
+                return False
+            cap += (top - count, count - low, count, size - count)
+            while bundle:
+                bit = bundle & -bundle
+                holder[bit.bit_length() - 1] = tier_a0 + i if bit & a else tier_b0 + i
+                bundle ^= bit
+        if bundles is None:
+            held[free] = (1 << self.m) - 1
+            return True
+        return taken == (1 << self.m) - 1
 
     # -- moving flow ---------------------------------------------------------
 
@@ -157,47 +176,19 @@ class ExchangeFlow:
     def restart(self, attractive: list[int], allowed: list[int], bundles: list[int]) -> bool:
         """Install the system under these attractive and allowed masks whose
         lower bounds are the attractive counts of the balanced matching
-        `bundles`, and make that matching the flow; False as `start_from`.
+        `bundles`, with that matching as the flow; False as `start_from`.
         The layout stays; the query count starts again at 0."""
-        self._install(
-            attractive, allowed, [(b & a).bit_count() for b, a in zip(bundles, attractive)], None
-        )
-        return self.start_from(bundles)
+        return self._install(attractive, allowed, None, None, bundles)
 
     def start_from(self, bundles: list[int]) -> bool:
         """Make the balanced matching `bundles` (one object mask per agent) the
-        flow of this network's newly installed system; False, leaving the
+        flow of this network's newly installed system, which holds no flow
+        yet, so its bounds read back from its residuals; False, leaving the
         network unusable until the next install, when the matching leaves an
         allowed set or breaks a tier bound."""
-        taken = 0
-        for i, bundle in enumerate(bundles):
-            eid = self.tier_edge_a[i]
-            count_a = (bundle & self.allowed_a[i]).bit_count()
-            if (
-                bundle & taken
-                or bundle & ~(self.allowed_a[i] | self.allowed_b[i])
-                or bundle.bit_count() != self.sizes[i]
-            ):
-                return False
-            taken |= bundle
-            self._push_edge(eid, count_a)
-            # the bearable-tier edge is added right after the attractive one
-            self._push_edge(eid + 2, self.sizes[i] - count_a)
-            if self.cap[eid] < 0 or self.cap[eid ^ 1] < 0:
-                return False
-            for tier, rem in (
-                (self.tier_a0 + i, bundle & self.allowed_a[i]),
-                (self.tier_b0 + i, bundle & self.allowed_b[i]),
-            ):
-                self.held[tier] = rem
-                while rem:
-                    bit = rem & -rem
-                    self.holder[bit.bit_length() - 1] = tier
-                    rem ^= bit
-        if taken != (1 << self.m) - 1:
-            return False
-        self.held[self.free] = 0
-        return True
+        cap, attractive = self.cap, self.allowed_a
+        allowed = [a | b for a, b in zip(attractive, self.allowed_b)]
+        return self._install(attractive, allowed, [-c for c in cap[1::4]], cap[::4], bundles)
 
     def solve_feasible(self) -> bool:
         """Find a feasible point of this new network, or False.
@@ -237,9 +228,7 @@ class ExchangeFlow:
 
     # -- residual search -----------------------------------------------------
 
-    def _find_path(
-        self, s: int, t: int, skip_pair: int = -1, dead: _Dead | None = None
-    ) -> Path | None:
+    def _find_path(self, s: int, t: int, skip_pair: int = -1) -> Path | None:
         """Shortest residual path s -> t (see `Path`), or None.
 
         Breadth-first.  A node expands its explicit arcs in edge-list order and,
@@ -250,16 +239,11 @@ class ExchangeFlow:
         comes off the queue, its objects in index order send the search on to
         their holders.  So nodes are reached in the order, and the path found
         is the one, of a search over every object arc.
-
-        `dead`, when given, holds what earlier failed searches for t reached.
-        The search never enters a dead node, and when it finds no path it adds
-        everything it reached.  No dead node has a residual arc to a node that
-        reaches t, so skipping them leaves the path found unchanged.
         """
         to, cap, adj, frozen = self.to, self.cap, self.adj, self.frozen
         allow, held, holder = self.allow, self.held, self.holder
-        seen = bytearray(self.nn) if dead is None else bytearray(dead.nodes)
-        covered = self.pinned | held[s] | (0 if dead is None else dead.objects)
+        seen = bytearray(self.nn)
+        covered = self.pinned | held[s]
         seen[s] = 1
         parent = [0] * self.nn  # edge id into the node, or ~j for object j
         entered: dict[int, int] = {}  # object -> node the path enters it from
@@ -301,11 +285,6 @@ class ExchangeFlow:
                         return self._path(s, t, parent, entered)
                     queue.append(v)
                     covered |= held[v]
-        if dead is not None:
-            for u in queue:
-                if u >= 0:
-                    dead.nodes[u] = 1
-            dead.objects = covered
         return None
 
     def _path(self, s: int, t: int, parent: list[int], entered: dict[int, int]) -> Path:
@@ -401,12 +380,6 @@ class ExchangeFlow:
         with its tier: it joins the `pinned` mask, and no search crosses it
         again.
 
-        Per agent and target tier, what a failed search reached is marked dead
-        (`_Dead`): none of it reaches the target, and while the agent only pins
-        (which removes residual arcs) none can start to, so a later candidate
-        held by a dead tier is refused without searching.  A reroute pushes
-        flow along a cycle and so can add arcs; it drops every mark.
-
         Once an agent's attractive-tier edge is frozen, as in the mechanism,
         its agent node can be reached only through that edge or from its
         bearable tier, so each of its tiers can be entered only through an
@@ -419,7 +392,6 @@ class ExchangeFlow:
             raise MechanismInvariantError("canonical extraction needs a feasible flow")
         bundles = [0] * self.n
         for i in order:
-            dead: dict[int, _Dead] = {}  # target tier -> marks of failed searches
             need = self.sizes[i]
             got = 0
             frozen = self.frozen[self.tier_edge_a[i] >> 1]
@@ -434,16 +406,10 @@ class ExchangeFlow:
                     if frozen and not self.held[t_node] & ~self.pinned:
                         rem &= ~self.allow[t_node]  # a full tier: no search can enter it
                         continue
-                    marks = dead.get(t_node)
-                    if marks is None:
-                        marks = dead[t_node] = _Dead(self.nn)
-                    elif marks.nodes[src_tier]:
-                        continue
-                    path = self._find_path(src_tier, t_node, dead=marks)
+                    path = self._find_path(src_tier, t_node)
                     if path is None:
                         continue
                     self._push(path)
-                    dead.clear()  # the reroute may open new residual arcs
                     # take the object away from its old tier, give it to t_node
                     self._move(j, t_node)
                 self.pinned |= bit

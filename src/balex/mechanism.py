@@ -20,14 +20,17 @@ improving is a checkable trace property.
 
 A run is `_run_masks`, which works on object masks throughout, on a network
 its caller passes; the misreport audits call it on (A, B) masks directly, all
-runs of one search on one network.  `run_ir_priority` validates and masks the
-profile, runs it on a new network and names only the final matching, the
-only matching a run extracts.  The trace keeps the other rounds as the run
-kept them, with a snapshot of the reported profile: an earlier pass as its
-bearable masks, its promises and the matching the network held after it.
-When `MechanismTrace.rounds` is first read, each earlier pass's canonical
-matching is extracted on a network restarted from that matching, and the
-rounds are named.
+runs of one search, the truthful one included, on one network.  A refinement
+pass (`_refine_masks`) likewise runs on the network it is given, so a sweep
+over many profiles of one market shape restarts one network.  Installing a
+run's system on a network is one pass per agent (`ExchangeFlow.restart`).
+`run_ir_priority` validates and masks the profile, runs it on a new network
+and names only the final matching, the only matching a run extracts.  The
+trace keeps the other rounds as the run kept them, with a snapshot of the
+reported profile: an earlier pass as its bearable masks, its promises and the
+matching the network held after it.  When `MechanismTrace.rounds` is first
+read, each earlier pass's canonical matching is extracted on a network
+restarted from that matching, and the rounds are named.
 """
 
 from __future__ import annotations
@@ -188,15 +191,11 @@ def _dictatorship(flow: ExchangeFlow) -> list[int]:
 
 
 def _refine_masks(
-    sizes: list[int],
-    a_masks: list[int],
-    allowed: list[int],
-    incumbent: list[int],
-    m: int,
-) -> tuple[list[int], ExchangeFlow]:
-    """One serial-dictatorship pass from `incumbent`: promises and the network."""
-    flow = _start(_network(sizes, m), a_masks, allowed, incumbent)
-    return _dictatorship(flow), flow
+    flow: ExchangeFlow, a_masks: list[int], allowed: list[int], incumbent: list[int]
+) -> list[int]:
+    """One serial-dictatorship pass from `incumbent` on `flow`, restarted
+    under these masks; returns the promises, and `flow` holds the pass."""
+    return _dictatorship(_start(flow, a_masks, allowed, incumbent))
 
 
 def serial_refine(
@@ -218,9 +217,8 @@ def serial_refine(
     if not cir_trichotomous(instance, mu, prefs):
         raise ValueError("base matching must be CIR at the given (A, B) profile")
     a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable, mu)
-    promises, flow = _refine_masks(
-        list(instance.sizes), a_masks, allowed, mu_masks, len(instance.object_ids)
-    )
+    flow = _network(list(instance.sizes), len(instance.object_ids))
+    promises = _refine_masks(flow, a_masks, allowed, mu_masks)
     bundles = flow.extract_canonical(list(range(len(instance.agents))))
     matching = Matching(
         {a: instance.unmask(bundles[i]) for i, a in enumerate(instance.agents)}
@@ -382,18 +380,27 @@ def _run_masks(
     return kept.bundles, rounds, elicitation_round, flow.queries
 
 
+def _require_endowment(instance: Instance, a_masks: list[int], b_masks: list[int]) -> None:
+    """A ValidationError naming the first agent whose endowment leaves its
+    reported A ∪ B (masks in priority order)."""
+    for a, own, x, y in zip(instance.agents, instance.endowment_masks, a_masks, b_masks):
+        if own & ~(x | y):
+            raise ValidationError(f"agent {a!r}: endowment not contained in A ∪ B")
+
+
 def run_ir_priority(
     instance: Instance, prefs: Mapping[str, TrichotomousPreference]
 ) -> tuple[Matching, MechanismTrace]:
     """Run the priority mechanism; returns the final matching and a full trace.
 
-    A profile that misses an agent or names an object outside the instance
-    raises ValidationError before any network is built.  The outer loop
-    performs at most one elicitation round per agent; failure of the
-    non-improvable set to grow raises MechanismInvariantError with the named
-    states of the finished rounds as its second argument.  The run itself is
-    `_run_masks`; the rounds stay as it keeps them, and the agent sets
-    bitmasks over agent indices, until the trace is read.
+    A profile that misses an agent, names an object outside the instance or
+    leaves an agent's endowment outside its A ∪ B raises ValidationError
+    before any network is built.  The outer loop performs at most one
+    elicitation round per agent; failure of the non-improvable set to grow
+    raises MechanismInvariantError with the named states of the finished
+    rounds as its second argument.  The run itself is `_run_masks`; the
+    rounds stay as it keeps them, and the agent sets bitmasks over agent
+    indices, until the trace is read.
     """
     agents = instance.agents
     try:
@@ -408,10 +415,8 @@ def run_ir_priority(
             if stray:
                 raise ValidationError(f"agent {a!r}: unknown object(s) {canon(stray)}") from None
         raise
+    _require_endowment(instance, a_masks, b_masks)
     endow = list(instance.endowment_masks)
-    for i, a in enumerate(agents):
-        if endow[i] & ~(a_masks[i] | b_masks[i]):
-            raise ValueError(f"agent {a!r}: endowment not contained in A ∪ B")
     sizes, m = list(instance.sizes), len(instance.object_ids)
     try:
         bundles, rounds, elicited, queries = _run_masks(

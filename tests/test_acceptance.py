@@ -23,7 +23,7 @@ from balex.audits import (
 from balex.cycles import apply_cycle, decompose, distance, find_cir_pareto_improving_cycle
 from balex.fixtures import load_fixture
 from balex.generate import random_market
-from balex.mechanism import _refine_masks, run_ir_priority
+from balex.mechanism import _network, _refine_masks, run_ir_priority
 from balex.model import TrichotomousPreference
 from balex.optimize import (
     InfeasibleError,
@@ -263,10 +263,11 @@ def test_criterion_06_strongly_trichotomous_strategy_proofness():
         size_list = list(inst.sizes)
         span = 1 << (m * n)
         outcomes: list[tuple[int, ...]] = [()] * span
+        flow = _network(size_list, m)  # each profile's pass restarts it
         for code in range(span):
             amasks = [(code >> (m * i)) & full for i in range(n)]
             allowed = [amasks[i] | endow[i] for i in range(n)]
-            _, flow = _refine_masks(size_list, amasks, allowed, endow, m)
+            _refine_masks(flow, amasks, allowed, endow)
             outcomes[code] = tuple(flow.extract_canonical(list(range(n))))
             if code % 512 == 0:
                 prefs = {

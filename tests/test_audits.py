@@ -21,7 +21,8 @@ from balex.audits import (
 )
 from balex.fixtures import load_fixture
 from balex.mechanism import _run_masks, run_ir_priority
-from balex.model import DomainSpec, Matching, TrichotomousPreference
+from balex.flownet import ExchangeFlow
+from balex.model import DomainSpec, Matching, TrichotomousPreference, ValidationError
 from balex.optimize import EnumerationLimitError
 from balex.responsive import cir_trichotomous
 from conftest import make_instance, on_masks, random_profile, unbeatable
@@ -177,7 +178,6 @@ def test_truncation_witness_is_the_first_profitable_report(monkeypatch):
         # a1 gets its attractive o2 whenever it reports a larger bearable set
         return (swapped if profile["a1"].bearable > fs("o1") else endowment), None
 
-    monkeypatch.setattr(audits, "run_ir_priority", stub)
     monkeypatch.setattr(audits, "_run_masks", on_masks(inst, stub))
     w = check_truncation_proofness(inst, prefs)
     # a1's extras in enumeration order: {}, {o3}, {o4}, {o3, o4}; {} is the truth
@@ -191,11 +191,11 @@ def test_truncation_witness_is_the_first_profitable_report(monkeypatch):
 def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
     from balex import audits
 
-    runs, lookups = [], []
+    runs, lookups, wrapped = [], [], []
     final = audits._OutcomeCache.final
 
     def counting_run(instance, profile):
-        runs.append(profile)
+        wrapped.append(profile)
         return run_ir_priority(instance, profile)
 
     def counting_kernel(*args):
@@ -210,8 +210,9 @@ def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
     monkeypatch.setattr(audits, "_run_masks", counting_kernel)
     monkeypatch.setattr(audits._OutcomeCache, "final", counting_final)
     strong = DomainSpec.strongly_trichotomous()
-    # each search runs the truthful profile once, then every distinct report
-    # of each agent whose truthful bundle some bundle of its size could beat
+    # each search runs the kernel on the truthful profile once, then on every
+    # distinct report of each agent whose truthful bundle some bundle of its
+    # size could beat; no audit calls the run_ir_priority wrapper
     inst = make_instance([2, 1, 1])
     prefs = random_profile(inst, random.Random(5), strongly=True)
     assert unbeatable(inst, prefs, run_ir_priority(inst, prefs)[0]) == [True, True, True]
@@ -253,6 +254,7 @@ def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
     assert check_obvious_manipulability(unit, unit_prefs) is None
     # 6 reports each: both agents look up all 36 profiles, which run once
     assert (len(runs), len(lookups)) == (36, 72)
+    assert wrapped == []
 
 
 def test_obvious_manipulability_unit_demand_none_and_extremes():
@@ -285,7 +287,7 @@ def test_obvious_manipulability_refuses_before_building_reports(monkeypatch):
     prefs = {a: TrichotomousPreference(a, fs(), inst.endowment[a]) for a in inst.agents}
     calls = []
     monkeypatch.setattr(audits, "_report_masks", lambda *args: calls.append(args))
-    monkeypatch.setattr(audits, "run_ir_priority", lambda *args: calls.append(args))
+    monkeypatch.setattr(audits, "_run_masks", lambda *args: calls.append(args))
     # a2 alone has 2^15 * 3^1 reports
     with pytest.raises(EnumerationLimitError, match="opponent space has 98304 profiles"):
         check_obvious_manipulability(inst, prefs)
@@ -308,7 +310,7 @@ def test_manipulation_audits_refuse_bad_profiles_before_any_report(what, monkeyp
 
     calls = []
     monkeypatch.setattr(audits, "_report_masks", lambda *args: calls.append(args))
-    monkeypatch.setattr(audits, "run_ir_priority", lambda *args: calls.append(args))
+    monkeypatch.setattr(audits, "_run_masks", lambda *args: calls.append(args))
     audit = MANIPULATION_AUDITS[what]
     fx = load_fixture("example1")
     with pytest.raises(ValueError, match=f"^{what} needs a trichotomous profile"):
@@ -325,11 +327,34 @@ def test_manipulation_audits_refuse_bad_profiles_before_any_report(what, monkeyp
     assert calls == []
 
 
+def test_an_endowment_outside_the_reported_a_and_b_is_refused_before_any_network(monkeypatch):
+    """A profile in which an agent reports an object it owns as unacceptable
+    is a ValidationError naming the agent, raised by the mechanism and by
+    each manipulation audit before any network is built."""
+    builds = []
+    build = ExchangeFlow.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
+    inst = make_instance([1, 1])
+    prefs = {
+        "a1": TrichotomousPreference("a1", fs("o2"), fs("o1")),
+        "a2": TrichotomousPreference("a2", fs("o1"), fs()),  # a2 owns o2
+    }
+    for run in (run_ir_priority, *MANIPULATION_AUDITS.values()):
+        with pytest.raises(ValidationError, match="^agent 'a2': endowment not contained in A ∪ B$"):
+            run(inst, prefs)
+    assert builds == []
+
+
 def test_misreport_searches_refuse_markets_over_the_bound(monkeypatch):
     from balex import audits
 
     runs = []
-    monkeypatch.setattr(audits, "run_ir_priority", lambda *args: runs.append(args))
+    monkeypatch.setattr(audits, "_run_masks", lambda *args: runs.append(args))
     inst = make_instance([4, 4, 4])
     prefs = random_profile(inst, random.Random(3))
     for audit in (check_strategy_proofness, check_truncation_proofness):
