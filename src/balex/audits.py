@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .cycles import find_cir_pareto_improving_cycle
-from .mechanism import _network, _require_endowment, _run_masks
+from .mechanism import _final_masks, _network, _require_endowment
 # no audit calls run_ir_priority; the name stays bound here for perfbench's tracer
 from .mechanism import run_ir_priority  # noqa: F401
 from .model import (
@@ -29,6 +29,7 @@ from .model import (
     MarginalPreference,
     Matching,
     TrichotomousPreference,
+    ValidationError,
     canon,
 )
 # enumerate_matchings lives in optimize; audits re-exports it
@@ -110,9 +111,18 @@ def marginal_profile(
 
 
 def welfare_vector(instance: Instance, mu: Matching, prefs: Profile) -> tuple[int, ...]:
-    return tuple(
-        len(mu.assignment[a] & prefs[a].attractive) for a in instance.agents
-    )
+    """Per agent in priority order, how many attractive objects `mu` gives it.
+    A matching or a profile that lacks an agent raises ValidationError naming
+    the first such agent."""
+    try:
+        return tuple(len(mu.assignment[a] & prefs[a].attractive) for a in instance.agents)
+    except KeyError:
+        for a in instance.agents:
+            if a not in mu.assignment:
+                raise ValidationError(f"matching assigns no bundle to agent {a!r}") from None
+            if a not in prefs:
+                raise ValidationError(f"no preference given for agent {a!r}") from None
+        raise
 
 
 def _require_trichotomous(prefs: Mapping[str, object], what: str) -> None:
@@ -143,17 +153,19 @@ def _cir_matchings(instance: Instance, prefixes: list[list[int]]) -> Iterator[tu
     return mask_matchings(instance.sizes, (1 << len(instance.object_ids)) - 1, cir)
 
 
-def _is_dominated(instance: Instance, mu: tuple[int, ...], prefixes: list[list[int]]) -> bool:
-    """Whether some matching Pareto-improves the matching with bundle masks `mu`
-    under SOME responsive profile; prefixes[i] are agent i's prefix_masks.
+def _is_dominated(
+    instance: Instance, mu_counts: tuple[tuple[int, ...], ...], prefixes: list[list[int]]
+) -> bool:
+    """Whether some matching Pareto-improves a matching mu under SOME
+    responsive profile; prefixes[i] are agent i's prefix_masks and
+    mu_counts[i] the prefix counts of mu(i), all the verdict reads of mu.
 
     Per agent the improvement needs only one extension (extensions are chosen
     independently), so agent i's condition is that mu(i) does not unambiguously
     strictly dominate nu(i); one agent must additionally admit a strictly
     preferring extension.
     """
-    mu_counts = [_counts(m, ps) for m, ps in zip(mu, prefixes)]
-    verdicts: list[dict[int, BundleComparison]] = [{} for _ in mu]
+    verdicts: list[dict[int, BundleComparison]] = [{} for _ in mu_counts]
 
     def keep(i: int, mask: int) -> bool:
         v = verdicts[i].get(mask)
@@ -187,11 +199,11 @@ def unambiguously_efficient(
         raise ValueError(f"unknown efficiency mode {mode!r}")
     _check_enumeration_bound(instance, bound)
     margs = marginal_profile(instance, prefs)
-    return not _is_dominated(
-        instance,
-        tuple(instance.mask(mu.assignment[a]) for a in instance.agents),
-        [prefix_masks(instance, margs[a]) for a in instance.agents],
+    prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
+    mu_counts = tuple(
+        _counts(instance.mask(mu.assignment[a]), ps) for a, ps in zip(instance.agents, prefixes)
     )
+    return not _is_dominated(instance, mu_counts, prefixes)
 
 
 def efficient_ir_set(
@@ -199,15 +211,22 @@ def efficient_ir_set(
     prefs: Mapping[str, TrichotomousPreference] | Mapping[str, MarginalPreference],
     bound: int = 10,
 ) -> list[Matching]:
-    """All matchings that are unambiguously individually rational and efficient."""
+    """All matchings that are unambiguously individually rational and efficient.
+
+    CIR matchings with the same per-agent prefix counts share one verdict,
+    which reads nothing else of them."""
     _check_enumeration_bound(instance, bound)
     margs = marginal_profile(instance, prefs)
     prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
-    return [
-        _matching_from_masks(instance, mu)
-        for mu in _cir_matchings(instance, prefixes)
-        if not _is_dominated(instance, mu, prefixes)
-    ]
+    dominated: dict[tuple[tuple[int, ...], ...], bool] = {}
+    out = []
+    for mu in _cir_matchings(instance, prefixes):
+        counts = tuple(_counts(m, ps) for m, ps in zip(mu, prefixes))
+        if counts not in dominated:
+            dominated[counts] = _is_dominated(instance, counts, prefixes)
+        if not dominated[counts]:
+            out.append(_matching_from_masks(instance, mu))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +298,13 @@ class _OutcomeCache:
     reported profile as (A, B) mask pairs in priority order.  Every misreport
     audit reads its outcomes here, starting from the truthful run's (perfbench
     counts the calls to `final`).  The truthful profile, run when the cache is
-    made, and every miss run `mechanism._run_masks` on the one network the
+    made, and every miss run `mechanism._final_masks` on the one network the
     cache keeps: the market's sizes and object count fix its layout, and each
-    run installs its own system on it.  An endowment outside its agent's
-    truthful A ∪ B is a ValidationError, raised before the network is built."""
+    run installs its own system on it.  A strongly trichotomous profile runs
+    one serial-dictatorship pass and no elicitation loop, so the loop's
+    invariant checks are not made for it; any other profile runs the whole
+    `mechanism._run_masks`.  An endowment outside its agent's truthful A ∪ B
+    is a ValidationError, raised before the network is built."""
 
     def __init__(self, instance: Instance, prefs: Profile) -> None:
         self.truth: MaskProfile = tuple(
@@ -294,14 +316,14 @@ class _OutcomeCache:
         _require_endowment(instance, a_masks, b_masks)
         self.endow = list(instance.endowment_masks)
         self.flow = _network(list(instance.sizes), len(instance.object_ids))
-        self.cache = {self.truth: _run_masks(self.flow, a_masks, b_masks, self.endow)[0]}
+        self.cache = {self.truth: _final_masks(self.flow, a_masks, b_masks, self.endow)}
 
     def final(self, profile: MaskProfile) -> list[int]:
         hit = self.cache.get(profile)
         if hit is None:
             a_masks = [a for a, _ in profile]
             b_masks = [b for _, b in profile]
-            hit = _run_masks(self.flow, a_masks, b_masks, self.endow)[0]
+            hit = _final_masks(self.flow, a_masks, b_masks, self.endow)
             self.cache[profile] = hit
         return hit
 

@@ -19,8 +19,11 @@ the mechanism consumes bearable-set information only once an agent stops
 improving is a checkable trace property.
 
 A run is `_run_masks`, which works on object masks throughout, on a network
-its caller passes; the misreport audits call it on (A, B) masks directly, all
-runs of one search, the truthful one included, on one network.  A refinement
+its caller passes.  The misreport audits call `_final_masks` on (A, B) masks
+directly, all runs of one search, the truthful one included, on one network;
+it returns only a run's final bundles, and on a strongly trichotomous profile
+runs the single pass those bundles come from, without the elicitation loop
+and its invariant checks (Lemma (b) of `_run_masks`).  A refinement
 pass (`_refine_masks`) likewise runs on the network it is given, so a sweep
 over many profiles of one market shape restarts one network.  Installing a
 run's system on a network is one pass per agent (`ExchangeFlow.restart`).
@@ -328,7 +331,9 @@ def _run_masks(
     attains it) and no larger count is, as the earlier pass ran on a
     superset.  By (b) a pass is skipped whenever no agent elicited since the
     last one reports a bearable set other than its endowment outside A:
-    after the first pass, always on strongly trichotomous profiles.
+    after the first pass, always on strongly trichotomous profiles.  For such
+    a profile the whole run reduces to its first pass, so `_final_masks`
+    runs that pass alone when only the final bundles are wanted.
     """
     n = flow.n
     full = (1 << flow.m) - 1
@@ -378,6 +383,30 @@ def _run_masks(
     kept.bundles = flow.extract_canonical(order)
     rounds.append((kept, everyone))
     return kept.bundles, rounds, elicitation_round, flow.queries
+
+
+def _final_masks(
+    flow: ExchangeFlow, a_masks: list[int], b_masks: list[int], endow: list[int]
+) -> list[int]:
+    """The final bundle masks of `_run_masks` on the same arguments, and
+    nothing else of the run: the entry the misreport audits call.
+
+    When every agent reports its endowment outside A as its bearable set (a
+    strongly trichotomous profile), no elicitation round changes the system,
+    so by Lemma (b) of `_run_masks` the outcome is one serial-dictatorship
+    pass from the endowment, extracted with every agent frozen.  That pass
+    runs alone: the loop's improvability checks, and with them its
+    "non-improvable set shrank" and "failed to grow" invariant checks, do not
+    run for such profiles.  An infeasible endowment still raises from
+    `_start`, and a lost extraction from `extract_canonical`.  Any other
+    profile runs `_run_masks`.
+    """
+    for a, b, e in zip(a_masks, b_masks, endow):
+        if b != e & ~a:
+            return _run_masks(flow, a_masks, b_masks, endow)[0]
+    _refine_masks(flow, a_masks, [a | e for a, e in zip(a_masks, endow)], endow)
+    flow.freeze_all()
+    return flow.extract_canonical(list(range(flow.n)))
 
 
 def _require_endowment(instance: Instance, a_masks: list[int], b_masks: list[int]) -> None:

@@ -41,8 +41,8 @@ def random_profile(
 
 def on_masks(instance: Instance, run):
     """A stand-in for `run_ir_priority` on `instance` as a stand-in for the
-    mechanism's mask-level kernel, `mechanism._run_masks`: the same final
-    matching, as bundle masks, with no rounds and no flow queries."""
+    misreport audits' mechanism entry, `mechanism._final_masks`: the same
+    final matching, as bundle masks."""
 
     def kernel(flow, a_masks, b_masks, endow):
         profile = {
@@ -50,7 +50,7 @@ def on_masks(instance: Instance, run):
             for a, x, y in zip(instance.agents, a_masks, b_masks)
         }
         final, _ = run(instance, profile)
-        return [instance.mask(final.assignment[a]) for a in instance.agents], [], {}, 0
+        return [instance.mask(final.assignment[a]) for a in instance.agents]
 
     return kernel
 

@@ -23,7 +23,7 @@ from balex.audits import (
 from balex.cycles import apply_cycle, decompose, distance, find_cir_pareto_improving_cycle
 from balex.fixtures import load_fixture
 from balex.generate import random_market
-from balex.mechanism import _network, _refine_masks, run_ir_priority
+from balex.mechanism import _final_masks, _network, run_ir_priority
 from balex.model import TrichotomousPreference
 from balex.optimize import (
     InfeasibleError,
@@ -266,9 +266,9 @@ def test_criterion_06_strongly_trichotomous_strategy_proofness():
         flow = _network(size_list, m)  # each profile's pass restarts it
         for code in range(span):
             amasks = [(code >> (m * i)) & full for i in range(n)]
-            allowed = [amasks[i] | endow[i] for i in range(n)]
-            _refine_masks(flow, amasks, allowed, endow)
-            outcomes[code] = tuple(flow.extract_canonical(list(range(n))))
+            bmasks = [endow[i] & ~amasks[i] for i in range(n)]
+            # the audits' entry: one pass, extracted, on a strong profile
+            outcomes[code] = tuple(_final_masks(flow, amasks, bmasks, endow))
             if code % 512 == 0:
                 prefs = {
                     a: TrichotomousPreference(

@@ -440,7 +440,7 @@ def test_misreport_search_agrees_with_the_name_level_search_where_witnesses_abou
             continue
         markets += 1
         inst = make_instance(sizes)
-        monkeypatch.setattr(audits, "_run_masks", on_masks(inst, _scrambled_run))
+        monkeypatch.setattr(audits, "_final_masks", on_masks(inst, _scrambled_run))
         prefs = random_profile(inst, rng)
         margs = marginal_profile(inst, prefs)
         want = _ref_manipulation_audits(inst, prefs, _scrambled_run)
@@ -553,7 +553,7 @@ def test_skipped_agents_have_no_profitable_report(monkeypatch):
             markets += 1
             inst = make_instance(sizes)
             if run is _scrambled_run:
-                monkeypatch.setattr(audits, "_run_masks", on_masks(inst, run))
+                monkeypatch.setattr(audits, "_final_masks", on_masks(inst, run))
             prefs = random_profile(inst, rng, strongly=markets % 2 == 0)
             margs = marginal_profile(inst, prefs)
             truth = run(inst, prefs)[0]

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balex.audits import (
     check_obvious_manipulability,
@@ -20,11 +22,17 @@ from balex.audits import (
     welfare_vector,
 )
 from balex.fixtures import load_fixture
-from balex.mechanism import _run_masks, run_ir_priority
+from balex.mechanism import _final_masks, run_ir_priority
 from balex.flownet import ExchangeFlow
-from balex.model import DomainSpec, Matching, TrichotomousPreference, ValidationError
-from balex.optimize import EnumerationLimitError
-from balex.responsive import cir_trichotomous
+from balex.model import (
+    DomainSpec,
+    MarginalPreference,
+    Matching,
+    TrichotomousPreference,
+    ValidationError,
+)
+from balex.optimize import EnumerationLimitError, _matching_from_masks
+from balex.responsive import cir_trichotomous, prefix_masks
 from conftest import make_instance, on_masks, random_profile, unbeatable
 
 
@@ -84,6 +92,84 @@ def test_endowment_with_empty_attractive_sets_is_efficient():
     prefs = {a: TrichotomousPreference(a, fs(), inst.endowment[a]) for a in inst.agents}
     omega = inst.endowment_matching()
     assert unambiguously_efficient(inst, omega, prefs, mode="cycle")
+
+
+def _unshared_efficient_ir_set(inst, prefs):
+    """efficient_ir_set with one dominance verdict per CIR matching."""
+    from balex import audits
+
+    margs = audits.marginal_profile(inst, prefs)
+    prefixes = [prefix_masks(inst, margs[a]) for a in inst.agents]
+    return [
+        _matching_from_masks(inst, mu)
+        for mu in audits._cir_matchings(inst, prefixes)
+        if not audits._is_dominated(
+            inst, tuple(audits._counts(m, ps) for m, ps in zip(mu, prefixes)), prefixes
+        )
+    ]
+
+
+def _class_profile(inst, rng):
+    """Class-based marginals: per agent, the objects dealt at random into 1-4
+    classes, some possibly empty."""
+    out = {}
+    for a in inst.agents:
+        classes = [set() for _ in range(rng.randint(1, 4))]
+        for o in inst.object_ids:
+            rng.choice(classes).add(o)
+        out[a] = MarginalPreference(a, tuple(frozenset(c) for c in classes))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 2), min_size=1, max_size=4).filter(lambda s: sum(s) <= 6),
+    st.integers(0, 2**32),
+    st.sampled_from(["trichotomous", "strongly trichotomous", "class-based"]),
+)
+def test_shared_dominance_verdicts_give_the_unshared_efficient_ir_set(sizes, seed, kind):
+    """Sharing verdicts among equal prefix counts keeps the set and its order."""
+    inst = make_instance(sizes)
+    rng = random.Random(seed)
+    if kind == "class-based":
+        prefs = _class_profile(inst, rng)
+    else:
+        prefs = random_profile(inst, rng, strongly=kind == "strongly trichotomous")
+    assert efficient_ir_set(inst, prefs) == _unshared_efficient_ir_set(inst, prefs)
+
+
+def test_matchings_with_equal_prefix_counts_share_one_dominance_verdict(monkeypatch):
+    """Seven unit agents who find every object attractive: all 5,040
+    matchings are CIR and efficient, and give every agent the same prefix
+    counts, so the dominance enumeration runs once."""
+    from balex import audits
+
+    inst = make_instance([1] * 7)
+    prefs = {a: TrichotomousPreference(a, inst.objects, fs()) for a in inst.agents}
+    calls = []
+    is_dominated = audits._is_dominated
+
+    def counting(*args):
+        calls.append(args)
+        return is_dominated(*args)
+
+    monkeypatch.setattr(audits, "_is_dominated", counting)
+    assert len(efficient_ir_set(inst, prefs)) == 5040
+    assert len(calls) == 1
+
+
+def test_welfare_vector_names_a_missing_agent():
+    fx = load_fixture("thm4-base")
+    inst, prefs = fx.instance, fx.prefs
+    omega = inst.endowment_matching()
+    assert welfare_vector(inst, omega, prefs) == tuple(
+        len(inst.endowment[a] & prefs[a].attractive) for a in inst.agents
+    )
+    partial = Matching({a: b for a, b in omega.assignment.items() if a != "1"})
+    with pytest.raises(ValidationError, match="^matching assigns no bundle to agent '1'$"):
+        welfare_vector(inst, partial, prefs)
+    with pytest.raises(ValidationError, match="^no preference given for agent '1'$"):
+        welfare_vector(inst, omega, {a: p for a, p in prefs.items() if a != "1"})
 
 
 def test_report_enumeration_counts():
@@ -178,7 +264,7 @@ def test_truncation_witness_is_the_first_profitable_report(monkeypatch):
         # a1 gets its attractive o2 whenever it reports a larger bearable set
         return (swapped if profile["a1"].bearable > fs("o1") else endowment), None
 
-    monkeypatch.setattr(audits, "_run_masks", on_masks(inst, stub))
+    monkeypatch.setattr(audits, "_final_masks", on_masks(inst, stub))
     w = check_truncation_proofness(inst, prefs)
     # a1's extras in enumeration order: {}, {o3}, {o4}, {o3, o4}; {} is the truth
     assert w is not None and w.agent == "a1"
@@ -200,14 +286,14 @@ def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
 
     def counting_kernel(*args):
         runs.append(args)
-        return _run_masks(*args)
+        return _final_masks(*args)
 
     def counting_final(self, profile):
         lookups.append(profile)
         return final(self, profile)
 
     monkeypatch.setattr(audits, "run_ir_priority", counting_run)
-    monkeypatch.setattr(audits, "_run_masks", counting_kernel)
+    monkeypatch.setattr(audits, "_final_masks", counting_kernel)
     monkeypatch.setattr(audits._OutcomeCache, "final", counting_final)
     strong = DomainSpec.strongly_trichotomous()
     # each search runs the kernel on the truthful profile once, then on every
@@ -257,6 +343,51 @@ def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
     assert wrapped == []
 
 
+def test_strong_profiles_run_one_pass_and_others_the_kernel(monkeypatch):
+    """On a strongly trichotomous profile a misreport search runs one
+    serial-dictatorship pass per distinct profile and no improvability check;
+    each truncation misreport with a bearable extra runs the whole kernel."""
+    from balex import mechanism
+
+    kernel, calls = mechanism._run_masks, {"kernel": [], "can_improve": 0, "maximize": 0}
+    can_improve, maximize = ExchangeFlow.can_improve, ExchangeFlow.maximize
+
+    def counting_kernel(flow, a_masks, b_masks, endow):
+        calls["kernel"].append(b_masks)
+        return kernel(flow, a_masks, b_masks, endow)
+
+    def counting(name, method):
+        def wrapped(self, i):
+            calls[name] += 1
+            return method(self, i)
+
+        return wrapped
+
+    monkeypatch.setattr(mechanism, "_run_masks", counting_kernel)
+    monkeypatch.setattr(ExchangeFlow, "can_improve", counting("can_improve", can_improve))
+    monkeypatch.setattr(ExchangeFlow, "maximize", counting("maximize", maximize))
+    inst = make_instance([2, 2, 1])
+    prefs = {
+        "a1": TrichotomousPreference("a1", fs("o1", "o4"), fs("o2")),
+        "a2": TrichotomousPreference("a2", fs("o1", "o4"), fs("o3")),
+        "a3": TrichotomousPreference("a3", fs("o2"), fs("o5")),
+    }
+    assert all(prefs[a].bearable == inst.endowment[a] - prefs[a].attractive for a in inst.agents)
+    # the 94 distinct profiles of the strong-domain search: one pass of three
+    # dictators each
+    assert check_strategy_proofness(inst, prefs, DomainSpec.strongly_trichotomous()) is None
+    assert calls == {"kernel": [], "can_improve": 0, "maximize": 3 * 94}
+    # the truthful run is one pass; each of the 13 misreports with an extra
+    # runs the kernel, the misreporting agent's bearable set above its floor
+    assert check_truncation_proofness(inst, prefs) is None
+    assert len(calls["kernel"]) == 13 and calls["can_improve"] > 0
+    endow = list(inst.endowment_masks)
+    truth = [inst.mask(prefs[a].bearable) for a in inst.agents]
+    for b_masks in calls["kernel"]:
+        (i,) = [k for k in range(3) if b_masks[k] != truth[k]]
+        assert b_masks[i] & ~endow[i]
+
+
 def test_obvious_manipulability_unit_demand_none_and_extremes():
     inst = make_instance([1, 1])
     prefs = {
@@ -287,7 +418,7 @@ def test_obvious_manipulability_refuses_before_building_reports(monkeypatch):
     prefs = {a: TrichotomousPreference(a, fs(), inst.endowment[a]) for a in inst.agents}
     calls = []
     monkeypatch.setattr(audits, "_report_masks", lambda *args: calls.append(args))
-    monkeypatch.setattr(audits, "_run_masks", lambda *args: calls.append(args))
+    monkeypatch.setattr(audits, "_final_masks", lambda *args: calls.append(args))
     # a2 alone has 2^15 * 3^1 reports
     with pytest.raises(EnumerationLimitError, match="opponent space has 98304 profiles"):
         check_obvious_manipulability(inst, prefs)
@@ -310,7 +441,7 @@ def test_manipulation_audits_refuse_bad_profiles_before_any_report(what, monkeyp
 
     calls = []
     monkeypatch.setattr(audits, "_report_masks", lambda *args: calls.append(args))
-    monkeypatch.setattr(audits, "_run_masks", lambda *args: calls.append(args))
+    monkeypatch.setattr(audits, "_final_masks", lambda *args: calls.append(args))
     audit = MANIPULATION_AUDITS[what]
     fx = load_fixture("example1")
     with pytest.raises(ValueError, match=f"^{what} needs a trichotomous profile"):
@@ -354,7 +485,7 @@ def test_misreport_searches_refuse_markets_over_the_bound(monkeypatch):
     from balex import audits
 
     runs = []
-    monkeypatch.setattr(audits, "_run_masks", lambda *args: runs.append(args))
+    monkeypatch.setattr(audits, "_final_masks", lambda *args: runs.append(args))
     inst = make_instance([4, 4, 4])
     prefs = random_profile(inst, random.Random(3))
     for audit in (check_strategy_proofness, check_truncation_proofness):

@@ -6,11 +6,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balex.cycles import find_cir_pareto_improving_cycle
 from balex.fixtures import FIXTURE_NAMES, load_fixture
 from balex.flownet import ExchangeFlow
 from balex.mechanism import (
+    _final_masks,
     _network,
     _resolve_rounds,
     _run_masks,
@@ -503,6 +506,48 @@ def test_a_shared_network_leaks_nothing_between_runs(monkeypatch):
                 pass
             monkeypatch.setattr(ExchangeFlow, "can_improve", can_improve)
             assert _resolved(sizes, m, profiles[k], _run_masks(shared, *profiles[k])) == fresh[k]
+
+
+@st.composite
+def strong_and_other_profiles(draw):
+    """A market of 1-4 agents and at most 8 objects, a strongly trichotomous
+    profile on it (each bearable set the endowment outside A) and two others
+    in which, where some agent has an object outside its A and endowment,
+    one such agent adds a non-empty bearable extra; as `_run_masks` arguments."""
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 8 // n), min_size=n, max_size=n))
+    endow = list(make_instance(sizes).endowment_masks)
+    full = (1 << sum(sizes)) - 1
+
+    def profile(strong: bool):
+        a_masks = [draw(st.integers(0, full)) for _ in sizes]
+        b_masks = [e & ~a for a, e in zip(a_masks, endow)]
+        pools = [full & ~(a | e) for a, e in zip(a_masks, endow)]
+        roomy = [i for i in range(n) if pools[i]]
+        if not strong and roomy:
+            i = draw(st.sampled_from(roomy))
+            b_masks[i] |= draw(st.integers(1, pools[i])) & pools[i] or pools[i]
+        return a_masks, b_masks, endow
+
+    return sizes, profile(True), [profile(False), profile(False)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(strong_and_other_profiles())
+def test_a_strong_profile_runs_one_pass_with_the_kernels_outcome(case):
+    """On a strongly trichotomous profile `_final_masks` runs one pass and
+    gives the final bundles of the whole kernel, on a new network and on one
+    shared with earlier runs of other profiles; the kernel raises on none of
+    these profiles, and the other profiles' final bundles are the kernel's."""
+    sizes, strong, others = case
+    m = sum(sizes)
+    want = _run_masks(_network(sizes, m), *strong)[0]
+    assert _final_masks(_network(sizes, m), *strong) == want
+    shared = _network(sizes, m)
+    for args in others:
+        assert _final_masks(shared, *args) == _run_masks(_network(sizes, m), *args)[0]
+    assert _final_masks(shared, *strong) == want
+    assert _final_masks(shared, *others[0]) == _run_masks(_network(sizes, m), *others[0])[0]
 
 
 def test_read_rounds_are_the_eagerly_extracted_rounds():
