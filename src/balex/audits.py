@@ -117,12 +117,22 @@ def welfare_vector(instance: Instance, mu: Matching, prefs: Profile) -> tuple[in
     try:
         return tuple(len(mu.assignment[a] & prefs[a].attractive) for a in instance.agents)
     except KeyError:
-        for a in instance.agents:
-            if a not in mu.assignment:
-                raise ValidationError(f"matching assigns no bundle to agent {a!r}") from None
-            if a not in prefs:
-                raise ValidationError(f"no preference given for agent {a!r}") from None
+        _name_missing_agent(instance, mu, prefs)
         raise
+
+
+def _name_missing_agent(
+    instance: Instance, mu: Matching | None, prefs: Mapping[str, object]
+) -> None:
+    """A ValidationError naming the first agent in priority order that the
+    matching `mu` (when given) or the profile `prefs` lacks.  Called on a
+    KeyError, which the caller re-raises when no agent is missing, so the
+    check costs nothing when none is."""
+    for a in instance.agents:
+        if mu is not None and a not in mu.assignment:
+            raise ValidationError(f"matching assigns no bundle to agent {a!r}") from None
+        if a not in prefs:
+            raise ValidationError(f"no preference given for agent {a!r}") from None
 
 
 def _require_trichotomous(prefs: Mapping[str, object], what: str) -> None:
@@ -190,19 +200,29 @@ def unambiguously_efficient(
 
     cycle mode requires a trichotomous profile and a CIR matching (the scope of
     the cycle characterization); brute mode accepts any marginal profile and
-    scans all matchings.
+    scans all matchings.  A matching or a profile that lacks an agent raises
+    ValidationError naming the first such agent.
     """
     if mode == "cycle":
         _require_trichotomous(prefs, "cycle mode")
-        return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
+        try:
+            return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
+        except KeyError:
+            _name_missing_agent(instance, mu, prefs)
+            raise
     if mode != "brute":
         raise ValueError(f"unknown efficiency mode {mode!r}")
     _check_enumeration_bound(instance, bound)
-    margs = marginal_profile(instance, prefs)
-    prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
-    mu_counts = tuple(
-        _counts(instance.mask(mu.assignment[a]), ps) for a, ps in zip(instance.agents, prefixes)
-    )
+    try:
+        margs = marginal_profile(instance, prefs)
+        prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
+        mu_counts = tuple(
+            _counts(instance.mask(mu.assignment[a]), ps)
+            for a, ps in zip(instance.agents, prefixes)
+        )
+    except KeyError:
+        _name_missing_agent(instance, mu, prefs)
+        raise
     return not _is_dominated(instance, mu_counts, prefixes)
 
 
@@ -214,9 +234,14 @@ def efficient_ir_set(
     """All matchings that are unambiguously individually rational and efficient.
 
     CIR matchings with the same per-agent prefix counts share one verdict,
-    which reads nothing else of them."""
+    which reads nothing else of them.  A profile that lacks an agent raises
+    ValidationError naming the first such agent."""
     _check_enumeration_bound(instance, bound)
-    margs = marginal_profile(instance, prefs)
+    try:
+        margs = marginal_profile(instance, prefs)
+    except KeyError:
+        _name_missing_agent(instance, None, prefs)
+        raise
     prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
     dominated: dict[tuple[tuple[int, ...], ...], bool] = {}
     out = []
@@ -300,7 +325,10 @@ class _OutcomeCache:
     counts the calls to `final`).  The truthful profile, run when the cache is
     made, and every miss run `mechanism._final_masks` on the one network the
     cache keeps: the market's sizes and object count fix its layout, and each
-    run installs its own system on it.  A strongly trichotomous profile runs
+    run installs its own system on it.  The truthful run's install is kept,
+    so a miss, which restarts from the same endowment, reinstalls only the
+    agents whose report differs from the truthful one: the misreporting
+    agent, or none.  A strongly trichotomous profile runs
     one serial-dictatorship pass and no elicitation loop, so the loop's
     invariant checks are not made for it; any other profile runs the whole
     `mechanism._run_masks`.  An endowment outside its agent's truthful A ∪ B
@@ -517,16 +545,27 @@ def unambiguously_in_weak_core(
     extensions rank any bundle containing an unacceptable object below the
     endowment, so a member may be strictly better off only with a bundle
     within A ∪ B; for a CIR `mu` that is a strict attractive-count gain.
+
+    A matching or a profile that lacks an agent raises ValidationError naming
+    the first such agent.
     """
-    if strict_acceptability:
-        _require_trichotomous(prefs, "strict-acceptability core audit")
-        if not cir_trichotomous(instance, mu, prefs):
-            raise ValueError("strict-acceptability core audit requires a CIR candidate matching")
-    _check_enumeration_bound(instance, bound)
-    margs = marginal_profile(instance, prefs)
     agents = instance.agents
-    prefixes = [prefix_masks(instance, margs[a]) for a in agents]
-    mu_counts = [_counts(instance.mask(mu.assignment[a]), ps) for a, ps in zip(agents, prefixes)]
+    try:
+        if strict_acceptability:
+            _require_trichotomous(prefs, "strict-acceptability core audit")
+            if not cir_trichotomous(instance, mu, prefs):
+                raise ValueError(
+                    "strict-acceptability core audit requires a CIR candidate matching"
+                )
+        _check_enumeration_bound(instance, bound)
+        margs = marginal_profile(instance, prefs)
+        prefixes = [prefix_masks(instance, margs[a]) for a in agents]
+        mu_counts = [
+            _counts(instance.mask(mu.assignment[a]), ps) for a, ps in zip(agents, prefixes)
+        ]
+    except KeyError:
+        _name_missing_agent(instance, mu, prefs)
+        raise
     verdicts: list[dict[int, bool]] = [{} for _ in agents]
 
     def better(i: int, mask: int) -> bool:
@@ -569,10 +608,15 @@ def find_efficient_core_matching(
     (existence is guaranteed on this domain).
 
     Candidates are the CIR matchings in canonical order whose attractive-count
-    vector no other CIR matching Pareto-dominates."""
+    vector no other CIR matching Pareto-dominates.  A profile that lacks an
+    agent raises ValidationError naming the first such agent."""
     _require_trichotomous(prefs, "efficient core selection")
     _check_enumeration_bound(instance, bound)
-    margs = marginal_profile(instance, prefs)
+    try:
+        margs = marginal_profile(instance, prefs)
+    except KeyError:
+        _name_missing_agent(instance, None, prefs)
+        raise
     prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
     cir_set = [
         (mu, tuple((m & ps[0]).bit_count() for m, ps in zip(mu, prefixes)))

@@ -22,8 +22,11 @@ phases of `solve_feasible`.  One network then serves a whole mechanism run:
 system.  The layout depends only on the agents' sizes and the object count,
 so `restart` installs a new run's system on the same network, and one
 network serves every run of a misreport search.  Installing a system is one
-pass per agent, with or without a starting matching.  Beyond feasibility the
-network supports the operations the mechanism needs: maximize the
+pass per agent, with or without a starting matching, except that a
+`restart` from the same matching as the network's first one copies back the
+state that first one installed and reinstalls only the agents whose masks
+differ: a misreport run pays for the one agent whose report changed.  Beyond
+feasibility the network supports the operations the mechanism needs: maximize the
 attractive-tier flow of one agent (augmenting cycles through its tier edge),
 freeze that edge, test single-unit improvability without mutating the flow,
 and extract the lexicographically least witness matching by pinning objects
@@ -35,6 +38,10 @@ Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
 Most candidate objects in an extraction cannot be pinned.  Once an agent's
 attractive-tier edge is frozen, a tier of its that holds only pinned objects
 is full: no search can enter it, so its remaining candidates take none.
+Likewise most improvement searches find nothing.  A cycle through an agent's
+tier edge must enter its bearable tier through an object that another tier
+allows too (`contested`), so without such an object held there and unpinned
+it is not searched for.
 
 Everything is integral; no floating point.
 """
@@ -91,6 +98,10 @@ class ExchangeFlow:
             + [[]]
         )
         self.tier_edge_a = list(range(0, 4 * n, 4))
+        self.order = list(range(n))  # the agents in priority order
+        # the first system `restart` installed: its matching, its attractive
+        # and allowed masks, and copies of the state it set (see `restart`)
+        self._kept: tuple[list[int], list[int], list[int], tuple] | None = None
         self._install(attractive, allowed, lo, hi)
 
     def _install(
@@ -101,55 +112,85 @@ class ExchangeFlow:
         hi: list[int] | None,
         bundles: list[int] | None = None,
     ) -> bool:
-        """Give the network a constraint system in one pass per agent: its
-        allowed masks and its four residuals, and, from the balanced matching
-        `bundles` when one is given, the held masks and the holders.  The
+        """Give the network a constraint system, one `_install_agent` per
+        agent, from the balanced matching `bundles` when one is given.  The
         layout, which depends only on the sizes and the object count, stays.
 
         Without `bundles` the flow is 0.  With them the matching is the flow,
         the lower bounds default to its attractive counts, and the result is
         False, leaving the network unusable until the next install, when the
         matching leaves an allowed set or breaks a tier bound."""
-        n, sizes, free = self.n, self.sizes, self.free
-        tier_a0, tier_b0 = self.tier_a0, self.tier_b0
-        self.allowed_a = allowed_a = [0] * n
-        self.allowed_b = allowed_b = [0] * n
-        self.cap = cap = []
+        n, sizes = self.n, self.sizes
+        self.allowed_a = [0] * n
+        self.allowed_b = [0] * n
+        self.cap = [0] * (4 * n)
         # per node: the objects it has arcs to and the objects it holds
-        self.allow = allow = [0] * self.nn
-        self.held = held = [0] * self.nn
-        self.holder = holder = [free] * self.m
+        self.allow = [0] * self.nn
+        self.held = [0] * self.nn
+        self.holder = [self.free] * self.m
         self.frozen = bytearray(2 * n)
         self.pinned = self.queries = 0
+        full = (1 << self.m) - 1
+        if hi is None:
+            hi = sizes
+        if bundles is None:
+            for i in range(n):
+                self._install_agent(i, attractive[i], allowed[i], lo[i], hi[i], None)
+            self.held[self.free] = full
+            self._contest()
+            return True
         taken = 0
         for i in range(n):
-            size, mask = sizes[i], allowed[i]
-            a = mask & attractive[i]
-            allowed_a[i] = allow[tier_a0 + i] = a
-            allowed_b[i] = allow[tier_b0 + i] = mask & ~a
-            top = min(size if hi is None else hi[i], size, a.bit_count())
-            if bundles is None:
-                cap += (top, -lo[i], size, 0)
-                continue
             bundle = bundles[i]
-            if bundle & taken or bundle & ~mask or bundle.bit_count() != size:
+            if bundle & taken or bundle.bit_count() != sizes[i]:
                 return False
             taken |= bundle
-            mine = bundle & a
-            held[tier_a0 + i], held[tier_b0 + i] = mine, bundle & ~a
-            count = mine.bit_count()
-            low = count if lo is None else lo[i]
-            if not low <= count <= top:
+            low = None if lo is None else lo[i]
+            if not self._install_agent(i, attractive[i], allowed[i], low, hi[i], bundle):
                 return False
-            cap += (top - count, count - low, count, size - count)
-            while bundle:
-                bit = bundle & -bundle
-                holder[bit.bit_length() - 1] = tier_a0 + i if bit & a else tier_b0 + i
-                bundle ^= bit
-        if bundles is None:
-            held[free] = (1 << self.m) - 1
+        self._contest()
+        return taken == full
+
+    def _install_agent(
+        self, i: int, attractive: int, allowed: int, lo: int | None, hi: int, bundle: int | None
+    ) -> bool:
+        """Install agent i's part of a system: both tiers' allowed masks and its
+        four residuals and, from its `bundle` when one is given, both tiers'
+        held masks and its objects' holders.  Without a bundle the flow is 0;
+        with one, `lo` None is the bundle's attractive count, and the result
+        is False when the bundle leaves `allowed` or breaks a tier bound."""
+        size = self.sizes[i]
+        tier_a, tier_b = self.tier_a0 + i, self.tier_b0 + i
+        a = allowed & attractive
+        self.allowed_a[i] = self.allow[tier_a] = a
+        self.allowed_b[i] = self.allow[tier_b] = allowed & ~a
+        top = min(hi, size, a.bit_count())
+        if bundle is None:
+            self.cap[4 * i : 4 * i + 4] = top, -lo, size, 0
             return True
-        return taken == (1 << self.m) - 1
+        if bundle & ~allowed:
+            return False
+        mine = bundle & a
+        count = mine.bit_count()
+        low = count if lo is None else lo
+        if not low <= count <= top:
+            return False
+        self.held[tier_a], self.held[tier_b] = mine, bundle & ~a
+        self.cap[4 * i : 4 * i + 4] = top - count, count - low, count, size - count
+        holder = self.holder
+        while bundle:
+            bit = bundle & -bundle
+            holder[bit.bit_length() - 1] = tier_a if bit & a else tier_b
+            bundle ^= bit
+        return True
+
+    def _contest(self) -> None:
+        """Set `contested`, the objects that two or more tiers allow."""
+        once = twice = 0
+        for mask in self.allow:
+            twice |= once & mask
+            once |= mask
+        self.contested = twice
 
     # -- moving flow ---------------------------------------------------------
 
@@ -177,8 +218,41 @@ class ExchangeFlow:
         """Install the system under these attractive and allowed masks whose
         lower bounds are the attractive counts of the balanced matching
         `bundles`, with that matching as the flow; False as `start_from`.
-        The layout stays; the query count starts again at 0."""
-        return self._install(attractive, allowed, None, None, bundles)
+        The layout stays; the query count starts again at 0.
+
+        The first restart that succeeds keeps a copy of the state it
+        installed.  A later restart from an equal matching copies that state
+        back and reinstalls only the agents whose attractive or allowed mask
+        differs from the kept system's: the rest of the state depends on
+        nothing else.  A restart from another matching installs every agent."""
+        kept = self._kept
+        if kept is None or bundles != kept[0]:
+            if not self._install(attractive, allowed, None, None, bundles):
+                return False
+            if kept is None:
+                state = (
+                    self.allowed_a.copy(), self.allowed_b.copy(), self.cap.copy(),
+                    self.allow.copy(), self.held.copy(), self.holder.copy(), self.contested,
+                )
+                self._kept = (list(bundles), list(attractive), list(allowed), state)
+            return True
+        _, kept_attractive, kept_allowed, state = kept
+        allowed_a, allowed_b, cap, allow, held, holder, self.contested = state
+        self.allowed_a, self.allowed_b, self.cap = allowed_a.copy(), allowed_b.copy(), cap.copy()
+        self.allow, self.held, self.holder = allow.copy(), held.copy(), holder.copy()
+        self.frozen = bytearray(2 * self.n)
+        self.pinned = self.queries = 0
+        patched = False
+        for i in self.order:
+            if attractive[i] != kept_attractive[i] or allowed[i] != kept_allowed[i]:
+                if not self._install_agent(
+                    i, attractive[i], allowed[i], None, self.sizes[i], bundles[i]
+                ):
+                    return False
+                patched = True
+        if patched:
+            self._contest()
+        return True
 
     def start_from(self, bundles: list[int]) -> bool:
         """Make the balanced matching `bundles` (one object mask per agent) the
@@ -301,11 +375,19 @@ class ExchangeFlow:
                 moves.append((~p, v))
         return edges, moves
 
+    def _enterable(self, i: int) -> bool:
+        """Whether a residual cycle through agent i's attractive-tier edge can
+        exist at all.  It must end at agent i's bearable tier, back over the
+        tier's own edge, and the tier can be entered only through an unpinned
+        object it holds, from another tier that allows that object too."""
+        return bool(self.held[self.tier_b0 + i] & self.contested & ~self.pinned)
+
     def _cycle(self, i: int) -> bool:
         """Push one unit around a residual cycle through agent i's
-        attractive-tier edge; False when there is none."""
+        attractive-tier edge; False when there is none, without a search when
+        `_enterable` says so."""
         eid = self.tier_edge_a[i]
-        if self.cap[eid] <= 0:
+        if self.cap[eid] <= 0 or not self._enterable(i):
             return False
         path = self._find_path(self.tier_a0 + i, self.agent0 + i, skip_pair=eid >> 1)
         if path is None:
@@ -339,12 +421,14 @@ class ExchangeFlow:
         self.frozen[::2] = b"\x01" * self.n
 
     def can_improve(self, i: int) -> bool:
-        """Whether some feasible point gives agent i strictly more than its lower bound."""
+        """Whether some feasible point gives agent i strictly more than its
+        lower bound: from the tier edge's residuals when they tell, else False
+        when `_enterable` rules a cycle out, else by one residual search."""
         self.queries += 1
         eid = self.tier_edge_a[i]
         if self.cap[eid ^ 1] > 0:
             return True
-        if self.cap[eid] == 0:
+        if self.cap[eid] == 0 or not self._enterable(i):
             return False
         return (
             self._find_path(self.tier_a0 + i, self.agent0 + i, skip_pair=eid >> 1)
@@ -366,6 +450,7 @@ class ExchangeFlow:
             self.allow[tier] = mask
             self.cap[self.tier_edge_a[i] ^ 1] = 0
         self.allowed_b = bearable
+        self._contest()
         self.pinned = 0
         self.frozen = bytearray(len(self.frozen))
 

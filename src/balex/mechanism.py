@@ -26,7 +26,9 @@ runs the single pass those bundles come from, without the elicitation loop
 and its invariant checks (Lemma (b) of `_run_masks`).  A refinement
 pass (`_refine_masks`) likewise runs on the network it is given, so a sweep
 over many profiles of one market shape restarts one network.  Installing a
-run's system on a network is one pass per agent (`ExchangeFlow.restart`).
+run's system on a network (`ExchangeFlow.restart`) is one pass per agent, or,
+from the endowment again on a network whose first run started from it, a
+pass over the agents whose reported masks differ from that first run's.
 `run_ir_priority` validates and masks the profile, runs it on a new network
 and names only the final matching, the only matching a run extracts.  The
 trace keeps the other rounds as the run kept them, with a snapshot of the
@@ -222,7 +224,7 @@ def serial_refine(
     a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable, mu)
     flow = _network(list(instance.sizes), len(instance.object_ids))
     promises = _refine_masks(flow, a_masks, allowed, mu_masks)
-    bundles = flow.extract_canonical(list(range(len(instance.agents))))
+    bundles = flow.extract_canonical(flow.order)
     matching = Matching(
         {a: instance.unmask(bundles[i]) for i, a in enumerate(instance.agents)}
     )
@@ -286,7 +288,7 @@ def _resolve_rounds(
             allowed = [a | b for a, b in zip(a_masks, kept.bearable)]
             flow = _start(_network(sizes, m), a_masks, allowed, kept.held)
             flow.freeze_all()
-            kept.bundles = flow.extract_canonical(list(range(flow.n)))
+            kept.bundles = flow.extract_canonical(flow.order)
     return [(kept.bundles, kept.promises, elicited) for kept, elicited in rounds]
 
 
@@ -343,7 +345,7 @@ def _run_masks(
     elicited = 0
     rounds: list[KeptRound] = []
     elicitation_round: dict[int, int] = {}
-    order = list(range(n))
+    order = flow.order
     _start(flow, a_masks, [a | b for a, b in zip(a_masks, b_floor)], endow)
     bearable = b_floor  # the held system's bearable masks
     kept = _Pass(bearable, _dictatorship(flow))  # the last pass that ran
@@ -394,19 +396,22 @@ def _final_masks(
     When every agent reports its endowment outside A as its bearable set (a
     strongly trichotomous profile), no elicitation round changes the system,
     so by Lemma (b) of `_run_masks` the outcome is one serial-dictatorship
-    pass from the endowment, extracted with every agent frozen.  That pass
-    runs alone: the loop's improvability checks, and with them its
-    "non-improvable set shrank" and "failed to grow" invariant checks, do not
-    run for such profiles.  An infeasible endowment still raises from
-    `_start`, and a lost extraction from `extract_canonical`.  Any other
-    profile runs `_run_masks`.
+    pass from the endowment, extracted with every agent frozen, as the pass
+    leaves them.  That pass runs alone: the loop's improvability checks, and
+    with them its "non-improvable set shrank" and "failed to grow" invariant
+    checks, do not run for such profiles.  An infeasible endowment still
+    raises from `_start`, and a lost extraction from `extract_canonical`.
+    Any other profile runs `_run_masks`.  Either way the run restarts `flow`
+    from the endowment, so on a network that every run of a search shares,
+    only the agents whose masks differ from its first run's are reinstalled.
     """
+    allowed = []
     for a, b, e in zip(a_masks, b_masks, endow):
         if b != e & ~a:
             return _run_masks(flow, a_masks, b_masks, endow)[0]
-    _refine_masks(flow, a_masks, [a | e for a, e in zip(a_masks, endow)], endow)
-    flow.freeze_all()
-    return flow.extract_canonical(list(range(flow.n)))
+        allowed.append(a | b)
+    _refine_masks(flow, a_masks, allowed, endow)  # which freezes every agent
+    return flow.extract_canonical(flow.order)
 
 
 def _require_endowment(instance: Instance, a_masks: list[int], b_masks: list[int]) -> None:

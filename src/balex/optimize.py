@@ -70,7 +70,7 @@ def feasible(instance: Instance, constraints: WelfareConstraints) -> Matching | 
     flow = _make_flow(instance, constraints)
     if not flow.solve_feasible():
         return None
-    masks = flow.extract_canonical(list(range(len(instance.agents))))
+    masks = flow.extract_canonical(flow.order)
     return _matching_from_masks(instance, masks)
 
 
@@ -84,7 +84,7 @@ def max_attractive(
     t = instance.agent_index[target]
     best = flow.maximize(t)
     flow.freeze(t)
-    masks = flow.extract_canonical(list(range(len(instance.agents))))
+    masks = flow.extract_canonical(flow.order)
     return best, _matching_from_masks(instance, masks)
 
 

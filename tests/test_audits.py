@@ -172,6 +172,39 @@ def test_welfare_vector_names_a_missing_agent():
         welfare_vector(inst, omega, {a: p for a, p in prefs.items() if a != "1"})
 
 
+_AUDITS = {
+    "brute": lambda inst, mu, prefs: unambiguously_efficient(inst, mu, prefs),
+    "cycle": lambda inst, mu, prefs: unambiguously_efficient(inst, mu, prefs, "cycle"),
+    "core": lambda inst, mu, prefs: unambiguously_in_weak_core(inst, mu, prefs),
+    "strict-core": lambda inst, mu, prefs: unambiguously_in_weak_core(inst, mu, prefs, True),
+    "efficient-ir-set": lambda inst, mu, prefs: efficient_ir_set(inst, prefs),
+    "core-selection": lambda inst, mu, prefs: find_efficient_core_matching(inst, prefs),
+}
+
+
+@pytest.mark.parametrize(
+    "audit, lacks",
+    [(name, "matching") for name in ("brute", "cycle", "core", "strict-core")]
+    + [(name, "profile") for name in _AUDITS],
+)
+def test_audits_name_a_missing_agent(audit, lacks):
+    """The audits that take a matching or a profile refuse one that lacks an
+    agent with welfare_vector's ValidationError, not a bare KeyError, and
+    still answer when none is missing."""
+    fx = load_fixture("thm4-base")
+    inst, prefs = fx.instance, fx.prefs
+    omega = inst.endowment_matching()
+    run = _AUDITS[audit]
+    run(inst, omega, prefs)
+    if lacks == "matching":
+        partial = Matching({a: b for a, b in omega.assignment.items() if a != "1"})
+        with pytest.raises(ValidationError, match="^matching assigns no bundle to agent '1'$"):
+            run(inst, partial, prefs)
+    else:
+        with pytest.raises(ValidationError, match="^no preference given for agent '1'$"):
+            run(inst, omega, {a: p for a, p in prefs.items() if a != "1"})
+
+
 def test_report_enumeration_counts():
     inst = make_instance([1, 2])  # |O| = 3
     # per agent: 2^|endow| * 3^|others|

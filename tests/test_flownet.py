@@ -1,9 +1,12 @@
 """Flow network: starting from a known matching versus `solve_feasible`,
-`solve_feasible` against enumerated matchings, and canonical extraction
-against a brute-force greedy over them."""
+`solve_feasible` against enumerated matchings, canonical extraction against
+a brute-force greedy over them, restarts from a kept install against new
+networks, and improvement searches with the mask test against searches
+without it."""
 
 from __future__ import annotations
 
+import copy
 import random
 from itertools import combinations
 
@@ -23,6 +26,16 @@ def _popcount(x: int) -> int:
     return bin(x).count("1")
 
 
+def _partition(draw, sizes: list[int]) -> list[int]:
+    """A balanced matching: the objects dealt in a drawn order."""
+    objects = draw(st.permutations(range(sum(sizes))))
+    bundles, k = [], 0
+    for size in sizes:
+        bundles.append(sum(1 << j for j in objects[k : k + size]))
+        k += size
+    return bundles
+
+
 @st.composite
 def systems_with_a_matching(draw, max_objects: int = 12):
     """A constraint system, a balanced matching satisfying it and a priority order."""
@@ -33,11 +46,7 @@ def systems_with_a_matching(draw, max_objects: int = 12):
     )
     m = sum(sizes)
     full = (1 << m) - 1
-    objects = draw(st.permutations(range(m)))
-    bundles, k = [], 0
-    for s in sizes:
-        bundles.append(sum(1 << j for j in objects[k : k + s]))
-        k += s
+    bundles = _partition(draw, sizes)
     attractive = [draw(st.integers(0, full)) for _ in sizes]
     allowed = [b | draw(st.integers(0, full)) for b in bundles]
     counts = [_popcount(b & a) for b, a in zip(bundles, attractive)]
@@ -333,11 +342,7 @@ def test_restart_installs_what_a_new_network_starts_from(case, data):
     _dictatorship(used, order)
     assert used.queries and used.pinned and any(used.frozen)
     full = (1 << m) - 1
-    objects = data.draw(st.permutations(range(m)))
-    mine, k = [], 0
-    for size in sizes:
-        mine.append(sum(1 << j for j in objects[k : k + size]))
-        k += size
+    mine = _partition(data.draw, sizes)
     if data.draw(st.booleans()):  # perhaps no longer balanced
         mine[data.draw(st.integers(0, len(sizes) - 1))] = data.draw(st.integers(0, full))
     attractive = [data.draw(st.integers(0, full)) for _ in sizes]
@@ -418,3 +423,207 @@ def test_mechanism_networks_start_from_the_incumbent(monkeypatch):
     assert len(trace.rounds) == 3
     assert len(builds) == 2
     assert solves == []
+
+
+_STATE = (
+    "allowed_a", "allowed_b", "allow", "cap", "held", "holder",
+    "contested", "frozen", "pinned", "queries",
+)
+
+
+@st.composite
+def restart_sequences(draw):
+    """1-5 agents and at most 10 objects; the first matching and masks a
+    shared network restarts from, then restarts from that matching with each
+    agent's masks kept or redrawn, from another balanced matching, or from an
+    unbalanced one.  A redrawn allowed mask may leave its agent's bundle."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=5))
+    full = (1 << sum(sizes)) - 1
+    first = _partition(draw, sizes)
+
+    def masks(bundles, kept=None):
+        attractive, allowed = [], []
+        for i, bundle in enumerate(bundles):
+            if kept is not None and draw(st.booleans()):
+                attractive.append(kept[0][i])
+                allowed.append(kept[1][i])
+                continue
+            attractive.append(draw(st.integers(0, full)))
+            extra = draw(st.integers(0, full))
+            allowed.append(extra if kept is not None and draw(st.integers(0, 5)) == 0 else bundle | extra)
+        return attractive, allowed
+
+    home = masks(first)
+    steps = [(first, *home)]
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["same", "same", "same", "other", "unbalanced"]))
+        if kind == "same":
+            steps.append((first, *masks(first, home)))
+            continue
+        bundles = _partition(draw, sizes) if kind == "other" else list(first)
+        if kind == "unbalanced":
+            bundles[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(0, full))
+        steps.append((bundles, *masks(bundles, home)))
+    return sizes, steps
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(restart_sequences(), st.data())
+def test_a_restart_from_the_kept_matching_reinstalls_only_the_changed_agents(case, data):
+    """Restarts in sequence on one network, each followed by a pass that
+    moves flow, pins objects, freezes edges and counts queries: the same
+    verdict as a new network's first restart of the same system and, when it
+    fits, the same state in every field and the same pass.  A restart from
+    the first accepted matching reinstalls only the agents whose masks differ
+    from that restart's; one from any other matching installs every agent."""
+    sizes, steps = case
+    n, m = len(sizes), sum(sizes)
+    shared = ExchangeFlow(sizes, [0] * n, [0] * n, [0] * n, n_objects=m)
+    installs, agents = [], []
+    install, install_agent = shared._install, shared._install_agent
+    shared._install = lambda *args: installs.append(1) or install(*args)
+    shared._install_agent = lambda i, *args: agents.append(i) or install_agent(i, *args)
+    kept = None  # the first accepted restart's matching and masks
+    for bundles, attractive, allowed in steps:
+        fresh = ExchangeFlow(sizes, [0] * n, [0] * n, [0] * n, n_objects=m)
+        verdict = fresh.restart(attractive, allowed, bundles)
+        installs.clear()
+        agents.clear()
+        assert shared.restart(attractive, allowed, bundles) == verdict
+        if not verdict:
+            continue
+        if kept is None or bundles != kept[0]:
+            assert installs == [1] and agents == list(range(n))
+        else:
+            assert installs == []
+            assert agents == [
+                i for i in range(n) if (attractive[i], allowed[i]) != (kept[1][i], kept[2][i])
+            ]
+        if kept is None:
+            kept = (bundles, attractive, allowed)
+        for name in _STATE:
+            assert getattr(shared, name) == getattr(fresh, name), name
+        order = data.draw(st.permutations(range(n)))
+        assert _dictatorship(shared, order) == _dictatorship(fresh, order)
+
+
+@st.composite
+def pinned_networks(draw):
+    """A network started from a matching, with some agents maximized, the
+    lower bounds perhaps raised to the counts held (as `retarget` does),
+    some agents frozen and some objects pinned where they are."""
+    (sizes, attractive, allowed, lo, hi, m), bundles, order = draw(systems_with_a_matching())
+    flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
+    assert flow.start_from(bundles)
+    for i in order[: draw(st.integers(0, len(sizes)))]:
+        flow.maximize(i)
+    if draw(st.booleans()):
+        flow.retarget(list(flow.allowed_b))
+    for i in order[: draw(st.integers(0, len(sizes)))]:
+        flow.freeze(i)
+    flow.pinned = draw(st.integers(0, (1 << m) - 1))
+    return flow
+
+
+def _contested(flow: ExchangeFlow) -> int:
+    """The objects that two or more tier nodes allow, by counting."""
+    tiers = range(flow.tier_a0, flow.free)
+    return sum(
+        1 << j for j in range(flow.m) if sum(flow.allow[t] >> j & 1 for t in tiers) >= 2
+    )
+
+
+def _search_cycle(flow: ExchangeFlow, i: int):
+    """A residual path closing a cycle through agent i's tier edge, searched
+    for whenever the edge has room, with no mask test first."""
+    eid = flow.tier_edge_a[i]
+    if flow.cap[eid] <= 0:
+        return None
+    return flow._find_path(flow.tier_a0 + i, flow.agent0 + i, skip_pair=eid >> 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pinned_networks())
+def test_improvement_searches_stop_only_where_no_cycle_exists(flow):
+    """For every agent i, `can_improve` gives the answer of a search without
+    the mask test, and searches exactly when the tier edge's residuals do not
+    tell and i's bearable tier holds an unpinned object that two tiers allow."""
+    assert flow.contested == _contested(flow)
+    searches: list[int] = []
+    find_path = flow._find_path
+    flow._find_path = lambda *args, **kwargs: searches.append(1) or find_path(*args, **kwargs)
+    for i in range(flow.n):
+        eid = flow.tier_edge_a[i]
+        want = flow.cap[eid ^ 1] > 0 or _search_cycle(flow, i) is not None
+        enterable = flow.held[flow.tier_b0 + i] & _contested(flow) & ~flow.pinned
+        searched = flow.cap[eid ^ 1] <= 0 and flow.cap[eid] != 0 and enterable != 0
+        before = len(searches)
+        assert flow.can_improve(i) == want
+        assert len(searches) - before == searched
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pinned_networks())
+def test_maximize_with_the_mask_test_pushes_the_same_cycles(fast):
+    """`maximize` of each agent in turn, which skips the search once the
+    agent's bearable tier holds no unpinned contested object, against
+    pushing every cycle that a search without the mask test finds: the same
+    count and the same arrays."""
+    slow = copy.deepcopy(fast)
+    for i in range(fast.n):
+        count = fast.maximize(i)
+        while (path := _search_cycle(slow, i)) is not None:
+            path[0].append(slow.tier_edge_a[i])
+            slow._push(path)
+        assert count == slow.tier_count(i)
+        for name in ("cap", "held", "holder", "allow", "pinned"):
+            assert getattr(fast, name) == getattr(slow, name), name
+
+
+def test_a_strong_misreport_search_installs_once_and_patches_one_agent(monkeypatch):
+    """A strongly trichotomous 3-agent market audited for strategy-proofness
+    on its domain: one network, whose first restart, the truthful run's, is
+    its one full install bar the blank one it is built with; every misreport
+    run copies that install back and reinstalls the one misreporting agent.
+    The residual searches, which the mask test thins, are pinned."""
+    instance = make_instance([2, 2, 1])  # a1: o1 o2, a2: o3 o4, a3: o5
+    prefs = {
+        "a1": TrichotomousPreference("a1", frozenset({"o2", "o4"}), frozenset({"o1"})),
+        "a2": TrichotomousPreference("a2", frozenset({"o1", "o4"}), frozenset({"o3"})),
+        "a3": TrichotomousPreference("a3", frozenset({"o1", "o2", "o4"}), frozenset({"o5"})),
+    }
+    counts = {"restart": 0, "install": 0, "patched agent": 0, "search": 0}
+    installing: list[int] = []
+    install, install_agent = ExchangeFlow._install, ExchangeFlow._install_agent
+    restart, find_path = ExchangeFlow.restart, ExchangeFlow._find_path
+
+    def counting_install(self, *args):
+        counts["install"] += 1
+        installing.append(1)
+        try:
+            return install(self, *args)
+        finally:
+            installing.pop()
+
+    def counting_install_agent(self, *args):
+        counts["patched agent"] += not installing
+        return install_agent(self, *args)
+
+    def counting_restart(self, *args):
+        counts["restart"] += 1
+        return restart(self, *args)
+
+    def counting_find_path(self, *args, **kwargs):
+        counts["search"] += 1
+        return find_path(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExchangeFlow, "_install", counting_install)
+    monkeypatch.setattr(ExchangeFlow, "_install_agent", counting_install_agent)
+    monkeypatch.setattr(ExchangeFlow, "restart", counting_restart)
+    monkeypatch.setattr(ExchangeFlow, "_find_path", counting_find_path)
+    assert check_strategy_proofness(instance, prefs, DomainSpec.strongly_trichotomous()) is None
+    # the truthful run and 31 misreports of each of a2 and a3, whose bundles
+    # some bundle beats; one install builds the network.  Installing every
+    # run in full and searching without the mask test, the same audit makes
+    # 64 installs and 155 searches.
+    assert counts == {"restart": 63, "install": 2, "patched agent": 62, "search": 99}

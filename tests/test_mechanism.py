@@ -550,6 +550,48 @@ def test_a_strong_profile_runs_one_pass_with_the_kernels_outcome(case):
     assert _final_masks(shared, *others[0]) == _run_masks(_network(sizes, m), *others[0])[0]
 
 
+@st.composite
+def misreport_sequences(draw):
+    """A market of 1-4 agents and at most 8 objects, a truthful profile and
+    misreports that each change one agent's report, strong (each bearable
+    set the endowment outside A) or with extras; as `_run_masks` arguments."""
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 8 // n), min_size=n, max_size=n))
+    endow = list(make_instance(sizes).endowment_masks)
+    full = (1 << sum(sizes)) - 1
+
+    def report(i):
+        a = draw(st.integers(0, full))
+        return a, endow[i] & ~a | (draw(st.integers(0, full)) & ~a if draw(st.booleans()) else 0)
+
+    truth = [report(i) for i in range(n)]
+    profiles = [truth]
+    for _ in range(draw(st.integers(1, 6))):
+        lie = list(truth)
+        i = draw(st.integers(0, n - 1))
+        lie[i] = report(i)
+        profiles.append(lie)
+    return sizes, [([a for a, _ in p], [b for _, b in p], endow) for p in profiles]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(misreport_sequences(), st.data())
+def test_a_network_shared_by_misreport_runs_gives_what_new_ones_give(case, data):
+    """The truthful profile, then one-agent misreports, each run on one
+    shared network, whose first run's install later runs copy back, by
+    `_final_masks` or by `_run_masks`: the same final bundles, rounds,
+    elicitation rounds and flow-query count as on a new network."""
+    sizes, profiles = case
+    m = sum(sizes)
+    shared = _network(sizes, m)
+    for args in profiles:
+        if data.draw(st.booleans()):
+            assert _final_masks(shared, *args) == _final_masks(_network(sizes, m), *args)
+        else:
+            want = _resolved(sizes, m, args, _run_masks(_network(sizes, m), *args))
+            assert _resolved(sizes, m, args, _run_masks(shared, *args)) == want
+
+
 def test_read_rounds_are_the_eagerly_extracted_rounds():
     """Every round a trace names, earlier ones extracted only when read, has
     the reference kernel's canonical bundles, promises and non-improvable
