@@ -28,6 +28,7 @@ from .model import (
     Instance,
     MarginalPreference,
     Matching,
+    MechanismInvariantError,
     TrichotomousPreference,
     ValidationError,
     canon,
@@ -137,7 +138,32 @@ def _name_missing_agent(
 
 def _require_trichotomous(prefs: Mapping[str, object], what: str) -> None:
     if not all(isinstance(p, TrichotomousPreference) for p in prefs.values()):
-        raise ValueError(f"{what} needs a trichotomous profile")
+        raise ValidationError(f"{what} needs a trichotomous profile")
+
+
+def _bundle_masks(instance: Instance, mu: Matching) -> list[int]:
+    """The bundle masks of `mu` in priority order.  A ValidationError unless
+    they partition the instance's objects with each agent's bundle the size of
+    its endowment; an agent `mu` lacks raises KeyError, which the callers turn
+    into _name_missing_agent's ValidationError."""
+    masks, seen = [], 0
+    for a, size in zip(instance.agents, instance.sizes):
+        bundle = mu.assignment[a]
+        try:
+            m = instance.mask(bundle)
+        except KeyError:
+            stray = canon(bundle - instance.objects)
+            raise ValidationError(f"agent {a!r} assigned unknown object(s) {stray}") from None
+        if m & seen:
+            raise ValidationError(f"object(s) {canon(instance.unmask(m & seen))} assigned twice")
+        if m.bit_count() != size:
+            raise ValidationError(
+                f"agent {a!r} gets {m.bit_count()} objects but is endowed with {size} "
+                "(exchange must be balanced)"
+            )
+        seen |= m
+        masks.append(m)
+    return masks
 
 
 def _counts(mask: int, prefixes: list[int]) -> tuple[int, ...]:
@@ -201,11 +227,13 @@ def unambiguously_efficient(
     cycle mode requires a trichotomous profile and a CIR matching (the scope of
     the cycle characterization); brute mode accepts any marginal profile and
     scans all matchings.  A matching or a profile that lacks an agent raises
-    ValidationError naming the first such agent.
+    ValidationError naming the first such agent, and so does a matching that
+    is not a balanced partition of the instance's objects.
     """
     if mode == "cycle":
         _require_trichotomous(prefs, "cycle mode")
         try:
+            _bundle_masks(instance, mu)
             return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
         except KeyError:
             _name_missing_agent(instance, mu, prefs)
@@ -214,12 +242,10 @@ def unambiguously_efficient(
         raise ValueError(f"unknown efficiency mode {mode!r}")
     _check_enumeration_bound(instance, bound)
     try:
+        mu_masks = _bundle_masks(instance, mu)
         margs = marginal_profile(instance, prefs)
         prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
-        mu_counts = tuple(
-            _counts(instance.mask(mu.assignment[a]), ps)
-            for a, ps in zip(instance.agents, prefixes)
-        )
+        mu_counts = tuple(_counts(m, ps) for m, ps in zip(mu_masks, prefixes))
     except KeyError:
         _name_missing_agent(instance, mu, prefs)
         raise
@@ -322,13 +348,15 @@ class _OutcomeCache:
     """Memoized mechanism outcomes, the final bundle masks, keyed by the
     reported profile as (A, B) mask pairs in priority order.  Every misreport
     audit reads its outcomes here, starting from the truthful run's (perfbench
-    counts the calls to `final`).  The truthful profile, run when the cache is
-    made, and every miss run `mechanism._final_masks` on the one network the
-    cache keeps: the market's sizes and object count fix its layout, and each
-    run installs its own system on it.  The truthful run's install is kept,
-    so a miss, which restarts from the same endowment, reinstalls only the
-    agents whose report differs from the truthful one: the misreporting
-    agent, or none.  A strongly trichotomous profile runs
+    counts the calls to `final`); the strategy-proofness and truncation
+    searches look up only the reports their rule keeps and check each bundle
+    they read against its reported A ∪ B.  The truthful profile, run when the
+    cache is made, and every miss run `mechanism._final_masks` on the one
+    network the cache keeps: the market's sizes and object count fix its
+    layout, and each run installs its own system on it.  The truthful run's
+    install is kept, so a miss, which restarts from the same endowment,
+    reinstalls only the agents whose report differs from the truthful one:
+    the misreporting agent, or none.  A strongly trichotomous profile runs
     one serial-dictatorship pass and no elicitation loop, so the loop's
     invariant checks are not made for it; any other profile runs the whole
     `mechanism._run_masks`.  An endowment outside its agent's truthful A ∪ B
@@ -357,15 +385,15 @@ class _OutcomeCache:
 
 
 def _require_profile(instance: Instance, prefs: Mapping[str, object], what: str) -> None:
-    """A ValueError unless `prefs` is trichotomous, covers every agent and
+    """A ValidationError unless `prefs` is trichotomous, covers every agent and
     names only the instance's objects."""
     _require_trichotomous(prefs, what)
     for a in instance.agents:
         if a not in prefs:
-            raise ValueError(f"{what}: no preference given for agent {a!r}")
+            raise ValidationError(f"{what}: no preference given for agent {a!r}")
         stray = prefs[a].acceptable() - instance.objects
         if stray:
-            raise ValueError(
+            raise ValidationError(
                 f"{what}: preference of agent {a!r} names unknown object(s) {canon(stray)}"
             )
 
@@ -380,26 +408,37 @@ def _misreport_search(
     counts as profitable when some responsive extension of the TRUE marginal
     strictly prefers its outcome.
 
-    An agent whose truthful bundle already holds min(size, |P_k|) objects of
-    every prefix mask P_k is skipped without running its reports.  The rule is
-    exact and reads only the preferences and the truthful bundle, nothing the
-    mechanism guarantees: every outcome gives the agent `size` objects, so none
-    holds more of any P_k, and compare_prefix_counts admits a strict
-    preference only when some count rises above the truthful one."""
+    compare_prefix_counts admits a strict preference only when some prefix
+    count rises above the truthful one.  A prefix mask P_k of the agent's true
+    marginal is open when the truthful bundle holds fewer than min(size,
+    |P_k|) of its objects; no bundle of the agent's size holds more of a
+    closed one.  An agent with no open prefix is skipped without running any
+    report, and a report (A', B') is run only if some open P_k holds more
+    objects of A' ∪ B' than the truthful bundle holds of P_k.  The report rule
+    reads the kernel's contract that every bundle lies within its agent's
+    reported A ∪ B, so each bundle the search reads, the truthful bundle of
+    every agent it examines and every misreport bundle, is checked against it:
+    a bundle outside raises MechanismInvariantError, never a wrong verdict."""
     cache = _OutcomeCache(instance, prefs)
     truth = cache.truth
     truth_final = cache.final(truth)
     margs = marginal_profile(instance, prefs)
     for i, agent in enumerate(instance.agents):
+        _require_within(agent, truth_final[i], truth[i])
         prefixes = prefix_masks(instance, margs[agent])
         truth_counts = _counts(truth_final[i], prefixes)
         size = instance.sizes[i]
-        if all(c == min(size, p.bit_count()) for c, p in zip(truth_counts, prefixes)):
+        open_prefixes = [
+            (p, c) for c, p in zip(truth_counts, prefixes) if c < min(size, p.bit_count())
+        ]
+        if not open_prefixes:
             continue
         for mis in reports(i, truth[i]):
-            if mis == truth[i]:
+            reach = mis[0] | mis[1]
+            if mis == truth[i] or all((reach & p).bit_count() <= c for p, c in open_prefixes):
                 continue
             bundle = cache.final(truth[:i] + (mis,) + truth[i + 1:])[i]
+            _require_within(agent, bundle, mis)
             if compare_prefix_counts(_counts(bundle, prefixes), truth_counts).admits_strict_preference:
                 truth_bundle, mis_bundle = instance.unmask(truth_final[i]), instance.unmask(bundle)
                 return ManipulationWitness(
@@ -413,6 +452,15 @@ def _misreport_search(
     return None
 
 
+def _require_within(agent: str, bundle: int, report: Report) -> None:
+    """The kernel's contract that a bundle lies within its agent's reported
+    A ∪ B, on which the misreport search's report rule rests."""
+    if bundle & ~(report[0] | report[1]):
+        raise MechanismInvariantError(
+            f"agent {agent!r}: outcome bundle outside the reported A ∪ B"
+        )
+
+
 def check_strategy_proofness(
     instance: Instance,
     prefs: Profile,
@@ -422,9 +470,11 @@ def check_strategy_proofness(
     """Exhaustive search over every (domain-filtered) report for a misreport whose
     outcome some responsive extension of the TRUE marginal strictly prefers.
     Reports range over every attractive set, so markets with more than `bound`
-    objects are refused up front.  An agent whose truthful bundle no bundle of
-    its size beats at any class prefix cannot gain from a report, so its
-    reports are not run (see _misreport_search)."""
+    objects are refused up front.  A report whose A ∪ B holds no more objects
+    of any class prefix than the truthful bundle does, where a bundle of the
+    agent's size could hold more, cannot gain, so it is not run; an outcome
+    bundle outside its agent's reported A ∪ B is a MechanismInvariantError
+    (see _misreport_search)."""
     _require_profile(instance, prefs, "strategy-proofness audit")
     _check_enumeration_bound(instance, bound)
     every = range(1 << len(instance.object_ids))
@@ -547,10 +597,12 @@ def unambiguously_in_weak_core(
     within A ∪ B; for a CIR `mu` that is a strict attractive-count gain.
 
     A matching or a profile that lacks an agent raises ValidationError naming
-    the first such agent.
+    the first such agent, and so does a matching that is not a balanced
+    partition of the instance's objects.
     """
     agents = instance.agents
     try:
+        mu_masks = _bundle_masks(instance, mu)
         if strict_acceptability:
             _require_trichotomous(prefs, "strict-acceptability core audit")
             if not cir_trichotomous(instance, mu, prefs):
@@ -560,9 +612,7 @@ def unambiguously_in_weak_core(
         _check_enumeration_bound(instance, bound)
         margs = marginal_profile(instance, prefs)
         prefixes = [prefix_masks(instance, margs[a]) for a in agents]
-        mu_counts = [
-            _counts(instance.mask(mu.assignment[a]), ps) for a, ps in zip(agents, prefixes)
-        ]
+        mu_counts = [_counts(m, ps) for m, ps in zip(mu_masks, prefixes)]
     except KeyError:
         _name_missing_agent(instance, mu, prefs)
         raise

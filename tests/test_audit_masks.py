@@ -10,6 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from balex import audits, responsive
 from balex.audits import (
     BlockWitness,
@@ -25,6 +29,7 @@ from balex.audits import (
     unambiguously_in_weak_core,
     welfare_vector,
 )
+from balex.cli import main
 from balex.fixtures import FIXTURE_NAMES, load_fixture
 from balex.mechanism import run_ir_priority
 from balex.model import (
@@ -32,6 +37,7 @@ from balex.model import (
     Instance,
     MarginalPreference,
     Matching,
+    MechanismInvariantError,
     TrichotomousPreference,
     canon,
     domain_membership,
@@ -224,15 +230,19 @@ def _ref_reports(instance, agent, attractive_sets, domain=None):
     return out
 
 
-def _ref_manipulation_audits(instance, prefs, run=run_ir_priority):
-    """Strategy-proofness over every report; truncation-proofness over the
-    reports that keep the agent's truthful attractive set, in the same order."""
+def _ref_manipulation_audits(instance, prefs, run=run_ir_priority, domain=None):
+    """Strategy-proofness over every (domain-filtered) report;
+    truncation-proofness over the reports that keep the agent's truthful
+    attractive set, in the same order.  No report is skipped."""
 
     def every(agent):
-        return trichotomous_reports(instance, agent)
+        return trichotomous_reports(instance, agent, domain)
 
     def truncations(agent):
-        return [r for r in every(agent) if r.attractive == prefs[agent].attractive]
+        return [
+            r for r in trichotomous_reports(instance, agent)
+            if r.attractive == prefs[agent].attractive
+        ]
 
     return (
         _ref_misreport_search(instance, prefs, every, run),
@@ -242,10 +252,27 @@ def _ref_manipulation_audits(instance, prefs, run=run_ir_priority):
 
 def _scrambled_run(instance, profile):
     """A stand-in mechanism: a pseudo-random matching fixed by the reported
-    profile, under which profitable misreports and truncations are common."""
-    matchings = list(enumerate_matchings(instance))
+    profile.  It breaks the kernel's contract that every bundle lies within
+    its agent's reported A ∪ B."""
+    return _scramble(instance, profile, list(enumerate_matchings(instance))), None
+
+
+def _contained_scrambled_run(instance, profile):
+    """A stand-in mechanism that keeps the kernel's contract: a pseudo-random
+    matching fixed by the reported profile among those that give every agent
+    a bundle within its reported A ∪ B, of which the endowment is always one.
+    Profitable misreports and truncations are common under it."""
+    matchings = [
+        m
+        for m in enumerate_matchings(instance)
+        if all(m.assignment[a] <= profile[a].acceptable() for a in instance.agents)
+    ]
+    return _scramble(instance, profile, matchings), None
+
+
+def _scramble(instance, profile, matchings):
     key = repr([(canon(profile[a].attractive), canon(profile[a].bearable)) for a in instance.agents])
-    return matchings[random.Random(key).randrange(len(matchings))], None
+    return matchings[random.Random(key).randrange(len(matchings))]
 
 
 def _four_class_profile(instance: Instance, rng: random.Random) -> dict[str, MarginalPreference]:
@@ -428,9 +455,10 @@ def test_misreport_search_agrees_with_the_name_level_search():
 
 
 def test_misreport_search_agrees_with_the_name_level_search_where_witnesses_abound(monkeypatch):
-    """The same under a scrambled mechanism, so that both searches stop at
-    witnesses often, truncations included, some of them only ambiguously
-    better (more attractive objects, fewer acceptable ones)."""
+    """The same under a scrambled mechanism that keeps the kernel's contract,
+    so that both searches stop at witnesses often, truncations included, some
+    of them only ambiguously better (more attractive objects, fewer
+    acceptable ones).  The reference runs every report."""
     rng = random.Random(37)
     found = [0, 0]
     ambiguous = markets = 0
@@ -440,17 +468,81 @@ def test_misreport_search_agrees_with_the_name_level_search_where_witnesses_abou
             continue
         markets += 1
         inst = make_instance(sizes)
-        monkeypatch.setattr(audits, "_final_masks", on_masks(inst, _scrambled_run))
+        monkeypatch.setattr(audits, "_final_masks", on_masks(inst, _contained_scrambled_run))
         prefs = random_profile(inst, rng)
         margs = marginal_profile(inst, prefs)
-        want = _ref_manipulation_audits(inst, prefs, _scrambled_run)
+        want = _ref_manipulation_audits(inst, prefs, _contained_scrambled_run)
         assert (check_strategy_proofness(inst, prefs), check_truncation_proofness(inst, prefs)) == want
         for k, w in enumerate(want):
             if w is not None:
                 found[k] += 1
                 verdict = compare_unambiguous(w.misreport_bundle, w.truthful_bundle, margs[w.agent])
                 ambiguous += verdict is BundleComparison.AMBIGUOUS
-    assert found == [36, 28] and ambiguous == 2
+    assert found == [19, 13] and ambiguous == 2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 2), min_size=2, max_size=3).filter(lambda s: sum(s) <= 5),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.sampled_from([None, "strong"]),
+    st.sampled_from([run_ir_priority, _contained_scrambled_run]),
+)
+def test_skipped_reports_leave_the_witnesses_unchanged(sizes, seed, strongly, domain, run):
+    """The strategy-proofness search, on no domain or the strong one, and the
+    truncation search give the witnesses of the reference that runs every
+    report, under the mechanism and under a scrambled stand-in that keeps the
+    kernel's contract, on trichotomous and strongly trichotomous profiles."""
+    inst = make_instance(sizes)
+    prefs = random_profile(inst, random.Random(seed), strongly=strongly)
+    spec = DomainSpec.strongly_trichotomous() if domain else None
+    want = _ref_manipulation_audits(inst, prefs, run, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        if run is _contained_scrambled_run:
+            mp.setattr(audits, "_final_masks", on_masks(inst, run))
+        got = check_strategy_proofness(inst, prefs, spec), check_truncation_proofness(inst, prefs)
+    assert got == want
+
+
+def test_a_bundle_outside_the_reported_a_and_b_is_an_invariant_error(monkeypatch):
+    """Under the scrambled stand-in, which gives agents bundles outside their
+    reported A ∪ B, both misreport searches raise MechanismInvariantError
+    rather than return a verdict that rests on the broken contract, wherever
+    the first agent's truthful bundle, the first bundle they read, is outside."""
+    rng = random.Random(61)
+    outside = 0
+    for _, inst in _markets(61, 12, 6):
+        prefs = random_profile(inst, rng, strongly=True)
+        first = inst.agents[0]
+        if _scrambled_run(inst, prefs)[0].assignment[first] <= prefs[first].acceptable():
+            continue
+        outside += 1
+        monkeypatch.setattr(audits, "_final_masks", on_masks(inst, _scrambled_run))
+        for search in (check_strategy_proofness, check_truncation_proofness):
+            with pytest.raises(MechanismInvariantError, match="outside the reported A ∪ B$"):
+                search(inst, prefs)
+    assert outside == 9
+
+
+def test_balex_audit_exits_3_when_a_bundle_leaves_the_reported_a_and_b(
+    tmp_path, monkeypatch, capsys
+):
+    """The same contract break under `balex audit --sp` and `--truncation` is
+    an internal invariant violation, exit code 3."""
+    market = tmp_path / "thm4.json"
+    assert main(["fixture", "thm4-p3", "--output", str(market)]) == 0
+    fx = load_fixture("thm4-p3")
+    truth, _ = _scrambled_run(fx.instance, fx.prefs)
+    assert not truth.assignment["1"] <= fx.prefs["1"].acceptable()
+    monkeypatch.setattr(audits, "_final_masks", on_masks(fx.instance, _scrambled_run))
+    for flag in ("--sp", "--truncation"):
+        capsys.readouterr()
+        assert main(["audit", "--input", str(market), "--mechanism", flag]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "internal invariant violation: agent '1': outcome bundle outside the reported A ∪ B\n"
+        )
 
 
 def test_mask_reports_are_the_named_reports_in_order():
@@ -534,66 +626,108 @@ def _deviators(inst, truth, lookups):
     return out
 
 
+def _out_of_reach(instance, prefs, agent, truth_bundle, report) -> bool:
+    """Whether the report's A ∪ B holds no more objects of any class prefix P
+    than `truth_bundle` does, wherever a bundle of the agent's size could
+    hold more: then no bundle within it beats the truthful one at any
+    prefix."""
+    size, prefix = len(instance.endowment[agent]), set()
+    for cls in prefs[agent].to_classes(instance.objects).classes:
+        prefix |= cls
+        held = len(truth_bundle & prefix)
+        if held < min(size, len(prefix)) and len(report.acceptable() & prefix) > held:
+            return False
+    return True
+
+
 def test_skipped_agents_have_no_profitable_report(monkeypatch):
     """An agent whose truthful bundle holds min(size, |P|) objects of every
-    class prefix P has none of its reports run by the misreport searches,
-    and every other agent's are run.  Under the mechanism and under the
-    scrambled stand-in, every report of every such agent is run without
-    pruning, and no outcome is one that some responsive extension of the true
-    marginal strictly prefers."""
+    class prefix P has none of its reports run by the misreport searches;
+    another agent's reports are run, in order, unless their A ∪ B holds no
+    more of any such prefix than the truthful bundle.  Under the mechanism
+    and under the scrambled stand-in that keeps the kernel's contract, every
+    report that the searches skip, of a skipped agent or not, is run without
+    pruning, and no outcome is one that some responsive extension of the
+    true marginal strictly prefers."""
     lookups = _record_lookups(monkeypatch)
     rng = random.Random(53)
     skipped = {}
-    for run, count in ((run_ir_priority, 50), (_scrambled_run, 20)):
-        skipped[run.__name__] = markets = 0
+    for run, count in ((run_ir_priority, 50), (_contained_scrambled_run, 20)):
+        skipped[run.__name__] = [0, 0]
+        markets = 0
         while markets < count:
             sizes = [rng.randint(1, 2) for _ in range(rng.randint(2, 4))]
             if sum(sizes) > 6:
                 continue
             markets += 1
             inst = make_instance(sizes)
-            if run is _scrambled_run:
+            if run is _contained_scrambled_run:
                 monkeypatch.setattr(audits, "_final_masks", on_masks(inst, run))
             prefs = random_profile(inst, rng, strongly=markets % 2 == 0)
             margs = marginal_profile(inst, prefs)
             truth = run(inst, prefs)[0]
             full = unbeatable(inst, prefs, truth)
             cache = audits._OutcomeCache(inst, prefs)
+            every = {a: trichotomous_reports(inst, a) for a in inst.agents}
+            beyond = {
+                a: [
+                    r for r in every[a]
+                    if r != prefs[a] and _out_of_reach(inst, prefs, a, truth.assignment[a], r)
+                ]
+                for a in inst.agents
+            }
             lookups.clear()
-            # the search over every report runs those of every agent the rule
-            # keeps, up to the first witness's agent
+            # the search over every report runs, in order, the reports of every
+            # agent the rule keeps that are within reach, up to the first witness
             w = check_strategy_proofness(inst, prefs)
-            stop = inst.agents.index(w.agent) + 1 if w else len(inst.agents)
-            kept = {a for a, f in zip(inst.agents[:stop], full) if not f}
-            assert set(_deviators(inst, cache.truth, lookups)) - {None} == kept
+            assert lookups[0] == cache.truth
+            for i, a in enumerate(inst.agents):
+                ran = [audits._named(inst, a, p[i]) for p in lookups[1:] if p[i] != cache.truth[i]]
+                want = [] if full[i] else [
+                    r for r in every[a] if r != prefs[a] and r not in beyond[a]
+                ]
+                if w is not None and w.agent == a:
+                    assert ran == want[:len(ran)] and ran[-1] == w.misreport
+                    break
+                assert ran == want
             check_truncation_proofness(inst, prefs)
             check_strategy_proofness(inst, prefs, DomainSpec.strongly_trichotomous())
             deviators = set(_deviators(inst, cache.truth, lookups))
-            every = range(1 << len(inst.object_ids))
+            looked_up = set(lookups)
             for i, agent in enumerate(inst.agents):
-                if not full[i]:
-                    continue
-                skipped[run.__name__] += 1
-                assert agent not in deviators
-                for mis in audits._report_masks(inst, i, every):
-                    profile = cache.truth[:i] + (mis,) + cache.truth[i + 1:]
+                if full[i]:
+                    skipped[run.__name__][0] += 1
+                    assert agent not in deviators
+                    reports = [r for r in every[agent] if r != prefs[agent]]
+                else:
+                    skipped[run.__name__][1] += len(beyond[agent])
+                    reports = beyond[agent]
+                for mis in reports:
+                    report = (inst.mask(mis.attractive), inst.mask(mis.bearable))
+                    profile = cache.truth[:i] + (report,) + cache.truth[i + 1:]
+                    assert profile not in looked_up
                     bundle = inst.unmask(cache.final(profile)[i])
                     assert not exists_strict_preference(bundle, truth.assignment[agent], margs[agent])
-    assert skipped == {"run_ir_priority": 117, "_scrambled_run": 21}
+    # per stand-in: the agents skipped, and the reports skipped of the others
+    assert skipped == {"run_ir_priority": [117, 690], "_contained_scrambled_run": [29, 730]}
 
 
 def test_a_misreport_search_runs_only_the_rationed_agents_reports(monkeypatch):
     """On thm4-base the truthful bundles of agents 1, 3 and 4 hold every class
     prefix in full, so the strategy-proofness audit looks up agent 2's
-    reports and no others."""
+    reports and no others.  Agent 2 (A = {q1}) holds r, so it looks up only
+    the reports that hold q1 in A ∪ B."""
     fx = load_fixture("thm4-base")
     inst, prefs = fx.instance, fx.prefs
     truth, _ = run_ir_priority(inst, prefs)
     assert unbeatable(inst, prefs, truth) == [True, False, True, True]
+    assert truth.assignment["2"] == {"r"}
     lookups = _record_lookups(monkeypatch)
     assert check_strategy_proofness(inst, prefs) is None
-    reports = len(trichotomous_reports(inst, "2"))
+    reports = trichotomous_reports(inst, "2")
+    within = [r for r in reports if "q1" in r.acceptable()]
+    assert (len(reports), len(within)) == (162, 108)
     truthful = tuple(
         (inst.mask(prefs[a].attractive), inst.mask(prefs[a].bearable)) for a in inst.agents
     )
-    assert _deviators(inst, truthful, lookups) == [None] + ["2"] * (reports - 1)
+    assert _deviators(inst, truthful, lookups) == [None] + ["2"] * (len(within) - 1)

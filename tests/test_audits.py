@@ -205,6 +205,27 @@ def test_audits_name_a_missing_agent(audit, lacks):
             run(inst, omega, {a: p for a, p in prefs.items() if a != "1"})
 
 
+@pytest.mark.parametrize("audit", ["brute", "cycle", "core", "strict-core"])
+def test_audits_refuse_a_matching_that_is_not_a_balanced_partition(audit):
+    """A matching that holds an object twice, names an unknown object or
+    gives an agent more objects than it owns is a ValidationError, not a
+    verdict or a KeyError, in both efficiency modes and both weak-core modes."""
+    fx = load_fixture("thm4-base")  # 1: o, 2: p, 3: q1 q2, 4: r
+    run = _AUDITS[audit]
+    bad = {
+        r"^object\(s\) \('o',\) assigned twice$": {"1": fs("o"), "3": fs("q1", "o")},
+        r"^agent '1' assigned unknown object\(s\) \('zz',\)$": {"1": fs("zz")},
+        r"^agent '1' gets 2 objects but is endowed with 1 \(exchange must be balanced\)$": {
+            "1": fs("o", "q2"),
+            "3": fs("q1"),
+        },
+    }
+    for message, bundles in bad.items():
+        mu = Matching({**fx.instance.endowment, **bundles})
+        with pytest.raises(ValidationError, match=message):
+            run(fx.instance, mu, fx.prefs)
+
+
 def test_report_enumeration_counts():
     inst = make_instance([1, 2])  # |O| = 3
     # per agent: 2^|endow| * 3^|others|
@@ -330,8 +351,9 @@ def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
     monkeypatch.setattr(audits._OutcomeCache, "final", counting_final)
     strong = DomainSpec.strongly_trichotomous()
     # each search runs the kernel on the truthful profile once, then on every
-    # distinct report of each agent whose truthful bundle some bundle of its
-    # size could beat; no audit calls the run_ir_priority wrapper
+    # distinct report whose A ∪ B holds more of some class prefix than the
+    # truthful bundle does, where a bundle of the agent's size could; no audit
+    # calls the run_ir_priority wrapper
     inst = make_instance([2, 1, 1])
     prefs = random_profile(inst, random.Random(5), strongly=True)
     assert unbeatable(inst, prefs, run_ir_priority(inst, prefs)[0]) == [True, True, True]
@@ -352,9 +374,13 @@ def test_audits_run_the_mechanism_once_per_distinct_profile(monkeypatch):
     }
     assert unbeatable(inst, prefs, run_ir_priority(inst, prefs)[0]) == [False, False, False]
     assert check_strategy_proofness(inst, prefs, strong) is None
-    reports = [len(trichotomous_reports(inst, a, strong)) for a in inst.agents]
-    assert reports == [32, 32, 32]
-    assert len(runs) == len(lookups) == 1 + sum(k - 1 for k in reports) == 94
+    # each agent misses one attractive object, and only the strong reports
+    # whose A ∪ B holds it are run, the truthful one among them
+    reports = [trichotomous_reports(inst, a, strong) for a in inst.agents]
+    missed = {"a1": "o4", "a2": "o1", "a3": "o2"}
+    runnable = [sum(missed[r.owner] in r.acceptable() for r in rs) for rs in reports]
+    assert [len(rs) for rs in reports] == [32, 32, 32] and runnable == [16, 16, 16]
+    assert len(runs) == len(lookups) == 1 + sum(k - 1 for k in runnable) == 46
     runs.clear()
     lookups.clear()
     assert check_truncation_proofness(inst, prefs) is None
@@ -406,10 +432,10 @@ def test_strong_profiles_run_one_pass_and_others_the_kernel(monkeypatch):
         "a3": TrichotomousPreference("a3", fs("o2"), fs("o5")),
     }
     assert all(prefs[a].bearable == inst.endowment[a] - prefs[a].attractive for a in inst.agents)
-    # the 94 distinct profiles of the strong-domain search: one pass of three
-    # dictators each
+    # the 46 distinct profiles that the strong-domain search runs: one pass of
+    # three dictators each
     assert check_strategy_proofness(inst, prefs, DomainSpec.strongly_trichotomous()) is None
-    assert calls == {"kernel": [], "can_improve": 0, "maximize": 3 * 94}
+    assert calls == {"kernel": [], "can_improve": 0, "maximize": 3 * 46}
     # the truthful run is one pass; each of the 13 misreports with an extra
     # runs the kernel, the misreporting agent's bearable set above its floor
     assert check_truncation_proofness(inst, prefs) is None
@@ -468,8 +494,8 @@ MANIPULATION_AUDITS = {
 @pytest.mark.parametrize("what", sorted(MANIPULATION_AUDITS))
 def test_manipulation_audits_refuse_bad_profiles_before_any_report(what, monkeypatch):
     """A class-based profile, one that omits an agent, or one that names an
-    object outside the instance is a ValueError raised before the mechanism
-    runs or any report is built."""
+    object outside the instance is a ValidationError raised before the
+    mechanism runs or any report is built."""
     from balex import audits
 
     calls = []
@@ -477,16 +503,16 @@ def test_manipulation_audits_refuse_bad_profiles_before_any_report(what, monkeyp
     monkeypatch.setattr(audits, "_final_masks", lambda *args: calls.append(args))
     audit = MANIPULATION_AUDITS[what]
     fx = load_fixture("example1")
-    with pytest.raises(ValueError, match=f"^{what} needs a trichotomous profile"):
+    with pytest.raises(ValidationError, match=f"^{what} needs a trichotomous profile"):
         audit(fx.instance, fx.prefs)
     fx = load_fixture("thm4-base")
     partial = {a: p for a, p in fx.prefs.items() if a != "1"}
-    with pytest.raises(ValueError, match=f"^{what}: no preference given for agent '1'"):
+    with pytest.raises(ValidationError, match=f"^{what}: no preference given for agent '1'"):
         audit(fx.instance, partial)
     p = fx.prefs["3"]
     stray = TrichotomousPreference("3", p.attractive | {"zz"}, p.bearable | {"yy"})
     unknown = rf"^{what}: preference of agent '3' names unknown object\(s\) \('yy', 'zz'\)"
-    with pytest.raises(ValueError, match=unknown):
+    with pytest.raises(ValidationError, match=unknown):
         audit(fx.instance, {**fx.prefs, "3": stray})
     assert calls == []
 

@@ -365,7 +365,9 @@ def test_restart_installs_what_a_new_network_starts_from(case, data):
 def test_a_misreport_search_builds_one_network(monkeypatch):
     """A witness-free strategy-proofness audit builds one network, which the
     truthful run and every misreport run restart; agents whose truthful
-    bundle no bundle of their size beats run no reports."""
+    bundle no bundle of their size beats run no reports, and the others run
+    only the reports whose A ∪ B holds more of some class prefix than the
+    truthful bundle does."""
     builds, restarts = [], []
     build, restart = ExchangeFlow.__init__, ExchangeFlow.restart
 
@@ -395,7 +397,9 @@ def test_a_misreport_search_builds_one_network(monkeypatch):
     }
     assert check_strategy_proofness(instance, prefs, strong) is None
     assert len(builds) == 1
-    assert len(restarts) == 94  # the truthful run and 31 misreports per agent
+    # the truthful run and 15 misreports per agent: each agent misses one
+    # attractive object, and 16 of its 32 reports hold it in A ∪ B
+    assert len(restarts) == 46
 
 
 def test_mechanism_networks_start_from_the_incumbent(monkeypatch):
@@ -622,8 +626,9 @@ def test_a_strong_misreport_search_installs_once_and_patches_one_agent(monkeypat
     monkeypatch.setattr(ExchangeFlow, "restart", counting_restart)
     monkeypatch.setattr(ExchangeFlow, "_find_path", counting_find_path)
     assert check_strategy_proofness(instance, prefs, DomainSpec.strongly_trichotomous()) is None
-    # the truthful run and 31 misreports of each of a2 and a3, whose bundles
-    # some bundle beats; one install builds the network.  Installing every
-    # run in full and searching without the mask test, the same audit makes
-    # 64 installs and 155 searches.
-    assert counts == {"restart": 63, "install": 2, "patched agent": 62, "search": 99}
+    # the truthful run and the misreports of a2 and a3, whose bundles some
+    # bundle beats: a2's 15 that hold o1 in A ∪ B and a3's 27 that hold one of
+    # o1, o2 and o4; one install builds the network.  Installing every run in
+    # full and searching without the mask test, the same audit makes 44
+    # installs and 114 searches.
+    assert counts == {"restart": 43, "install": 2, "patched agent": 42, "search": 73}
