@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .cycles import find_cir_pareto_improving_cycle
-from .mechanism import _final_masks, _network, _require_endowment
+from .flownet import ExchangeFlow
+from .mechanism import _final_masks, _require_endowment
 # no audit calls run_ir_priority; the name stays bound here for perfbench's tracer
 from .mechanism import run_ir_priority  # noqa: F401
 from .model import (
@@ -114,8 +115,10 @@ def marginal_profile(
 def welfare_vector(instance: Instance, mu: Matching, prefs: Profile) -> tuple[int, ...]:
     """Per agent in priority order, how many attractive objects `mu` gives it.
     A matching or a profile that lacks an agent raises ValidationError naming
-    the first such agent."""
+    the first such agent, and so does a matching that is not a balanced
+    partition of the instance's objects."""
     try:
+        _bundle_masks(instance, mu)
         return tuple(len(mu.assignment[a] & prefs[a].attractive) for a in instance.agents)
     except KeyError:
         _name_missing_agent(instance, mu, prefs)
@@ -352,11 +355,12 @@ class _OutcomeCache:
     searches look up only the reports their rule keeps and check each bundle
     they read against its reported A ∪ B.  The truthful profile, run when the
     cache is made, and every miss run `mechanism._final_masks` on the one
-    network the cache keeps: the market's sizes and object count fix its
-    layout, and each run installs its own system on it.  The truthful run's
-    install is kept, so a miss, which restarts from the same endowment,
-    reinstalls only the agents whose report differs from the truthful one:
-    the misreporting agent, or none.  A strongly trichotomous profile runs
+    network the cache keeps, `ExchangeFlow(sizes, n_objects=m)`: the market's
+    sizes and object count fix its layout, and each run installs its own
+    system on it with `ExchangeFlow.install`.  The truthful run's install is
+    kept, so a miss, which installs from the same endowment, reinstalls only
+    the agents whose report differs from the truthful one: the misreporting
+    agent, or none.  A strongly trichotomous profile runs
     one serial-dictatorship pass and no elicitation loop, so the loop's
     invariant checks are not made for it; any other profile runs the whole
     `mechanism._run_masks`.  An endowment outside its agent's truthful A ∪ B
@@ -371,7 +375,7 @@ class _OutcomeCache:
         b_masks = [b for _, b in self.truth]
         _require_endowment(instance, a_masks, b_masks)
         self.endow = list(instance.endowment_masks)
-        self.flow = _network(list(instance.sizes), len(instance.object_ids))
+        self.flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
         self.cache = {self.truth: _final_masks(self.flow, a_masks, b_masks, self.endow)}
 
     def final(self, profile: MaskProfile) -> list[int]:

@@ -15,25 +15,25 @@ its holder.  An object therefore has exactly one residual exit: back to the
 tier that holds it, or, while no tier holds it, to the `free` node, the holder
 of the unassigned objects.  A pinned object has none.
 
-A network gets its first feasible point in one of two ways: from a matching
-known to satisfy the constraints (the mechanism's incumbent), or in the two
-phases of `solve_feasible`.  One network then serves a whole mechanism run:
-`retarget` makes the matching it holds the incumbent of the next constraint
-system.  The layout depends only on the agents' sizes and the object count,
-so `restart` installs a new run's system on the same network, and one
-network serves every run of a misreport search.  Installing a system is one
-pass per agent, with or without a starting matching, except that a
-`restart` from the same matching as the network's first one copies back the
-state that first one installed and reinstalls only the agents whose masks
-differ: a misreport run pays for the one agent whose report changed.  Beyond
-feasibility the network supports the operations the mechanism needs: maximize the
-attractive-tier flow of one agent (augmenting cycles through its tier edge),
-freeze that edge, test single-unit improvability without mutating the flow,
-and extract the lexicographically least witness matching by pinning objects
-one at a time, rerouting the flow when a pin needs it.  Every one of them
-searches the residual graph with the same shortest-path BFS, which takes a
-tier's object arcs with one big-int operation (the bit-parallel search of
-Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
+A network is built for one market shape, the agents' sizes and the object
+count, and `install` gives it a constraint system: either with a matching
+known to satisfy it (the mechanism's incumbent) as its first feasible point,
+or with no flow, and then `solve_feasible` finds one in two phases.  One
+network then serves a whole mechanism run: `retarget` makes the matching it
+holds the incumbent of the next constraint system.  Another install serves
+the next run, so one network serves every run of a misreport search.
+Installing a system is one pass per agent, except that an install from the
+matching of the network's first install under that matching's own bounds
+copies back the state the first one set and reinstalls only the agents whose
+masks differ: a misreport run pays for the one agent whose report changed.
+Beyond feasibility the network supports the operations the mechanism needs:
+maximize the attractive-tier flow of one agent (augmenting cycles through its
+tier edge), freeze that edge, test single-unit improvability without mutating
+the flow, and extract the lexicographically least witness matching by
+pinning objects one at a time, rerouting the flow when a pin needs it.  Every
+one of them searches the residual graph with the same shortest-path BFS,
+which takes a tier's object arcs with one big-int operation (the bit-parallel
+search of Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
 
 Most candidate objects in an extraction cannot be pinned.  Once an agent's
 attractive-tier edge is frozen, a tier of its that holds only pinned objects
@@ -48,6 +48,8 @@ Everything is integral; no floating point.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .model import MechanismInvariantError
 
 _OBJECTS = -1  # adjacency entry: where a node's object arcs sit among its edges
@@ -59,23 +61,12 @@ Path = tuple[list[int], list[tuple[int, int]]]
 
 
 class ExchangeFlow:
-    """Flow network over agent tiers and objects for one constraint system.
+    """Flow network over agent tiers and objects for the constraint systems
+    of one market shape, one system at a time."""
 
-    Per agent, `attractive` and `allowed` are object bitmasks; allowed objects
-    inside the attractive mask go to the attractive tier, the rest to the
-    bearable tier.  `lo` and `hi` bound the attractive tier's flow.
-    """
-
-    def __init__(
-        self,
-        sizes: list[int],
-        attractive: list[int],
-        allowed: list[int],
-        lo: list[int],
-        hi: list[int] | None = None,
-        *,
-        n_objects: int,
-    ) -> None:
+    def __init__(self, sizes: Sequence[int], *, n_objects: int) -> None:
+        """The layout for agents of these sizes and `n_objects` objects; it
+        holds no constraint system until `install` gives it one."""
         n = len(sizes)
         self.n = n
         self.m = n_objects
@@ -99,28 +90,61 @@ class ExchangeFlow:
         )
         self.tier_edge_a = list(range(0, 4 * n, 4))
         self.order = list(range(n))  # the agents in priority order
-        # the first system `restart` installed: its matching, its attractive
-        # and allowed masks, and copies of the state it set (see `restart`)
+        # the first install from a matching under its own bounds: its
+        # matching, its attractive and allowed masks, and copies of the state
+        # it set (see `install`)
         self._kept: tuple[list[int], list[int], list[int], tuple] | None = None
-        self._install(attractive, allowed, lo, hi)
 
-    def _install(
+    def install(
         self,
         attractive: list[int],
         allowed: list[int],
-        lo: list[int] | None,
-        hi: list[int] | None,
+        lo: list[int] | None = None,
+        hi: list[int] | None = None,
         bundles: list[int] | None = None,
     ) -> bool:
         """Give the network a constraint system, one `_install_agent` per
-        agent, from the balanced matching `bundles` when one is given.  The
-        layout, which depends only on the sizes and the object count, stays.
+        agent.  The layout stays; freezes, pins and the query count start
+        again.  Per agent, `attractive` and `allowed` are object bitmasks:
+        allowed objects inside the attractive mask go to the attractive tier,
+        the rest to the bearable tier.  `lo` and `hi` bound the attractive
+        tier's flow; `hi` defaults to the sizes.
 
-        Without `bundles` the flow is 0.  With them the matching is the flow,
-        the lower bounds default to its attractive counts, and the result is
-        False, leaving the network unusable until the next install, when the
-        matching leaves an allowed set or breaks a tier bound."""
+        Without `bundles` the flow is 0 and `lo` defaults to 0; `solve_feasible`
+        then finds a first feasible point.  With them the balanced matching
+        `bundles` is the flow, `lo` defaults to its attractive counts, and the
+        result is False, leaving the network unusable until the next install,
+        when the matching is not a partition of the objects into bundles of
+        the agents' sizes, leaves an allowed set or breaks a tier bound.
+
+        The first install from a matching under its own bounds (`lo` and `hi`
+        omitted) that succeeds keeps a copy of the state it set.  A later such
+        install from an equal matching copies that state back and reinstalls
+        only the agents whose attractive or allowed mask differs from the kept
+        system's: the rest of the state depends on nothing else.  Installs
+        with explicit bounds neither take nor use the copy."""
         n, sizes = self.n, self.sizes
+        self.frozen = bytearray(2 * n)
+        self.pinned = self.queries = 0
+        own_bounds = bundles is not None and lo is None and hi is None
+        kept = self._kept
+        if own_bounds and kept is not None and bundles == kept[0]:
+            _, kept_attractive, kept_allowed, state = kept
+            allowed_a, allowed_b, cap, allow, held, holder, self.contested = state
+            self.allowed_a, self.allowed_b = allowed_a.copy(), allowed_b.copy()
+            self.cap, self.allow = cap.copy(), allow.copy()
+            self.held, self.holder = held.copy(), holder.copy()
+            changed = [
+                i for i in range(n)
+                if attractive[i] != kept_attractive[i] or allowed[i] != kept_allowed[i]
+            ]
+            for i in changed:
+                bundle = bundles[i]
+                if not self._install_agent(i, attractive[i], allowed[i], None, sizes[i], bundle):
+                    return False
+            if changed:
+                self._contest()
+            return True
         self.allowed_a = [0] * n
         self.allowed_b = [0] * n
         self.cap = [0] * (4 * n)
@@ -128,14 +152,13 @@ class ExchangeFlow:
         self.allow = [0] * self.nn
         self.held = [0] * self.nn
         self.holder = [self.free] * self.m
-        self.frozen = bytearray(2 * n)
-        self.pinned = self.queries = 0
         full = (1 << self.m) - 1
         if hi is None:
             hi = sizes
         if bundles is None:
             for i in range(n):
-                self._install_agent(i, attractive[i], allowed[i], lo[i], hi[i], None)
+                low = 0 if lo is None else lo[i]
+                self._install_agent(i, attractive[i], allowed[i], low, hi[i], None)
             self.held[self.free] = full
             self._contest()
             return True
@@ -149,7 +172,15 @@ class ExchangeFlow:
             if not self._install_agent(i, attractive[i], allowed[i], low, hi[i], bundle):
                 return False
         self._contest()
-        return taken == full
+        if taken != full:
+            return False
+        if own_bounds and kept is None:
+            state = (
+                self.allowed_a.copy(), self.allowed_b.copy(), self.cap.copy(),
+                self.allow.copy(), self.held.copy(), self.holder.copy(), self.contested,
+            )
+            self._kept = (list(bundles), list(attractive), list(allowed), state)
+        return True
 
     def _install_agent(
         self, i: int, attractive: int, allowed: int, lo: int | None, hi: int, bundle: int | None
@@ -214,58 +245,9 @@ class ExchangeFlow:
 
     # -- the first feasible point --------------------------------------------
 
-    def restart(self, attractive: list[int], allowed: list[int], bundles: list[int]) -> bool:
-        """Install the system under these attractive and allowed masks whose
-        lower bounds are the attractive counts of the balanced matching
-        `bundles`, with that matching as the flow; False as `start_from`.
-        The layout stays; the query count starts again at 0.
-
-        The first restart that succeeds keeps a copy of the state it
-        installed.  A later restart from an equal matching copies that state
-        back and reinstalls only the agents whose attractive or allowed mask
-        differs from the kept system's: the rest of the state depends on
-        nothing else.  A restart from another matching installs every agent."""
-        kept = self._kept
-        if kept is None or bundles != kept[0]:
-            if not self._install(attractive, allowed, None, None, bundles):
-                return False
-            if kept is None:
-                state = (
-                    self.allowed_a.copy(), self.allowed_b.copy(), self.cap.copy(),
-                    self.allow.copy(), self.held.copy(), self.holder.copy(), self.contested,
-                )
-                self._kept = (list(bundles), list(attractive), list(allowed), state)
-            return True
-        _, kept_attractive, kept_allowed, state = kept
-        allowed_a, allowed_b, cap, allow, held, holder, self.contested = state
-        self.allowed_a, self.allowed_b, self.cap = allowed_a.copy(), allowed_b.copy(), cap.copy()
-        self.allow, self.held, self.holder = allow.copy(), held.copy(), holder.copy()
-        self.frozen = bytearray(2 * self.n)
-        self.pinned = self.queries = 0
-        patched = False
-        for i in self.order:
-            if attractive[i] != kept_attractive[i] or allowed[i] != kept_allowed[i]:
-                if not self._install_agent(
-                    i, attractive[i], allowed[i], None, self.sizes[i], bundles[i]
-                ):
-                    return False
-                patched = True
-        if patched:
-            self._contest()
-        return True
-
-    def start_from(self, bundles: list[int]) -> bool:
-        """Make the balanced matching `bundles` (one object mask per agent) the
-        flow of this network's newly installed system, which holds no flow
-        yet, so its bounds read back from its residuals; False, leaving the
-        network unusable until the next install, when the matching leaves an
-        allowed set or breaks a tier bound."""
-        cap, attractive = self.cap, self.allowed_a
-        allowed = [a | b for a, b in zip(attractive, self.allowed_b)]
-        return self._install(attractive, allowed, [-c for c in cap[1::4]], cap[::4], bundles)
-
     def solve_feasible(self) -> bool:
-        """Find a feasible point of this new network, or False.
+        """Find a feasible point of a system installed without a matching, or
+        False.
 
         The repair of a flow that breaks lower bounds (Ahuja, Magnanti and
         Orlin, Network Flows, 1993, ch. 6), in two phases.  First, with the

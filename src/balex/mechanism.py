@@ -19,23 +19,24 @@ the mechanism consumes bearable-set information only once an agent stops
 improving is a checkable trace property.
 
 A run is `_run_masks`, which works on object masks throughout, on a network
-its caller passes.  The misreport audits call `_final_masks` on (A, B) masks
-directly, all runs of one search, the truthful one included, on one network;
-it returns only a run's final bundles, and on a strongly trichotomous profile
-runs the single pass those bundles come from, without the elicitation loop
-and its invariant checks (Lemma (b) of `_run_masks`).  A refinement
-pass (`_refine_masks`) likewise runs on the network it is given, so a sweep
-over many profiles of one market shape restarts one network.  Installing a
-run's system on a network (`ExchangeFlow.restart`) is one pass per agent, or,
-from the endowment again on a network whose first run started from it, a
-pass over the agents whose reported masks differ from that first run's.
+its caller builds with `ExchangeFlow(sizes, n_objects=m)` and passes in.  The
+misreport audits call `_final_masks` on (A, B) masks directly, all runs of
+one search, the truthful one included, on one network; it returns only a
+run's final bundles, and on a strongly trichotomous profile runs the single
+pass those bundles come from, without the elicitation loop and its invariant
+checks (Lemma (b) of `_run_masks`).  A refinement pass (`_refine_masks`)
+likewise runs on the network it is given, so a sweep over many profiles of
+one market shape installs each profile's system on one network.  Each run
+installs its system from the endowment with `ExchangeFlow.install`: one pass
+per agent, or, on a network whose first install was from the endowment too,
+a pass over the agents whose reported masks differ from that install's.
 `run_ir_priority` validates and masks the profile, runs it on a new network
 and names only the final matching, the only matching a run extracts.  The
 trace keeps the other rounds as the run kept them, with a snapshot of the
 reported profile: an earlier pass as its bearable masks, its promises and the
 matching the network held after it.  When `MechanismTrace.rounds` is first
-read, each earlier pass's canonical matching is extracted on a network
-restarted from that matching, and the rounds are named.
+read, each earlier pass's canonical matching is extracted on a new network
+installed from that matching, and the rounds are named.
 """
 
 from __future__ import annotations
@@ -102,9 +103,7 @@ class MechanismTrace:
     def rounds(self) -> tuple[RoundState, ...]:
         instance = self._instance
         a_masks = [instance.mask(attractive) for attractive, _ in self._profile]
-        masks = _resolve_rounds(
-            list(instance.sizes), len(instance.object_ids), a_masks, self._rounds
-        )
+        masks = _resolve_rounds(instance.sizes, len(instance.object_ids), a_masks, self._rounds)
         return tuple(_name_rounds(instance, self._profile, masks, self.final))
 
     def __eq__(self, other: object) -> bool:
@@ -168,20 +167,13 @@ def _query_masks(
     return a_masks, allowed, mu_masks
 
 
-def _network(sizes: list[int], m: int) -> ExchangeFlow:
-    """A network for the constraint systems of a market with these agent
-    sizes and m objects; it holds none until `_start` installs one."""
-    n = len(sizes)
-    return ExchangeFlow(sizes, [0] * n, [0] * n, [0] * n, n_objects=m)
-
-
 def _start(
     flow: ExchangeFlow, a_masks: list[int], allowed: list[int], incumbent: list[int]
 ) -> ExchangeFlow:
-    """`flow`, restarted on the CIR matchings under these masks that give
-    every agent at least as many attractive objects as the `incumbent`
-    matching, from that matching."""
-    if not flow.restart(a_masks, allowed, incumbent):
+    """`flow`, with the system of the CIR matchings under these masks that
+    give every agent at least as many attractive objects as the `incumbent`
+    matching installed from that matching."""
+    if not flow.install(a_masks, allowed, bundles=incumbent):
         raise MechanismInvariantError("the incumbent matching does not satisfy the constraint set")
     return flow
 
@@ -198,7 +190,7 @@ def _dictatorship(flow: ExchangeFlow) -> list[int]:
 def _refine_masks(
     flow: ExchangeFlow, a_masks: list[int], allowed: list[int], incumbent: list[int]
 ) -> list[int]:
-    """One serial-dictatorship pass from `incumbent` on `flow`, restarted
+    """One serial-dictatorship pass from `incumbent` on `flow`, installed
     under these masks; returns the promises, and `flow` holds the pass."""
     return _dictatorship(_start(flow, a_masks, allowed, incumbent))
 
@@ -222,7 +214,7 @@ def serial_refine(
     if not cir_trichotomous(instance, mu, prefs):
         raise ValueError("base matching must be CIR at the given (A, B) profile")
     a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable, mu)
-    flow = _network(list(instance.sizes), len(instance.object_ids))
+    flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
     promises = _refine_masks(flow, a_masks, allowed, mu_masks)
     bundles = flow.extract_canonical(flow.order)
     matching = Matching(
@@ -242,9 +234,8 @@ def non_improvable_set(
     `mu` raises ValidationError."""
     validate_matching(instance, mu.assignment)
     a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable_outer, mu)
-    flow = _start(
-        _network(list(instance.sizes), len(instance.object_ids)), a_masks, allowed, mu_masks
-    )
+    flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
+    _start(flow, a_masks, allowed, mu_masks)
     return frozenset(a for i, a in enumerate(instance.agents) if not flow.can_improve(i))
 
 
@@ -274,19 +265,20 @@ KeptRound = tuple[_Pass, int]
 
 
 def _resolve_rounds(
-    sizes: list[int], m: int, a_masks: list[int], rounds: Sequence[KeptRound]
+    sizes: Sequence[int], m: int, a_masks: list[int], rounds: Sequence[KeptRound]
 ) -> list[MaskRound]:
     """Kept rounds as bundle masks, promises and non-improvable masks.
 
-    A pass without bundles gets them here, once: a network restarted from
-    its held matching under its masks has its promises as lower bounds, and
-    with every agent frozen, extraction pins the lexicographically least
-    matching that meets them, as it would have after the pass.
+    A pass without bundles gets them here, once: a new network installed
+    from its held matching under its masks has its promises as lower
+    bounds, and with every agent frozen, extraction pins the
+    lexicographically least matching that meets them, as it would have
+    after the pass.
     """
     for kept, _ in rounds:
         if kept.bundles is None:
             allowed = [a | b for a, b in zip(a_masks, kept.bearable)]
-            flow = _start(_network(sizes, m), a_masks, allowed, kept.held)
+            flow = _start(ExchangeFlow(sizes, n_objects=m), a_masks, allowed, kept.held)
             flow.freeze_all()
             kept.bundles = flow.extract_canonical(flow.order)
     return [(kept.bundles, kept.promises, elicited) for kept, elicited in rounds]
@@ -401,9 +393,10 @@ def _final_masks(
     with them its "non-improvable set shrank" and "failed to grow" invariant
     checks, do not run for such profiles.  An infeasible endowment still
     raises from `_start`, and a lost extraction from `extract_canonical`.
-    Any other profile runs `_run_masks`.  Either way the run restarts `flow`
-    from the endowment, so on a network that every run of a search shares,
-    only the agents whose masks differ from its first run's are reinstalled.
+    Any other profile runs `_run_masks`.  Either way the run installs its
+    system on `flow` from the endowment, so on a network that every run of a
+    search shares, only the agents whose masks differ from its first run's
+    are reinstalled.
     """
     allowed = []
     for a, b, e in zip(a_masks, b_masks, endow):
@@ -451,10 +444,10 @@ def run_ir_priority(
         raise
     _require_endowment(instance, a_masks, b_masks)
     endow = list(instance.endowment_masks)
-    sizes, m = list(instance.sizes), len(instance.object_ids)
+    sizes, m = instance.sizes, len(instance.object_ids)
     try:
         bundles, rounds, elicited, queries = _run_masks(
-            _network(sizes, m), a_masks, b_masks, endow
+            ExchangeFlow(sizes, n_objects=m), a_masks, b_masks, endow
         )
     except _RunFailed as exc:
         message, finished = exc.args

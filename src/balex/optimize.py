@@ -90,23 +90,17 @@ def max_attractive(
 
 def _make_flow(instance: Instance, constraints: WelfareConstraints) -> ExchangeFlow:
     constraints.check(instance)
-    lo: list[int] = []
-    hi: list[int] = []
-    for i, a in enumerate(instance.agents):
-        if a in constraints.exact_attractive:
-            lo.append(constraints.exact_attractive[a])
-            hi.append(constraints.exact_attractive[a])
-        else:
-            lo.append(constraints.min_attractive.get(a, 0))
-            hi.append(instance.sizes[i])
-    return ExchangeFlow(
-        list(instance.sizes),
+    exact = constraints.exact_attractive
+    lo = [exact.get(a, constraints.min_attractive.get(a, 0)) for a in instance.agents]
+    hi = [exact.get(a, size) for a, size in zip(instance.agents, instance.sizes)]
+    flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
+    flow.install(
         [instance.mask(constraints.attractive.get(a, frozenset())) for a in instance.agents],
         [instance.mask(constraints.allowed.get(a, frozenset())) for a in instance.agents],
         lo,
         hi,
-        n_objects=len(instance.object_ids),
     )
+    return flow
 
 
 def mask_matchings(

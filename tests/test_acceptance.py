@@ -23,7 +23,8 @@ from balex.audits import (
 from balex.cycles import apply_cycle, decompose, distance, find_cir_pareto_improving_cycle
 from balex.fixtures import load_fixture
 from balex.generate import random_market
-from balex.mechanism import _final_masks, _network, run_ir_priority
+from balex.flownet import ExchangeFlow
+from balex.mechanism import _final_masks, run_ir_priority
 from balex.model import TrichotomousPreference
 from balex.optimize import (
     InfeasibleError,
@@ -263,7 +264,7 @@ def test_criterion_06_strongly_trichotomous_strategy_proofness():
         size_list = list(inst.sizes)
         span = 1 << (m * n)
         outcomes: list[tuple[int, ...]] = [()] * span
-        flow = _network(size_list, m)  # each profile's pass restarts it
+        flow = ExchangeFlow(size_list, n_objects=m)  # each profile's pass installs on it
         for code in range(span):
             amasks = [(code >> (m * i)) & full for i in range(n)]
             bmasks = [endow[i] & ~amasks[i] for i in range(n)]

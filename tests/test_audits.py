@@ -172,6 +172,23 @@ def test_welfare_vector_names_a_missing_agent():
         welfare_vector(inst, omega, {a: p for a, p in prefs.items() if a != "1"})
 
 
+def test_welfare_vector_refuses_a_matching_that_is_not_a_balanced_partition():
+    """An object held twice, an unknown object and an agent left empty are
+    each a ValidationError, not a welfare vector."""
+    fx = load_fixture("thm4-base")  # 1: o, 2: p, 3: q1 q2, 4: r
+    bad = {
+        r"^object\(s\) \('o',\) assigned twice$": {"2": fs("o")},
+        r"^agent '1' assigned unknown object\(s\) \('zz',\)$": {"1": fs("zz")},
+        r"^agent '1' gets 0 objects but is endowed with 1 \(exchange must be balanced\)$": {
+            "1": fs()
+        },
+    }
+    for message, bundles in bad.items():
+        mu = Matching({**fx.instance.endowment, **bundles})
+        with pytest.raises(ValidationError, match=message):
+            welfare_vector(fx.instance, mu, fx.prefs)
+
+
 _AUDITS = {
     "brute": lambda inst, mu, prefs: unambiguously_efficient(inst, mu, prefs),
     "cycle": lambda inst, mu, prefs: unambiguously_efficient(inst, mu, prefs, "cycle"),

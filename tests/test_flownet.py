@@ -1,8 +1,8 @@
-"""Flow network: starting from a known matching versus `solve_feasible`,
+"""Flow network: installing from a known matching versus `solve_feasible`,
 `solve_feasible` against enumerated matchings, canonical extraction against
-a brute-force greedy over them, restarts from a kept install against new
-networks, and improvement searches with the mask test against searches
-without it."""
+a brute-force greedy over them, installs on a used network, the kept-copy
+patch included, against installs on new networks, and improvement searches
+with the mask test against searches without it."""
 
 from __future__ import annotations
 
@@ -66,11 +66,12 @@ def _dictatorship(flow: ExchangeFlow, order: list[int]) -> tuple[list[int], list
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(systems_with_a_matching())
-def test_start_from_matching_agrees_with_path_augmentation(case):
+def test_an_install_from_a_matching_agrees_with_path_augmentation(case):
     (sizes, attractive, allowed, lo, hi, m), bundles, order = case
-    started = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
-    solved = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
-    assert started.start_from(bundles)
+    started = ExchangeFlow(sizes, n_objects=m)
+    solved = ExchangeFlow(sizes, n_objects=m)
+    assert started.install(attractive, allowed, lo, hi, bundles)
+    assert solved.install(attractive, allowed, lo, hi)
     assert solved.solve_feasible()
     assert _dictatorship(started, order) == _dictatorship(solved, order)
 
@@ -82,8 +83,8 @@ def test_a_pass_over_its_own_promises_repeats_itself(case):
     the same allowed masks, from the first pass's matching with its promises
     as lower bounds, gives the same promises and canonical matching."""
     (sizes, attractive, allowed, lo, hi, m), bundles, order = case
-    flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
-    assert flow.start_from(bundles)
+    flow = ExchangeFlow(sizes, n_objects=m)
+    assert flow.install(attractive, allowed, lo, hi, bundles)
     first = _dictatorship(flow, order)
     flow.retarget(list(flow.allowed_b))
     assert _dictatorship(flow, order) == first
@@ -142,7 +143,8 @@ def test_solve_feasible_finds_a_point_iff_enumeration_does(case):
         for mu in _balanced_matchings(sizes, allowed, m)
         if all(_fits(*system, i, bundle) for i, bundle in enumerate(mu))
     ]
-    flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
+    flow = ExchangeFlow(sizes, n_objects=m)
+    assert flow.install(attractive, allowed, lo, hi)
     assert flow.solve_feasible() == bool(fitting)
     if fitting:
         held = flow.matching()
@@ -156,8 +158,8 @@ def test_extraction_agrees_with_greedy_over_enumerated_matchings(case, dictators
     """The dictatorship pass freezes the first `dictators` agents of the order
     (all of them, as in the mechanism, when it is at least the agent count)."""
     (sizes, attractive, allowed, lo, hi, m), bundles, order = case
-    flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
-    assert flow.start_from(bundles)
+    flow = ExchangeFlow(sizes, n_objects=m)
+    assert flow.install(attractive, allowed, lo, hi, bundles)
     frozen = {}
     for i in order[:dictators]:
         frozen[i] = flow.maximize(i)
@@ -219,8 +221,11 @@ def test_full_tiers_are_dropped_only_where_no_search_enters_them(case, dictators
     (sizes, attractive, allowed, lo, hi, m), bundles, order = case
     networks = []
     for _ in range(2):
-        flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
-        assert flow.solve_feasible() if solved else flow.start_from(bundles)
+        flow = ExchangeFlow(sizes, n_objects=m)
+        if solved:
+            assert flow.install(attractive, allowed, lo, hi) and flow.solve_feasible()
+        else:
+            assert flow.install(attractive, allowed, lo, hi, bundles)
         for i in order[:dictators]:
             flow.maximize(i)
             flow.freeze(i)
@@ -296,23 +301,25 @@ def test_search_trajectory_on_the_bench_market(monkeypatch):
     assert searches["can_improve"] == []
 
 
-def test_start_from_rejects_a_matching_that_breaks_the_constraints():
+def test_an_install_rejects_a_matching_that_breaks_the_constraints():
     # agent 0 owns object 0 (attractive to it), agent 1 owns object 1
-    def network(lo, allowed=(0b01, 0b11)):
-        return ExchangeFlow([1, 1], [0b01, 0b01], list(allowed), lo, n_objects=2)
+    def install(lo, bundles, allowed=(0b01, 0b11)):
+        flow = ExchangeFlow([1, 1], n_objects=2)
+        return flow.install([0b01, 0b01], list(allowed), lo, None, bundles)
 
-    assert network([1, 0]).start_from([0b01, 0b10])
-    assert not network([1, 0]).start_from([0b10, 0b01])  # outside agent 0's allowed set
-    assert not network([0, 1]).start_from([0b01, 0b10])  # below agent 1's lower bound
-    assert not network([0, 0]).start_from([0b11, 0b00])  # not one object per agent
-    assert not network([0, 0], allowed=(0b01, 0b01)).start_from([0b01, 0b01])
+    assert install([1, 0], [0b01, 0b10])
+    assert not install([1, 0], [0b10, 0b01])  # outside agent 0's allowed set
+    assert not install([0, 1], [0b01, 0b10])  # below agent 1's lower bound
+    assert not install([0, 0], [0b11, 0b00])  # not one object per agent
+    assert not install([0, 0], [0b01, 0b01], allowed=(0b01, 0b01))
 
 
-def test_restart_rejects_what_start_from_rejects():
-    """`restart` on a network that held another system takes its lower bounds
-    from the matching, then judges it as `start_from` judges it on a new one."""
-    shared = ExchangeFlow([1, 1], [0b10, 0b10], [0b11, 0b11], [0, 0], n_objects=2)
-    assert shared.start_from([0b10, 0b01])
+def test_an_install_on_a_used_network_rejects_what_a_new_one_rejects():
+    """An install from a matching under its own bounds, on a network that
+    held another system, takes its lower bounds from the matching, then
+    judges it as an install with those bounds judges it on a new network."""
+    shared = ExchangeFlow([1, 1], n_objects=2)
+    assert shared.install([0b10, 0b10], [0b11, 0b11], [0, 0], None, [0b10, 0b01])
     for allowed, bundles in (
         ((0b01, 0b11), [0b01, 0b10]),
         ((0b01, 0b11), [0b10, 0b01]),  # outside agent 0's allowed set
@@ -321,9 +328,9 @@ def test_restart_rejects_what_start_from_rejects():
         ((0b11, 0b11), [0b10, 0b01]),
     ):
         lo = [_popcount(b & 0b01) for b in bundles]
-        fresh = ExchangeFlow([1, 1], [0b01, 0b01], list(allowed), lo, n_objects=2)
-        verdict = fresh.start_from(bundles)
-        assert shared.restart([0b01, 0b01], list(allowed), bundles) == verdict
+        fresh = ExchangeFlow([1, 1], n_objects=2)
+        verdict = fresh.install([0b01, 0b01], list(allowed), lo, None, bundles)
+        assert shared.install([0b01, 0b01], list(allowed), bundles=bundles) == verdict
         if verdict:
             assert shared.dump() == fresh.dump()
             assert shared.cap == fresh.cap and shared.queries == 0
@@ -332,13 +339,14 @@ def test_restart_rejects_what_start_from_rejects():
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(systems_with_a_matching(), st.data())
 def test_restart_installs_what_a_new_network_starts_from(case, data):
-    """`restart` on a network that has pushed flow, pinned objects, frozen
-    edges and counted queries, against a new network of the same system and
-    `start_from`: the same verdict and, when the matching fits, the same
-    network, with no query counted, and the same pass on it."""
+    """An install from a matching under its own bounds on a network that has
+    pushed flow, pinned objects, frozen edges and counted queries, against an
+    install with those bounds on a new network: the same verdict and, when
+    the matching fits, the same network, with no query counted, and the same
+    pass on it."""
     (sizes, attractive, allowed, lo, hi, m), bundles, order = case
-    used = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
-    assert used.start_from(bundles)
+    used = ExchangeFlow(sizes, n_objects=m)
+    assert used.install(attractive, allowed, lo, hi, bundles)
     _dictatorship(used, order)
     assert used.queries and used.pinned and any(used.frozen)
     full = (1 << m) - 1
@@ -351,9 +359,9 @@ def test_restart_installs_what_a_new_network_starts_from(case, data):
         extra = data.draw(st.integers(0, full))
         allowed.append(b | extra if data.draw(st.booleans()) else extra)
     lo = [_popcount(b & a) for b, a in zip(mine, attractive)]
-    fresh = ExchangeFlow(sizes, attractive, allowed, lo, n_objects=m)
-    verdict = fresh.start_from(mine)
-    assert used.restart(attractive, allowed, mine) == verdict
+    fresh = ExchangeFlow(sizes, n_objects=m)
+    verdict = fresh.install(attractive, allowed, lo, None, mine)
+    assert used.install(attractive, allowed, bundles=mine) == verdict
     if verdict:
         assert used.dump() == fresh.dump()
         for name in ("cap", "held", "holder", "allow", "frozen", "pinned"):
@@ -363,32 +371,32 @@ def test_restart_installs_what_a_new_network_starts_from(case, data):
 
 
 def test_a_misreport_search_builds_one_network(monkeypatch):
-    """A witness-free strategy-proofness audit builds one network, which the
-    truthful run and every misreport run restart; agents whose truthful
+    """A witness-free strategy-proofness audit builds one network, on which
+    the truthful run and every misreport run install; agents whose truthful
     bundle no bundle of their size beats run no reports, and the others run
     only the reports whose A ∪ B holds more of some class prefix than the
     truthful bundle does."""
-    builds, restarts = [], []
-    build, restart = ExchangeFlow.__init__, ExchangeFlow.restart
+    builds, installs = [], []
+    build, install = ExchangeFlow.__init__, ExchangeFlow.install
 
     def counting_build(self, *args, **kwargs):
         builds.append(1)
         build(self, *args, **kwargs)
 
-    def counting_restart(self, *args):
-        restarts.append(1)
-        return restart(self, *args)
+    def counting_install(self, *args, **kwargs):
+        installs.append(1)
+        return install(self, *args, **kwargs)
 
     monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
-    monkeypatch.setattr(ExchangeFlow, "restart", counting_restart)
+    monkeypatch.setattr(ExchangeFlow, "install", counting_install)
     strong = DomainSpec.strongly_trichotomous()
     instance = make_instance([2, 1, 1])
     prefs = random_profile(instance, random.Random(5), strongly=True)
     assert check_strategy_proofness(instance, prefs, strong) is None
     assert len(builds) == 1
-    assert len(restarts) == 1  # the truthful run; every agent's bundle is unbeatable
+    assert len(installs) == 1  # the truthful run; every agent's bundle is unbeatable
     builds.clear()
-    restarts.clear()
+    installs.clear()
     instance = make_instance([2, 2, 1])
     prefs = {
         "a1": TrichotomousPreference("a1", frozenset({"o1", "o4"}), frozenset({"o2"})),
@@ -399,7 +407,7 @@ def test_a_misreport_search_builds_one_network(monkeypatch):
     assert len(builds) == 1
     # the truthful run and 15 misreports per agent: each agent misses one
     # attractive object, and 16 of its 32 reports hold it in A ∪ B
-    assert len(restarts) == 46
+    assert len(installs) == 46
 
 
 def test_mechanism_networks_start_from_the_incumbent(monkeypatch):
@@ -422,8 +430,8 @@ def test_mechanism_networks_start_from_the_incumbent(monkeypatch):
     # retarget the one network built from the endowment
     assert trace.round_count == 3
     assert len(builds) == 1
-    # reading the trace restarts one network from the held matching of each
-    # earlier pass; here the final pass was skipped, so there is one
+    # reading the trace installs one new network from the held matching of
+    # each earlier pass; here the final pass was skipped, so there is one
     assert len(trace.rounds) == 3
     assert len(builds) == 2
     assert solves == []
@@ -436,9 +444,9 @@ _STATE = (
 
 
 @st.composite
-def restart_sequences(draw):
+def install_sequences(draw):
     """1-5 agents and at most 10 objects; the first matching and masks a
-    shared network restarts from, then restarts from that matching with each
+    shared network installs from, then installs from that matching with each
     agent's masks kept or redrawn, from another balanced matching, or from an
     unbalanced one.  A redrawn allowed mask may leave its agent's bundle."""
     sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=5))
@@ -471,37 +479,47 @@ def restart_sequences(draw):
     return sizes, steps
 
 
+def _over_kept_state(flow: ExchangeFlow, i: int) -> bool:
+    """Whether agent i's tiers hold objects as `_install_agent` installs it:
+    so they do in a patch over the kept state, which holds the matching, and
+    not in a full install, which empties every tier first."""
+    return bool(flow.held[flow.tier_a0 + i] | flow.held[flow.tier_b0 + i])
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(restart_sequences(), st.data())
+@given(install_sequences(), st.data())
 def test_a_restart_from_the_kept_matching_reinstalls_only_the_changed_agents(case, data):
-    """Restarts in sequence on one network, each followed by a pass that
-    moves flow, pins objects, freezes edges and counts queries: the same
-    verdict as a new network's first restart of the same system and, when it
-    fits, the same state in every field and the same pass.  A restart from
-    the first accepted matching reinstalls only the agents whose masks differ
-    from that restart's; one from any other matching installs every agent."""
+    """Installs from a matching under its own bounds in sequence on one
+    network, each followed by a pass that moves flow, pins objects, freezes
+    edges and counts queries: the same verdict as a new network's first such
+    install of the same system and, when it fits, the same state in every
+    field and the same pass.  An install from the first accepted matching
+    reinstalls only the agents whose masks differ from that install's, over
+    the kept state; one from any other matching installs every agent in
+    full."""
     sizes, steps = case
     n, m = len(sizes), sum(sizes)
-    shared = ExchangeFlow(sizes, [0] * n, [0] * n, [0] * n, n_objects=m)
-    installs, agents = [], []
-    install, install_agent = shared._install, shared._install_agent
-    shared._install = lambda *args: installs.append(1) or install(*args)
-    shared._install_agent = lambda i, *args: agents.append(i) or install_agent(i, *args)
-    kept = None  # the first accepted restart's matching and masks
+    shared = ExchangeFlow(sizes, n_objects=m)
+    agents = []  # (agent, whether installed over the kept state)
+    install_agent = shared._install_agent
+    shared._install_agent = lambda i, *args: (
+        agents.append((i, _over_kept_state(shared, i))) or install_agent(i, *args)
+    )
+    kept = None  # the first accepted install's matching and masks
     for bundles, attractive, allowed in steps:
-        fresh = ExchangeFlow(sizes, [0] * n, [0] * n, [0] * n, n_objects=m)
-        verdict = fresh.restart(attractive, allowed, bundles)
-        installs.clear()
+        fresh = ExchangeFlow(sizes, n_objects=m)
+        verdict = fresh.install(attractive, allowed, bundles=bundles)
         agents.clear()
-        assert shared.restart(attractive, allowed, bundles) == verdict
+        assert shared.install(attractive, allowed, bundles=bundles) == verdict
         if not verdict:
             continue
         if kept is None or bundles != kept[0]:
-            assert installs == [1] and agents == list(range(n))
+            assert agents == [(i, False) for i in range(n)]
         else:
-            assert installs == []
             assert agents == [
-                i for i in range(n) if (attractive[i], allowed[i]) != (kept[1][i], kept[2][i])
+                (i, True)
+                for i in range(n)
+                if (attractive[i], allowed[i]) != (kept[1][i], kept[2][i])
             ]
         if kept is None:
             kept = (bundles, attractive, allowed)
@@ -511,14 +529,35 @@ def test_a_restart_from_the_kept_matching_reinstalls_only_the_changed_agents(cas
         assert _dictatorship(shared, order) == _dictatorship(fresh, order)
 
 
+def test_an_install_with_explicit_bounds_neither_takes_nor_uses_the_kept_copy():
+    """Only an install from a matching under its own bounds keeps a copy or
+    copies one back.  After an install with a lower bound below the
+    matching's counts, an install of the same system from the same matching
+    under its own bounds is the full install a new network makes; after that
+    one keeps its copy, the install with the explicit bound again sets that
+    bound."""
+    attractive, allowed, bundles = [0b11, 0b11], [0b11, 0b11], [0b01, 0b10]
+
+    def network(*bounds):
+        flow = ExchangeFlow([1, 1], n_objects=2)
+        assert flow.install(attractive, allowed, *bounds, bundles=bundles)
+        return flow
+
+    shared = network([0, 0])
+    assert shared.install(attractive, allowed, bundles=bundles)
+    assert shared.cap == network().cap
+    assert shared.install(attractive, allowed, [0, 0], bundles=bundles)
+    assert shared.cap == network([0, 0]).cap != network().cap
+
+
 @st.composite
 def pinned_networks(draw):
-    """A network started from a matching, with some agents maximized, the
+    """A network installed from a matching, with some agents maximized, the
     lower bounds perhaps raised to the counts held (as `retarget` does),
     some agents frozen and some objects pinned where they are."""
     (sizes, attractive, allowed, lo, hi, m), bundles, order = draw(systems_with_a_matching())
-    flow = ExchangeFlow(sizes, attractive, allowed, lo, hi, n_objects=m)
-    assert flow.start_from(bundles)
+    flow = ExchangeFlow(sizes, n_objects=m)
+    assert flow.install(attractive, allowed, lo, hi, bundles)
     for i in order[: draw(st.integers(0, len(sizes)))]:
         flow.maximize(i)
     if draw(st.booleans()):
@@ -586,49 +625,44 @@ def test_maximize_with_the_mask_test_pushes_the_same_cycles(fast):
 
 def test_a_strong_misreport_search_installs_once_and_patches_one_agent(monkeypatch):
     """A strongly trichotomous 3-agent market audited for strategy-proofness
-    on its domain: one network, whose first restart, the truthful run's, is
-    its one full install bar the blank one it is built with; every misreport
-    run copies that install back and reinstalls the one misreporting agent.
-    The residual searches, which the mask test thins, are pinned."""
+    on its domain: one network, whose first install, the truthful run's, is
+    its one full install; every misreport run copies that install back and
+    reinstalls the one misreporting agent.  The residual searches, which the
+    mask test thins, are pinned."""
     instance = make_instance([2, 2, 1])  # a1: o1 o2, a2: o3 o4, a3: o5
     prefs = {
         "a1": TrichotomousPreference("a1", frozenset({"o2", "o4"}), frozenset({"o1"})),
         "a2": TrichotomousPreference("a2", frozenset({"o1", "o4"}), frozenset({"o3"})),
         "a3": TrichotomousPreference("a3", frozenset({"o1", "o2", "o4"}), frozenset({"o5"})),
     }
-    counts = {"restart": 0, "install": 0, "patched agent": 0, "search": 0}
-    installing: list[int] = []
-    install, install_agent = ExchangeFlow._install, ExchangeFlow._install_agent
-    restart, find_path = ExchangeFlow.restart, ExchangeFlow._find_path
+    counts = {"install": 0, "full install": 0, "patched agent": 0, "search": 0}
+    install, install_agent = ExchangeFlow.install, ExchangeFlow._install_agent
+    find_path = ExchangeFlow._find_path
+    agents: list[bool] = []  # per agent the current install installs, whether over kept state
 
-    def counting_install(self, *args):
+    def counting_install(self, *args, **kwargs):
         counts["install"] += 1
-        installing.append(1)
+        agents.clear()
         try:
-            return install(self, *args)
+            return install(self, *args, **kwargs)
         finally:
-            installing.pop()
+            counts["full install"] += agents == [False] * self.n
+            counts["patched agent"] += sum(agents)
 
-    def counting_install_agent(self, *args):
-        counts["patched agent"] += not installing
-        return install_agent(self, *args)
-
-    def counting_restart(self, *args):
-        counts["restart"] += 1
-        return restart(self, *args)
+    def counting_install_agent(self, i, *args):
+        agents.append(_over_kept_state(self, i))
+        return install_agent(self, i, *args)
 
     def counting_find_path(self, *args, **kwargs):
         counts["search"] += 1
         return find_path(self, *args, **kwargs)
 
-    monkeypatch.setattr(ExchangeFlow, "_install", counting_install)
+    monkeypatch.setattr(ExchangeFlow, "install", counting_install)
     monkeypatch.setattr(ExchangeFlow, "_install_agent", counting_install_agent)
-    monkeypatch.setattr(ExchangeFlow, "restart", counting_restart)
     monkeypatch.setattr(ExchangeFlow, "_find_path", counting_find_path)
     assert check_strategy_proofness(instance, prefs, DomainSpec.strongly_trichotomous()) is None
     # the truthful run and the misreports of a2 and a3, whose bundles some
     # bundle beats: a2's 15 that hold o1 in A ∪ B and a3's 27 that hold one of
-    # o1, o2 and o4; one install builds the network.  Installing every run in
-    # full and searching without the mask test, the same audit makes 44
-    # installs and 114 searches.
-    assert counts == {"restart": 43, "install": 2, "patched agent": 42, "search": 73}
+    # o1, o2 and o4.  Installing every run in full and searching without the
+    # mask test, the same audit makes 43 full installs and 114 searches.
+    assert counts == {"install": 43, "full install": 1, "patched agent": 42, "search": 73}

@@ -21,15 +21,16 @@ def test_mechanism_reexports_the_model_error():
 
 def test_extract_canonical_on_unsolved_infeasible_network_raises_typed_error():
     # two unit-demand agents both limited to object 0; object 1 has no taker
-    flow = ExchangeFlow([1, 1], [0, 0], [0b01, 0b01], [0, 0], n_objects=2)
+    flow = ExchangeFlow([1, 1], n_objects=2)
+    assert flow.install([0, 0], [0b01, 0b01], [0, 0])
     with pytest.raises(MechanismInvariantError):
         flow.extract_canonical([0, 1])
 
 
 def test_retarget_refuses_a_matching_outside_the_new_bearable_sets():
     # each agent holds the other's attractive object in its bearable tier
-    flow = ExchangeFlow([1, 1], [0b01, 0b10], [0b11, 0b11], [0, 0], n_objects=2)
-    assert flow.start_from([0b10, 0b01])
+    flow = ExchangeFlow([1, 1], n_objects=2)
+    assert flow.install([0b01, 0b10], [0b11, 0b11], [0, 0], None, [0b10, 0b01])
     flow.retarget([0b10, 0b01])
     with pytest.raises(MechanismInvariantError):
         flow.retarget([0b00, 0b01])

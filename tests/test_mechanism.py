@@ -14,7 +14,6 @@ from balex.fixtures import FIXTURE_NAMES, load_fixture
 from balex.flownet import ExchangeFlow
 from balex.mechanism import (
     _final_masks,
-    _network,
     _resolve_rounds,
     _run_masks,
     _RunFailed,
@@ -364,7 +363,7 @@ def test_the_kernel_is_the_run_on_masks():
         final, trace = run_ir_priority(inst, prefs)
         sizes, m = list(inst.sizes), len(inst.object_ids)
         args = _kernel_args(inst, prefs)
-        run = _run_masks(_network(sizes, m), *args)
+        run = _run_masks(ExchangeFlow(sizes, n_objects=m), *args)
         bundles, rounds, elicited, queries = _resolved(sizes, m, args, run)
         assert bundles == [inst.mask(final.assignment[a]) for a in agents]
         assert len(rounds) == len(trace.rounds)
@@ -401,10 +400,9 @@ def _ref_run_masks(sizes, a_masks, b_masks, endow, m):
     elicitation_round = {}
     order = list(range(n))
     allowed = [a | b for a, b in zip(a_masks, b_floor)]
-    flow = ExchangeFlow(
-        sizes, a_masks, allowed, [(e & a).bit_count() for e, a in zip(endow, a_masks)], n_objects=m
-    )
-    assert flow.start_from(endow)
+    flow = ExchangeFlow(sizes, n_objects=m)
+    lo = [(e & a).bit_count() for e, a in zip(endow, a_masks)]
+    assert flow.install(a_masks, allowed, lo, None, endow)
 
     def dictatorship():
         promises = []
@@ -461,7 +459,7 @@ def test_the_kernel_skips_exactly_the_passes_that_would_repeat(monkeypatch):
         args = _kernel_args(inst, prefs)
         want = _ref_run_masks(sizes, *args, m)
         passes.clear()
-        got = _resolved(sizes, m, args, _run_masks(_network(sizes, m), *args))
+        got = _resolved(sizes, m, args, _run_masks(ExchangeFlow(sizes, n_objects=m), *args))
         assert got[:3] == want[:3]
         assert want[3] - got[3] == n * (len(want[1]) - len(passes))
         skipped += len(want[1]) - len(passes)
@@ -487,9 +485,10 @@ def test_a_shared_network_leaks_nothing_between_runs(monkeypatch):
         sizes, m = list(inst.sizes), len(inst.object_ids)
         profiles = [_kernel_args(inst, random_profile(inst, rng)) for _ in range(12)]
         fresh = [
-            _resolved(sizes, m, args, _run_masks(_network(sizes, m), *args)) for args in profiles
+            _resolved(sizes, m, args, _run_masks(ExchangeFlow(sizes, n_objects=m), *args))
+            for args in profiles
         ]
-        shared = _network(sizes, m)
+        shared = ExchangeFlow(sizes, n_objects=m)
         order = list(range(len(profiles)))
         rng.shuffle(order)
         for k in order:
@@ -541,13 +540,14 @@ def test_a_strong_profile_runs_one_pass_with_the_kernels_outcome(case):
     these profiles, and the other profiles' final bundles are the kernel's."""
     sizes, strong, others = case
     m = sum(sizes)
-    want = _run_masks(_network(sizes, m), *strong)[0]
-    assert _final_masks(_network(sizes, m), *strong) == want
-    shared = _network(sizes, m)
+    want = _run_masks(ExchangeFlow(sizes, n_objects=m), *strong)[0]
+    assert _final_masks(ExchangeFlow(sizes, n_objects=m), *strong) == want
+    shared = ExchangeFlow(sizes, n_objects=m)
     for args in others:
-        assert _final_masks(shared, *args) == _run_masks(_network(sizes, m), *args)[0]
+        assert _final_masks(shared, *args) == _run_masks(ExchangeFlow(sizes, n_objects=m), *args)[0]
     assert _final_masks(shared, *strong) == want
-    assert _final_masks(shared, *others[0]) == _run_masks(_network(sizes, m), *others[0])[0]
+    other = _run_masks(ExchangeFlow(sizes, n_objects=m), *others[0])[0]
+    assert _final_masks(shared, *others[0]) == other
 
 
 @st.composite
@@ -583,12 +583,13 @@ def test_a_network_shared_by_misreport_runs_gives_what_new_ones_give(case, data)
     elicitation rounds and flow-query count as on a new network."""
     sizes, profiles = case
     m = sum(sizes)
-    shared = _network(sizes, m)
+    shared = ExchangeFlow(sizes, n_objects=m)
     for args in profiles:
         if data.draw(st.booleans()):
-            assert _final_masks(shared, *args) == _final_masks(_network(sizes, m), *args)
+            new = ExchangeFlow(sizes, n_objects=m)
+            assert _final_masks(shared, *args) == _final_masks(new, *args)
         else:
-            want = _resolved(sizes, m, args, _run_masks(_network(sizes, m), *args))
+            want = _resolved(sizes, m, args, _run_masks(ExchangeFlow(sizes, n_objects=m), *args))
             assert _resolved(sizes, m, args, _run_masks(shared, *args)) == want
 
 
@@ -631,7 +632,7 @@ def test_a_failed_run_names_the_rounds_eager_extraction_names(monkeypatch):
         outcomes = []
         for kernel in (
             lambda: _ref_run_masks(sizes, *args, m),
-            lambda: _run_masks(_network(sizes, m), *args),
+            lambda: _run_masks(ExchangeFlow(sizes, n_objects=m), *args),
         ):
             calls = []
 

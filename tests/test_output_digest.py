@@ -319,8 +319,6 @@ def _digests_in_subprocesses(*hash_seeds: str) -> list[dict[str, str]]:
 
 def test_every_family_holds_a_witness_where_it_pins_witnesses():
     """A witness family of only None verdicts would pin no witness."""
-    import balex  # noqa: F401  (the families import it lazily)
-
     for family in ("strategy_proofness", "truncation", "obvious_manipulability"):
         rows = FAMILIES[family]()
         assert any(
