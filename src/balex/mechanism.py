@@ -172,7 +172,7 @@ def _start(
 ) -> ExchangeFlow:
     """`flow`, with the system of the CIR matchings under these masks that
     give every agent at least as many attractive objects as the `incumbent`
-    matching installed from that matching."""
+    matching installed on it, from that matching."""
     if not flow.install(a_masks, allowed, bundles=incumbent):
         raise MechanismInvariantError("the incumbent matching does not satisfy the constraint set")
     return flow
