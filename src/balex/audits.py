@@ -9,6 +9,13 @@ oracles for the flow-based mechanism pipeline.
 Bundles are judged as object masks, by their popcounts against the agent's
 responsive.prefix_masks and the one dominance rule, compare_prefix_counts;
 objects are named only for the matchings and witnesses an audit returns.
+
+Input errors: every audit takes its bundle masks from model.matching_masks
+and its prefix masks from model.profile_masks, through
+responsive.prefix_masks, so a matching or a profile that is not valid for
+the instance is a ValidationError before any enumeration.  Beyond that an
+audit checks only its own scope: a trichotomous profile where it needs one,
+and a CIR matching for the strict-acceptability core.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .cycles import find_cir_pareto_improving_cycle
 from .flownet import ExchangeFlow
-from .mechanism import _final_masks, _require_endowment
+from .mechanism import _final_masks
 # no audit calls run_ir_priority; the name stays bound here for perfbench's tracer
 from .mechanism import run_ir_priority  # noqa: F401
 from .model import (
+    AnyProfile,
     DomainSpec,
     Instance,
     MarginalPreference,
@@ -32,7 +40,8 @@ from .model import (
     MechanismInvariantError,
     TrichotomousPreference,
     ValidationError,
-    canon,
+    matching_masks,
+    profile_masks,
 )
 # enumerate_matchings lives in optimize; audits re-exports it
 from .optimize import EnumerationLimitError, enumerate_matchings, mask_matchings
@@ -40,7 +49,7 @@ from .optimize import _check_enumeration_bound, _matching_from_masks
 from .responsive import (
     BundleComparison,
     ResponsiveExtension,
-    cir_trichotomous,
+    _cir_violation,
     compare_prefix_counts,
     prefix_masks,
     strict_witness_extension,
@@ -99,10 +108,7 @@ class BlockWitness:
             raise ValueError("reallocation and certificates must cover the coalition")
 
 
-def marginal_profile(
-    instance: Instance,
-    prefs: Mapping[str, TrichotomousPreference] | Mapping[str, MarginalPreference],
-) -> dict[str, MarginalPreference]:
+def marginal_profile(instance: Instance, prefs: AnyProfile) -> dict[str, MarginalPreference]:
     """Class-based marginals; trichotomous preferences become [A, B, rest] and
     class-based ones pass through."""
     margs: dict[str, MarginalPreference] = {}
@@ -113,60 +119,15 @@ def marginal_profile(
 
 
 def welfare_vector(instance: Instance, mu: Matching, prefs: Profile) -> tuple[int, ...]:
-    """Per agent in priority order, how many attractive objects `mu` gives it.
-    A matching or a profile that lacks an agent raises ValidationError naming
-    the first such agent, and so does a matching that is not a balanced
-    partition of the instance's objects."""
-    try:
-        _bundle_masks(instance, mu)
-        return tuple(len(mu.assignment[a] & prefs[a].attractive) for a in instance.agents)
-    except KeyError:
-        _name_missing_agent(instance, mu, prefs)
-        raise
-
-
-def _name_missing_agent(
-    instance: Instance, mu: Matching | None, prefs: Mapping[str, object]
-) -> None:
-    """A ValidationError naming the first agent in priority order that the
-    matching `mu` (when given) or the profile `prefs` lacks.  Called on a
-    KeyError, which the caller re-raises when no agent is missing, so the
-    check costs nothing when none is."""
-    for a in instance.agents:
-        if mu is not None and a not in mu.assignment:
-            raise ValidationError(f"matching assigns no bundle to agent {a!r}") from None
-        if a not in prefs:
-            raise ValidationError(f"no preference given for agent {a!r}") from None
+    """Per agent in priority order, how many attractive objects (objects of
+    its first class) `mu` gives it."""
+    bundles = matching_masks(instance, mu)
+    return tuple((m & c[0]).bit_count() for m, c in zip(bundles, profile_masks(instance, prefs)))
 
 
 def _require_trichotomous(prefs: Mapping[str, object], what: str) -> None:
     if not all(isinstance(p, TrichotomousPreference) for p in prefs.values()):
         raise ValidationError(f"{what} needs a trichotomous profile")
-
-
-def _bundle_masks(instance: Instance, mu: Matching) -> list[int]:
-    """The bundle masks of `mu` in priority order.  A ValidationError unless
-    they partition the instance's objects with each agent's bundle the size of
-    its endowment; an agent `mu` lacks raises KeyError, which the callers turn
-    into _name_missing_agent's ValidationError."""
-    masks, seen = [], 0
-    for a, size in zip(instance.agents, instance.sizes):
-        bundle = mu.assignment[a]
-        try:
-            m = instance.mask(bundle)
-        except KeyError:
-            stray = canon(bundle - instance.objects)
-            raise ValidationError(f"agent {a!r} assigned unknown object(s) {stray}") from None
-        if m & seen:
-            raise ValidationError(f"object(s) {canon(instance.unmask(m & seen))} assigned twice")
-        if m.bit_count() != size:
-            raise ValidationError(
-                f"agent {a!r} gets {m.bit_count()} objects but is endowed with {size} "
-                "(exchange must be balanced)"
-            )
-        seen |= m
-        masks.append(m)
-    return masks
 
 
 def _counts(mask: int, prefixes: list[int]) -> tuple[int, ...]:
@@ -221,7 +182,7 @@ def _is_dominated(
 def unambiguously_efficient(
     instance: Instance,
     mu: Matching,
-    prefs: Mapping[str, TrichotomousPreference] | Mapping[str, MarginalPreference],
+    prefs: AnyProfile,
     mode: str = "brute",
     bound: int = 10,
 ) -> bool:
@@ -229,49 +190,27 @@ def unambiguously_efficient(
 
     cycle mode requires a trichotomous profile and a CIR matching (the scope of
     the cycle characterization); brute mode accepts any marginal profile and
-    scans all matchings.  A matching or a profile that lacks an agent raises
-    ValidationError naming the first such agent, and so does a matching that
-    is not a balanced partition of the instance's objects.
+    scans all matchings.
     """
     if mode == "cycle":
         _require_trichotomous(prefs, "cycle mode")
-        try:
-            _bundle_masks(instance, mu)
-            return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
-        except KeyError:
-            _name_missing_agent(instance, mu, prefs)
-            raise
+        return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
     if mode != "brute":
         raise ValueError(f"unknown efficiency mode {mode!r}")
     _check_enumeration_bound(instance, bound)
-    try:
-        mu_masks = _bundle_masks(instance, mu)
-        margs = marginal_profile(instance, prefs)
-        prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
-        mu_counts = tuple(_counts(m, ps) for m, ps in zip(mu_masks, prefixes))
-    except KeyError:
-        _name_missing_agent(instance, mu, prefs)
-        raise
+    mu_masks = matching_masks(instance, mu)
+    prefixes = prefix_masks(instance, prefs)
+    mu_counts = tuple(_counts(m, ps) for m, ps in zip(mu_masks, prefixes))
     return not _is_dominated(instance, mu_counts, prefixes)
 
 
-def efficient_ir_set(
-    instance: Instance,
-    prefs: Mapping[str, TrichotomousPreference] | Mapping[str, MarginalPreference],
-    bound: int = 10,
-) -> list[Matching]:
+def efficient_ir_set(instance: Instance, prefs: AnyProfile, bound: int = 10) -> list[Matching]:
     """All matchings that are unambiguously individually rational and efficient.
 
     CIR matchings with the same per-agent prefix counts share one verdict,
-    which reads nothing else of them.  A profile that lacks an agent raises
-    ValidationError naming the first such agent."""
+    which reads nothing else of them."""
     _check_enumeration_bound(instance, bound)
-    try:
-        margs = marginal_profile(instance, prefs)
-    except KeyError:
-        _name_missing_agent(instance, None, prefs)
-        raise
-    prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
+    prefixes = prefix_masks(instance, prefs)
     dominated: dict[tuple[tuple[int, ...], ...], bool] = {}
     out = []
     for mu in _cir_matchings(instance, prefixes):
@@ -363,17 +302,14 @@ class _OutcomeCache:
     agent, or none.  A strongly trichotomous profile runs
     one serial-dictatorship pass and no elicitation loop, so the loop's
     invariant checks are not made for it; any other profile runs the whole
-    `mechanism._run_masks`.  An endowment outside its agent's truthful A ∪ B
-    is a ValidationError, raised before the network is built."""
+    `mechanism._run_masks`.  The truthful masks come from model.profile_masks,
+    so an invalid profile is a ValidationError, raised before the network is
+    built."""
 
     def __init__(self, instance: Instance, prefs: Profile) -> None:
-        self.truth: MaskProfile = tuple(
-            (instance.mask(prefs[a].attractive), instance.mask(prefs[a].bearable))
-            for a in instance.agents
-        )
+        self.truth: MaskProfile = tuple((c[0], c[1]) for c in profile_masks(instance, prefs))
         a_masks = [a for a, _ in self.truth]
         b_masks = [b for _, b in self.truth]
-        _require_endowment(instance, a_masks, b_masks)
         self.endow = list(instance.endowment_masks)
         self.flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
         self.cache = {self.truth: _final_masks(self.flow, a_masks, b_masks, self.endow)}
@@ -386,20 +322,6 @@ class _OutcomeCache:
             hit = _final_masks(self.flow, a_masks, b_masks, self.endow)
             self.cache[profile] = hit
         return hit
-
-
-def _require_profile(instance: Instance, prefs: Mapping[str, object], what: str) -> None:
-    """A ValidationError unless `prefs` is trichotomous, covers every agent and
-    names only the instance's objects."""
-    _require_trichotomous(prefs, what)
-    for a in instance.agents:
-        if a not in prefs:
-            raise ValidationError(f"{what}: no preference given for agent {a!r}")
-        stray = prefs[a].acceptable() - instance.objects
-        if stray:
-            raise ValidationError(
-                f"{what}: preference of agent {a!r} names unknown object(s) {canon(stray)}"
-            )
 
 
 def _misreport_search(
@@ -426,10 +348,11 @@ def _misreport_search(
     cache = _OutcomeCache(instance, prefs)
     truth = cache.truth
     truth_final = cache.final(truth)
-    margs = marginal_profile(instance, prefs)
+    full = (1 << len(instance.object_ids)) - 1
     for i, agent in enumerate(instance.agents):
         _require_within(agent, truth_final[i], truth[i])
-        prefixes = prefix_masks(instance, margs[agent])
+        a, b = truth[i]
+        prefixes = [a, a | b, full, full]  # the prefix masks of [A, B, rest]
         truth_counts = _counts(truth_final[i], prefixes)
         size = instance.sizes[i]
         open_prefixes = [
@@ -445,13 +368,14 @@ def _misreport_search(
             _require_within(agent, bundle, mis)
             if compare_prefix_counts(_counts(bundle, prefixes), truth_counts).admits_strict_preference:
                 truth_bundle, mis_bundle = instance.unmask(truth_final[i]), instance.unmask(bundle)
+                marginal = prefs[agent].to_classes(instance.objects)
                 return ManipulationWitness(
                     agent=agent,
                     truthful=prefs[agent],
                     misreport=_named(instance, agent, mis),
                     truthful_bundle=truth_bundle,
                     misreport_bundle=mis_bundle,
-                    certificate=strict_witness_extension(mis_bundle, truth_bundle, margs[agent]),
+                    certificate=strict_witness_extension(mis_bundle, truth_bundle, marginal),
                 )
     return None
 
@@ -479,7 +403,7 @@ def check_strategy_proofness(
     agent's size could hold more, cannot gain, so it is not run; an outcome
     bundle outside its agent's reported A ∪ B is a MechanismInvariantError
     (see _misreport_search)."""
-    _require_profile(instance, prefs, "strategy-proofness audit")
+    _require_trichotomous(prefs, "strategy-proofness audit")
     _check_enumeration_bound(instance, bound)
     every = range(1 << len(instance.object_ids))
     return _misreport_search(
@@ -492,7 +416,7 @@ def check_truncation_proofness(
 ) -> ManipulationWitness | None:
     """check_strategy_proofness's search over the reports that keep each agent's
     truthful attractive set and vary only the bearable extras."""
-    _require_profile(instance, prefs, "truncation audit")
+    _require_trichotomous(prefs, "truncation audit")
     _check_enumeration_bound(instance, bound)
     return _misreport_search(
         instance, prefs, lambda i, truth: _report_masks(instance, i, [truth[0]])
@@ -510,9 +434,12 @@ def check_obvious_manipulability(
     Bundles are ranked through additive extensions of the true trichotomous
     marginal; a bundle's worth is determined by its (attractive, acceptable)
     counts, so candidate extensions reduce to positive weight pairs with
-    bounded integer components.
+    bounded integer components.  The profile is checked up front, as the
+    outcome table that checks it too is built only once the first agent's
+    opponent space is known to pass the limit.
     """
-    _require_profile(instance, prefs, "obvious-manipulability audit")
+    _require_trichotomous(prefs, "obvious-manipulability audit")
+    all_prefixes = prefix_masks(instance, prefs)
     agents = instance.agents
     m = len(instance.object_ids)
     reports: list[list[Report]] = []
@@ -533,8 +460,7 @@ def check_obvious_manipulability(
 
         true_pref = prefs[agent]
         t = instance.sizes[i]
-        true_marg = true_pref.to_classes(instance.objects)
-        prefixes, ranks = prefix_masks(instance, true_marg), true_marg.ranks
+        prefixes, ranks = all_prefixes[i], true_pref.to_classes(instance.objects).ranks
 
         def outcomes(report: Report) -> list[tuple[int, tuple[int, ...]]]:
             seen = []
@@ -598,28 +524,20 @@ def unambiguously_in_weak_core(
     With strict_acceptability (trichotomous profiles and CIR candidates only),
     extensions rank any bundle containing an unacceptable object below the
     endowment, so a member may be strictly better off only with a bundle
-    within A ∪ B; for a CIR `mu` that is a strict attractive-count gain.
-
-    A matching or a profile that lacks an agent raises ValidationError naming
-    the first such agent, and so does a matching that is not a balanced
-    partition of the instance's objects.
+    within A ∪ B; for a CIR `mu` that is a strict attractive-count gain.  A
+    candidate that is not CIR is then a ValidationError.
     """
     agents = instance.agents
-    try:
-        mu_masks = _bundle_masks(instance, mu)
-        if strict_acceptability:
-            _require_trichotomous(prefs, "strict-acceptability core audit")
-            if not cir_trichotomous(instance, mu, prefs):
-                raise ValueError(
-                    "strict-acceptability core audit requires a CIR candidate matching"
-                )
-        _check_enumeration_bound(instance, bound)
-        margs = marginal_profile(instance, prefs)
-        prefixes = [prefix_masks(instance, margs[a]) for a in agents]
-        mu_counts = [_counts(m, ps) for m, ps in zip(mu_masks, prefixes)]
-    except KeyError:
-        _name_missing_agent(instance, mu, prefs)
-        raise
+    mu_masks = matching_masks(instance, mu)
+    prefixes = prefix_masks(instance, prefs)
+    if strict_acceptability:
+        _require_trichotomous(prefs, "strict-acceptability core audit")
+        if _cir_violation(instance, mu_masks, prefixes):
+            raise ValidationError(
+                "strict-acceptability core audit requires a CIR candidate matching"
+            )
+    _check_enumeration_bound(instance, bound)
+    mu_counts = [_counts(m, ps) for m, ps in zip(mu_masks, prefixes)]
     verdicts: list[dict[int, bool]] = [{} for _ in agents]
 
     def better(i: int, mask: int) -> bool:
@@ -642,6 +560,7 @@ def unambiguously_in_weak_core(
                 continue
             coalition = tuple(agents[i] for i in members)
             reallocation = {a: instance.unmask(m) for a, m in zip(coalition, pick)}
+            margs = marginal_profile(instance, prefs)
             certificates = {
                 a: strict_witness_extension(reallocation[a], mu.assignment[a], margs[a])
                 for a in coalition
@@ -662,16 +581,10 @@ def find_efficient_core_matching(
     (existence is guaranteed on this domain).
 
     Candidates are the CIR matchings in canonical order whose attractive-count
-    vector no other CIR matching Pareto-dominates.  A profile that lacks an
-    agent raises ValidationError naming the first such agent."""
+    vector no other CIR matching Pareto-dominates."""
     _require_trichotomous(prefs, "efficient core selection")
     _check_enumeration_bound(instance, bound)
-    try:
-        margs = marginal_profile(instance, prefs)
-    except KeyError:
-        _name_missing_agent(instance, None, prefs)
-        raise
-    prefixes = [prefix_masks(instance, margs[a]) for a in instance.agents]
+    prefixes = prefix_masks(instance, prefs)
     cir_set = [
         (mu, tuple((m & ps[0]).bit_count() for m, ps in zip(mu, prefixes)))
         for mu in _cir_matchings(instance, prefixes)

@@ -85,22 +85,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
     instance, raw_prefs = _load(args.input)
     if args.priority:
         instance = instance.with_priority(args.priority.split(","))
-    for a in instance.agents:
-        if a not in raw_prefs:
-            raise ValidationError(f"no preference given for agent {a!r}")
-    margs = audits.marginal_profile(instance, raw_prefs)
-    for p in margs.values():
-        p.validate_universe(instance.objects)
-    if args.sp or args.truncation:
-        # both audits refuse the same bound; checked here before any other work
-        _check_enumeration_bound(instance, args.bound)
-
     trichotomous = True
     try:
-        prefs = model.trichotomous_profile(instance, raw_prefs)
+        prefs = model.trichotomous_profile(instance, raw_prefs)  # checks the profile
     except model.NotTrichotomousError:
         trichotomous = False
         prefs = None
+    if args.sp or args.truncation:
+        # both audits refuse the same bound; checked here before any other work
+        _check_enumeration_bound(instance, args.bound)
 
     if args.matching:
         matching = model.matching_from_json(instance, _read_json(args.matching))
@@ -118,7 +111,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     checks: dict[str, object] = report["checks"]  # type: ignore[assignment]
     failed = False
 
-    violation = cir_violation(instance, matching, margs)
+    violation = cir_violation(instance, matching, raw_prefs)
     checks["cir"] = {
         "verdict": violation is None,
         "witness": None if violation is None else {"agent": violation[0], "pivot": violation[1]},
@@ -131,7 +124,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         )
     else:
         efficient = audits.unambiguously_efficient(
-            instance, matching, margs, mode="brute", bound=args.bound
+            instance, matching, raw_prefs, mode="brute", bound=args.bound
         )
     checks["efficiency"] = {"verdict": efficient}
     failed |= not efficient

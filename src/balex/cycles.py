@@ -12,10 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .mechanism import non_improvable_set
-from .model import Instance, Matching, MechanismInvariantError, TrichotomousPreference
+from .mechanism import _non_improvable
+from .model import (
+    Instance,
+    Matching,
+    MechanismInvariantError,
+    TrichotomousPreference,
+    ValidationError,
+    matching_masks,
+)
 from .optimize import WelfareConstraints, max_attractive
-from .responsive import cir_trichotomous
+from .responsive import _cir_violation, prefix_masks
 
 
 @dataclass(frozen=True)
@@ -203,14 +210,16 @@ def find_cir_pareto_improving_cycle(
     agent's maximization query gives a strictly improving witness matching.  The
     witness is then shrunk by discarding welfare-neutral subcycles of the
     most-preferred-object graph until the remaining trade is itself a
-    Pareto-improving cycle.
+    Pareto-improving cycle.  `mu` and `prefs` are checked with
+    model.matching_masks and model.profile_masks, and a `mu` that is not CIR
+    is a ValidationError too.
     """
-    if not cir_trichotomous(instance, mu, prefs):
-        raise ValueError("base matching must be component-wise individually rational")
+    bundles = matching_masks(instance, mu)
+    prefixes = prefix_masks(instance, prefs)
+    if _cir_violation(instance, bundles, prefixes):
+        raise ValidationError("base matching must be component-wise individually rational")
+    stuck = _non_improvable(instance, prefixes, bundles)
     attractive = {a: prefs[a].attractive for a in instance.agents}
-    stuck = non_improvable_set(
-        instance, attractive, {a: prefs[a].bearable for a in instance.agents}, mu
-    )
     target = next((a for a in instance.agents if a not in stuck), None)
     if target is None:
         return None

@@ -30,13 +30,19 @@ one market shape installs each profile's system on one network.  Each run
 installs its system from the endowment with `ExchangeFlow.install`: one pass
 per agent, or, on a network whose first install was from the endowment too,
 a pass over the agents whose reported masks differ from that install's.
-`run_ir_priority` validates and masks the profile, runs it on a new network
-and names only the final matching, the only matching a run extracts.  The
-trace keeps the other rounds as the run kept them, with a snapshot of the
-reported profile: an earlier pass as its bearable masks, its promises and the
-matching the network held after it.  When `MechanismTrace.rounds` is first
-read, each earlier pass's canonical matching is extracted on a new network
-installed from that matching, and the rounds are named.
+`run_ir_priority` masks the profile, runs it on a new network and names only
+the final matching, the only matching a run extracts.  The trace keeps the
+other rounds as the run kept them, with a snapshot of the reported profile:
+an earlier pass as its bearable masks, its promises and the matching the
+network held after it.  When `MechanismTrace.rounds` is first read, each
+earlier pass's canonical matching is extracted on a new network installed
+from that matching, and the rounds are named.
+
+Input errors: the public entry points take their masks from
+`model.profile_masks` and `model.matching_masks`, which raise ValidationError
+for a profile or a matching that is not valid for the instance; this module
+checks nothing of its own beyond that, except that a refinement's base
+matching must be CIR.
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ from .model import (
     MechanismInvariantError,
     TrichotomousPreference,
     ValidationError,
-    canon,
-    validate_matching,
+    matching_masks,
+    profile_masks,
 )
-from .responsive import cir_trichotomous
+from .responsive import _cir_violation, prefix_masks
 
 # Per agent in priority order, the reported (attractive, bearable) sets.
 Profile = tuple[tuple[frozenset[str], frozenset[str]], ...]
@@ -154,19 +160,6 @@ def _name_rounds(
     return named
 
 
-def _query_masks(
-    instance: Instance,
-    attractive: Mapping[str, frozenset[str]],
-    bearable: Mapping[str, frozenset[str]],
-    mu: Matching,
-) -> tuple[list[int], list[int], list[int]]:
-    """Attractive masks, allowed (A ∪ B) masks and the bundle masks of `mu`."""
-    a_masks = [instance.mask(attractive[a]) for a in instance.agents]
-    allowed = [instance.mask(attractive[a] | bearable[a]) for a in instance.agents]
-    mu_masks = [instance.mask(mu.assignment[a]) for a in instance.agents]
-    return a_masks, allowed, mu_masks
-
-
 def _start(
     flow: ExchangeFlow, a_masks: list[int], allowed: list[int], incumbent: list[int]
 ) -> ExchangeFlow:
@@ -204,18 +197,16 @@ def serial_refine(
     """One full serial-dictatorship pass over the CIR matchings weakly improving `mu`.
 
     Returns the canonical (lexicographically least) matching complying with all
-    promises, plus the promise vector.  An unbalanced `mu` raises ValidationError.
+    promises, plus the promise vector.  `mu` and the profile are checked with
+    model.matching_masks and model.profile_masks, and a `mu` that is not CIR
+    under the profile is a ValidationError too.
     """
-    validate_matching(instance, mu.assignment)
-    prefs = {
-        a: TrichotomousPreference(a, frozenset(attractive[a]), frozenset(bearable[a]))
-        for a in instance.agents
-    }
-    if not cir_trichotomous(instance, mu, prefs):
-        raise ValueError("base matching must be CIR at the given (A, B) profile")
-    a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable, mu)
+    prefixes = _prefixes(instance, attractive, bearable)
+    mu_masks = matching_masks(instance, mu)
+    if _cir_violation(instance, mu_masks, prefixes):
+        raise ValidationError("base matching must be CIR at the given (A, B) profile")
     flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
-    promises = _refine_masks(flow, a_masks, allowed, mu_masks)
+    promises = _refine_masks(flow, *_attractive_allowed(prefixes), mu_masks)
     bundles = flow.extract_canonical(flow.order)
     matching = Matching(
         {a: instance.unmask(bundles[i]) for i, a in enumerate(instance.agents)}
@@ -230,12 +221,39 @@ def non_improvable_set(
     mu: Matching,
 ) -> frozenset[str]:
     """Agents whose attractive count cannot rise in any CIR matching weakly
-    improving `mu` under the given (maximal) bearable sets.  An unbalanced
-    `mu` raises ValidationError."""
-    validate_matching(instance, mu.assignment)
-    a_masks, allowed, mu_masks = _query_masks(instance, attractive, bearable_outer, mu)
+    improving `mu` under the given (maximal) bearable sets.  `mu` and the
+    profile are checked with model.matching_masks and model.profile_masks."""
+    prefixes = _prefixes(instance, attractive, bearable_outer)
+    return _non_improvable(instance, prefixes, matching_masks(instance, mu))
+
+
+def _prefixes(
+    instance: Instance,
+    attractive: Mapping[str, frozenset[str]],
+    bearable: Mapping[str, frozenset[str]],
+) -> list[list[int]]:
+    """The prefix_masks of the profile giving each agent these (A, B) sets."""
+    prefs = {
+        a: TrichotomousPreference(a, frozenset(attractive[a]), frozenset(bearable[a]))
+        for a in instance.agents
+        if a in attractive and a in bearable
+    }
+    return prefix_masks(instance, prefs)
+
+
+def _attractive_allowed(prefixes: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The A and A ∪ B masks, the first two prefix masks of a trichotomous
+    preference, per agent."""
+    return [p[0] for p in prefixes], [p[1] for p in prefixes]
+
+
+def _non_improvable(
+    instance: Instance, prefixes: list[list[int]], bundles: list[int]
+) -> frozenset[str]:
+    """non_improvable_set on checked masks: each agent's prefix_masks and the
+    bundle masks of `mu`, in priority order."""
     flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
-    _start(flow, a_masks, allowed, mu_masks)
+    _start(flow, *_attractive_allowed(prefixes), bundles)
     return frozenset(a for i, a in enumerate(instance.agents) if not flow.can_improve(i))
 
 
@@ -407,22 +425,13 @@ def _final_masks(
     return flow.extract_canonical(flow.order)
 
 
-def _require_endowment(instance: Instance, a_masks: list[int], b_masks: list[int]) -> None:
-    """A ValidationError naming the first agent whose endowment leaves its
-    reported A ∪ B (masks in priority order)."""
-    for a, own, x, y in zip(instance.agents, instance.endowment_masks, a_masks, b_masks):
-        if own & ~(x | y):
-            raise ValidationError(f"agent {a!r}: endowment not contained in A ∪ B")
-
-
 def run_ir_priority(
     instance: Instance, prefs: Mapping[str, TrichotomousPreference]
 ) -> tuple[Matching, MechanismTrace]:
     """Run the priority mechanism; returns the final matching and a full trace.
 
-    A profile that misses an agent, names an object outside the instance or
-    leaves an agent's endowment outside its A ∪ B raises ValidationError
-    before any network is built.  The outer loop performs at most one
+    The profile is checked with model.profile_masks, before any network is
+    built.  The outer loop performs at most one
     elicitation round per agent; failure of the non-improvable set to grow
     raises MechanismInvariantError with the named states of the finished
     rounds as its second argument.  The run itself is `_run_masks`; the
@@ -430,19 +439,10 @@ def run_ir_priority(
     indices, until the trace is read.
     """
     agents = instance.agents
-    try:
-        profile: Profile = tuple((prefs[a].attractive, prefs[a].bearable) for a in agents)
-        a_masks = [instance.mask(attractive) for attractive, _ in profile]
-        b_masks = [instance.mask(bearable) for _, bearable in profile]
-    except KeyError:  # name the first agent at fault
-        for a in agents:
-            if a not in prefs:
-                raise ValidationError(f"no preference given for agent {a!r}") from None
-            stray = prefs[a].acceptable() - instance.objects
-            if stray:
-                raise ValidationError(f"agent {a!r}: unknown object(s) {canon(stray)}") from None
-        raise
-    _require_endowment(instance, a_masks, b_masks)
+    classes = profile_masks(instance, prefs)
+    profile: Profile = tuple((prefs[a].attractive, prefs[a].bearable) for a in agents)
+    a_masks = [c[0] for c in classes]
+    b_masks = [c[1] for c in classes]
     endow = list(instance.endowment_masks)
     sizes, m = instance.sizes, len(instance.object_ids)
     try:

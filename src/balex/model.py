@@ -177,6 +177,13 @@ class TrichotomousPreference:
         )
 
 
+Profile = dict[str, TrichotomousPreference]
+MarginalProfile = dict[str, MarginalPreference]
+# one agent's preference in either form, and a profile of them, as market_from_json reads it
+Preference = MarginalPreference | TrichotomousPreference
+AnyProfile = Mapping[str, Preference]
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """A preference domain given by indicator functions over indifference-class ranks.
@@ -299,27 +306,99 @@ def _validate_instance(raw: Mapping[str, object]) -> tuple[Instance, dict[str, s
 
 
 def validate_matching(instance: Instance, raw: Mapping[str, object]) -> Matching:
-    """Validate an agent -> bundle map against the instance (balancedness, disjointness)."""
-    if set(raw) != set(instance.agents):
-        raise ValidationError("matching must assign a bundle to exactly the instance agents")
-    assignment: dict[str, frozenset[str]] = {}
-    seen: set[str] = set()
-    for a in instance.agents:
-        bundle = frozenset(_identifiers(raw[a], "bundle of agent {!r}", a))
-        stray = bundle - instance.objects
-        if stray:
-            raise ValidationError(f"agent {a!r} assigned unknown object(s) {canon(stray)}")
-        if bundle & seen:
-            raise ValidationError(f"object(s) {canon(bundle & seen)} assigned twice")
-        if len(bundle) != len(instance.endowment[a]):
+    """Parse an agent -> bundle map into a Matching and check it with matching_masks."""
+    mu = Matching({a: frozenset(_identifiers(b, "bundle of agent {!r}", a)) for a, b in raw.items()})
+    matching_masks(instance, mu)
+    return mu
+
+
+def matching_masks(instance: Instance, mu: Matching) -> list[int]:
+    """The bundle masks of `mu` in priority order: the one matching rule.  A
+    ValidationError unless `mu` gives a bundle to each of the instance's
+    agents and to no other, and the bundles partition the instance's objects
+    with each the size of its agent's endowment."""
+    masks, seen = [], 0
+    assignment = mu.assignment
+    for a, size in zip(instance.agents, instance.sizes):
+        if a not in assignment:
+            raise ValidationError(f"matching assigns no bundle to agent {a!r}")
+        bundle = assignment[a]
+        try:
+            m = instance.mask(bundle)
+        except KeyError:
+            stray = canon(set(bundle) - instance.objects)
+            raise ValidationError(f"agent {a!r} assigned unknown object(s) {stray}") from None
+        if m & seen:
+            raise ValidationError(f"object(s) {canon(instance.unmask(m & seen))} assigned twice")
+        if m.bit_count() != size:
             raise ValidationError(
-                f"agent {a!r} gets {len(bundle)} objects but is endowed with "
-                f"{len(instance.endowment[a])} (exchange must be balanced)"
+                f"agent {a!r} gets {m.bit_count()} objects but is endowed with {size} "
+                "(exchange must be balanced)"
             )
-        seen |= bundle
-        assignment[a] = bundle
-    # disjointness + per-agent balancedness force the union to equal the universe
-    return Matching(assignment)
+        seen |= m
+        masks.append(m)
+    if len(assignment) != len(masks):
+        stray = canon(set(assignment) - set(instance.agents))
+        raise ValidationError(f"matching assigns a bundle to unknown agent(s) {stray}")
+    return masks
+
+
+def check_profile(instance: Instance, prefs: AnyProfile) -> None:
+    """The one profile rule: every agent has a preference, and each passes
+    _check_preference.  A ValidationError names the first agent at fault, in
+    priority order."""
+    for a in instance.agents:
+        if a not in prefs:
+            raise ValidationError(f"no preference given for agent {a!r}")
+        _check_preference(instance, a, prefs[a])
+
+
+def _check_preference(instance: Instance, a: str, pref: Preference) -> None:
+    """Agent a's preference names only the instance's objects and fits the
+    agent (_check_fit); market_from_json applies this to each preference."""
+    objects = instance.objects
+    if isinstance(pref, TrichotomousPreference):
+        known = pref.attractive <= objects and pref.bearable <= objects
+    else:
+        known = all(cls <= objects for cls in pref.classes)
+    if not known:
+        stray = canon(frozenset().union(*_classes(pref)) - objects)
+        raise ValidationError(f"agent {a!r}: unknown object(s) {stray}")
+    _check_fit(instance, a, pref)
+
+
+def _check_fit(instance: Instance, a: str, pref: Preference) -> None:
+    """What masking a preference cannot see: a trichotomous one's A ∪ B
+    holds its agent's endowment, and a class-based one's classes partition
+    the objects."""
+    if isinstance(pref, MarginalPreference):
+        pref.validate_universe(instance.objects)
+    elif instance.endowment[a] - pref.attractive - pref.bearable:
+        raise ValidationError(f"agent {a!r}: endowment not contained in A ∪ B")
+
+
+def _classes(pref: Preference) -> tuple[frozenset[str], ...]:
+    if isinstance(pref, MarginalPreference):
+        return pref.classes
+    return pref.attractive, pref.bearable
+
+
+def profile_masks(instance: Instance, prefs: AnyProfile) -> list[list[int]]:
+    """Per agent in priority order, the masks of its preference's classes,
+    [A, B, rest] for a trichotomous one, for a profile that check_profile
+    accepts.  check_profile runs, to name the fault, only when masking fails;
+    each preference that masks is then held to _check_fit."""
+    try:
+        out = [[instance.mask(cls) for cls in _classes(prefs[a])] for a in instance.agents]
+    except KeyError:
+        check_profile(instance, prefs)
+        raise
+    full = (1 << len(instance.object_ids)) - 1
+    for a, masks in zip(instance.agents, out):
+        _check_fit(instance, a, prefs[a])
+        if isinstance(prefs[a], TrichotomousPreference):
+            masks.append(full & ~(masks[0] | masks[1]))  # rest
+    return out
 
 
 def to_trichotomous(pref: MarginalPreference, endowment: frozenset[str]) -> TrichotomousPreference:
@@ -386,13 +465,8 @@ _MARKET_FIELDS = {"agents", "objects", "endowments", "preferences"}
 _PREF_FIELDS_CLASSES = {"classes"}
 _PREF_FIELDS_AB = {"attractive", "bearable"}
 
-Profile = dict[str, TrichotomousPreference]
-MarginalProfile = dict[str, MarginalPreference]
 
-
-def market_from_json(
-    doc: Mapping[str, object],
-) -> tuple[Instance, dict[str, MarginalPreference | TrichotomousPreference]]:
+def market_from_json(doc: Mapping[str, object]) -> tuple[Instance, dict[str, Preference]]:
     """Parse a market document into (Instance, preference map); strict about fields."""
     if not isinstance(doc, Mapping):
         raise ValidationError("market document must be a JSON object")
@@ -400,7 +474,7 @@ def market_from_json(
     if unknown:
         raise ValidationError(f"unknown field(s) in market document: {canon(unknown)}")
     instance, names = _validate_instance(doc)
-    prefs: dict[str, MarginalPreference | TrichotomousPreference] = {}
+    prefs: dict[str, Preference] = {}
     raw_prefs = doc.get("preferences", {})
     if not isinstance(raw_prefs, Mapping):
         raise ValidationError("'preferences' must be a map agent -> preference")
@@ -418,37 +492,23 @@ def market_from_json(
                 frozenset(_identifiers(cls, "a class of agent {!r}", a, names))
                 for cls in p["classes"]
             )
-            pref = MarginalPreference(a, classes)
-            pref.validate_universe(instance.objects)
-            prefs[a] = pref
+            prefs[a] = MarginalPreference(a, classes)
         elif keys == _PREF_FIELDS_AB:
-            tri = TrichotomousPreference(
+            prefs[a] = TrichotomousPreference(
                 a,
                 frozenset(_identifiers(p["attractive"], "'attractive' of agent {!r}", a, names)),
                 frozenset(_identifiers(p["bearable"], "'bearable' of agent {!r}", a, names)),
             )
-            acceptable = tri.acceptable()
-            missing = instance.endowment[a] - acceptable
-            if missing:
-                raise ValidationError(
-                    f"agent {a!r}: endowed object(s) {canon(missing)} outside A ∪ B"
-                )
-            stray = acceptable - instance.objects
-            if stray:
-                raise ValidationError(f"agent {a!r}: unknown object(s) {canon(stray)}")
-            prefs[a] = tri
         else:
             raise ValidationError(
                 f"preference of agent {a!r} must have exactly the fields "
                 "{'classes'} or {'attractive', 'bearable'}"
             )
+        _check_preference(instance, a, prefs[a])
     return instance, prefs
 
 
-def market_to_json(
-    instance: Instance,
-    prefs: Mapping[str, MarginalPreference | TrichotomousPreference] | None = None,
-) -> dict[str, object]:
+def market_to_json(instance: Instance, prefs: AnyProfile | None = None) -> dict[str, object]:
     doc: dict[str, object] = {
         "agents": list(instance.agents),
         "objects": list(instance.object_ids),
@@ -489,28 +549,17 @@ def matching_to_json(instance: Instance, matching: Matching) -> dict[str, object
     }
 
 
-def load_market(path: str) -> tuple[Instance, dict[str, MarginalPreference | TrichotomousPreference]]:
+def load_market(path: str) -> tuple[Instance, dict[str, Preference]]:
     with open(path, "r", encoding="utf-8") as fh:
         return market_from_json(json.load(fh))
 
 
-def trichotomous_profile(
-    instance: Instance,
-    prefs: Mapping[str, MarginalPreference | TrichotomousPreference],
-) -> Profile:
-    """Coerce a parsed preference map to a full trichotomous profile, validating coverage."""
+def trichotomous_profile(instance: Instance, prefs: AnyProfile) -> Profile:
+    """Coerce a parsed preference map to a full trichotomous profile, checked
+    with check_profile."""
+    check_profile(instance, prefs)
     out: Profile = {}
     for a in instance.agents:
-        if a not in prefs:
-            raise ValidationError(f"no preference given for agent {a!r}")
         p = prefs[a]
-        if isinstance(p, MarginalPreference):
-            p.validate_universe(instance.objects)
-            out[a] = to_trichotomous(p, instance.endowment[a])
-        else:
-            if instance.endowment[a] - p.acceptable():
-                raise ValidationError(
-                    f"agent {a!r}: endowment not contained in A ∪ B"
-                )
-            out[a] = p
+        out[a] = to_trichotomous(p, instance.endowment[a]) if isinstance(p, MarginalPreference) else p
     return out

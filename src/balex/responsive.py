@@ -16,14 +16,18 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping
+from operator import or_
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
+    AnyProfile,
     Instance,
     MarginalPreference,
     Matching,
     MechanismInvariantError,
     TrichotomousPreference,
+    matching_masks,
+    profile_masks,
 )
 
 
@@ -71,17 +75,15 @@ def prefix_counts(pref: MarginalPreference, bundle: Iterable[str]) -> tuple[int,
     return tuple(accumulate(counts))
 
 
-def prefix_masks(instance: Instance, pref: MarginalPreference) -> list[int]:
-    """The mask twin of prefix_counts: entry k holds the objects ranked in class
-    k + 1 or better and the last entry every object, so the popcounts of a
-    bundle mask against these masks are the bundle's prefix_counts."""
-    out: list[int] = []
-    acc = 0
-    for cls in pref.classes:
-        acc |= instance.mask(cls)
-        out.append(acc)
-    out.append((1 << len(instance.object_ids)) - 1)
-    return out
+def prefix_masks(instance: Instance, prefs: AnyProfile) -> list[list[int]]:
+    """The mask twin of prefix_counts, per agent in priority order: entry k
+    holds the objects ranked in class k + 1 or better of the agent's classes
+    ([A, B, rest] for a trichotomous preference) and the last entry every
+    object, so the popcounts of a bundle mask against these masks are the
+    bundle's prefix_counts.  Built from model.profile_masks, which refuses an
+    invalid profile."""
+    full = (1 << len(instance.object_ids)) - 1
+    return [[*accumulate(classes, or_), full] for classes in profile_masks(instance, prefs)]
 
 
 def compare_prefix_counts(px: tuple[int, ...], py: tuple[int, ...]) -> BundleComparison:
@@ -175,27 +177,36 @@ def build_punishing_extension(
     return ResponsiveExtension(pref.owner, utility)
 
 
-def cir_violation(
-    instance: Instance, mu: Matching, prefs: Mapping[str, MarginalPreference]
-) -> tuple[str, str] | None:
+def cir_violation(instance: Instance, mu: Matching, prefs: AnyProfile) -> tuple[str, str] | None:
     """First (agent, pivot) pair violating component-wise individual rationality, if any.
 
     Agent i with endowed pivot ω violates when her bundle holds fewer objects
-    weakly above ω than her endowment does.
+    weakly above ω than her endowment does.  `mu` and `prefs` are checked
+    with model.matching_masks and model.profile_masks; a trichotomous
+    preference is read as its classes [A, B, rest].
     """
-    for a in instance.agents:
-        pref, own = prefs[a], instance.endowment[a]
-        have, keep = prefix_counts(pref, mu.assignment[a]), prefix_counts(pref, own)
-        for pivot in sorted(own):
-            k = pref.ranks[pivot] - 1
-            if have[k] < keep[k]:
-                return a, pivot
+    return _cir_violation(instance, matching_masks(instance, mu), prefix_masks(instance, prefs))
+
+
+def _cir_violation(
+    instance: Instance, bundles: Sequence[int], prefixes: Sequence[Sequence[int]]
+) -> tuple[str, str] | None:
+    """cir_violation on checked bundle masks and each agent's prefix_masks:
+    the least endowed object, by identifier, of any class at whose prefix
+    the bundle holds fewer objects than the endowment does."""
+    for a, bundle, own, ps in zip(instance.agents, bundles, instance.endowment_masks, prefixes):
+        bad = prev = 0
+        for p in ps:
+            pivots = own & p & ~prev
+            if pivots and (bundle & p).bit_count() < (own & p).bit_count():
+                bad |= pivots
+            prev = p
+        if bad:
+            return a, instance.object_ids[(bad & -bad).bit_length() - 1]
     return None
 
 
-def is_component_wise_IR(
-    instance: Instance, mu: Matching, prefs: Mapping[str, MarginalPreference]
-) -> bool:
+def is_component_wise_IR(instance: Instance, mu: Matching, prefs: AnyProfile) -> bool:
     """Component-wise individual rationality, equivalent to unambiguous IR."""
     return cir_violation(instance, mu, prefs) is None
 
@@ -203,12 +214,7 @@ def is_component_wise_IR(
 def cir_trichotomous(
     instance: Instance, mu: Matching, prefs: Mapping[str, TrichotomousPreference]
 ) -> bool:
-    """CIR specialized to (A, B) form: bundle within A ∪ B and no attractive loss."""
-    for a in instance.agents:
-        p = prefs[a]
-        bundle = mu.assignment[a]
-        if bundle - p.acceptable():
-            return False
-        if len(bundle & p.attractive) < len(instance.endowment[a] & p.attractive):
-            return False
-    return True
+    """CIR specialized to (A, B) form: bundle within A ∪ B and no attractive
+    loss.  The profile rule puts each endowment within A ∪ B, so this is
+    is_component_wise_IR under the classes [A, B, rest]."""
+    return is_component_wise_IR(instance, mu, prefs)

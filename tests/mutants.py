@@ -52,6 +52,14 @@ _KEPT_COPY = _FLOWNET + "test_a_restart_from_the_kept_matching_reinstalls_only_t
 _USED_NETWORK = _FLOWNET + "test_restart_installs_what_a_new_network_starts_from"
 _STRONG_COUNTS = _FLOWNET + "test_a_strong_misreport_search_installs_once_and_patches_one_agent"
 _DIGEST = "tests/test_output_digest.py::test_outputs_match_the_recorded_digests"
+_ENDOWMENT = (
+    "tests/test_audits.py::"
+    "test_an_endowment_outside_the_reported_a_and_b_is_refused_before_any_network"
+)
+_BOUNDARY = (
+    "tests/test_validation_boundary.py::"
+    "test_every_entry_point_refuses_a_mutated_matching_or_profile"
+)
 _AUDIT_COUNTS = (
     "tests/test_audits.py::test_audits_run_the_mechanism_once_per_distinct_profile",
     "tests/test_audits.py::test_strong_profiles_run_one_pass_and_others_the_kernel",
@@ -136,25 +144,63 @@ MUTANTS = (
         "an install with explicit bounds from the kept matching patches the "
         "kept copy and loses its bounds",
     ),
+    # -- the validation boundary, `model.matching_masks` and `check_profile` --
     Mutant(
-        "run-without-endowment-check",
-        "mechanism.py",
-        "    _require_endowment(instance, a_masks, b_masks)\n    endow = list(",
-        "    endow = list(",
-        ("tests/test_audits.py::"
-         "test_an_endowment_outside_the_reported_a_and_b_is_refused_before_any_network",),
-        "run_ir_priority builds a network for an endowment outside its "
-        "agent's A ∪ B",
+        "endowment-check-dropped",
+        "model.py",
+        "    elif instance.endowment[a] - pref.attractive - pref.bearable:\n",
+        "    elif False:\n",
+        (_ENDOWMENT, _BOUNDARY),
+        "a profile whose A \u222a B leaves out an object its agent owns is accepted",
     ),
     Mutant(
-        "audits-without-endowment-check",
-        "audits.py",
-        "        _require_endowment(instance, a_masks, b_masks)\n",
+        "masked-profile-unfitted",
+        "model.py",
+        "        _check_fit(instance, a, prefs[a])\n",
         "",
-        ("tests/test_audits.py::"
-         "test_an_endowment_outside_the_reported_a_and_b_is_refused_before_any_network",),
-        "the manipulation audits build a network for an endowment outside its "
-        "agent's A ∪ B",
+        (_ENDOWMENT,),
+        "run_ir_priority and the manipulation audits build a network for an "
+        "endowment outside its agent's A \u222a B",
+    ),
+    Mutant(
+        "profile-unknown-object-unchecked",
+        "model.py",
+        "    if not known:\n",
+        "    if False:\n",
+        (_BOUNDARY,),
+        "a preference naming an object outside the instance is a bare KeyError",
+    ),
+    Mutant(
+        "profile-missing-agent-unchecked",
+        "model.py",
+        "        if a not in prefs:\n            raise ValidationError(",
+        "        if False:\n            raise ValidationError(",
+        (_BOUNDARY,),
+        "a profile without an agent's preference is a bare KeyError",
+    ),
+    Mutant(
+        "matching-unknown-object-unnamed",
+        "model.py",
+        "        except KeyError:\n            stray = canon(set(bundle) - instance.objects)\n",
+        "        except KeyError:\n            raise\n            stray = None\n",
+        (_BOUNDARY,),
+        "a matching naming an object outside the instance is a bare KeyError",
+    ),
+    Mutant(
+        "matching-missing-agent-unchecked",
+        "model.py",
+        "        if a not in assignment:\n",
+        "        if False:\n",
+        (_BOUNDARY,),
+        "a matching without an agent's bundle is a bare KeyError",
+    ),
+    Mutant(
+        "matching-held-twice-unchecked",
+        "model.py",
+        "        if m & seen:\n",
+        "        if False:\n",
+        (_BOUNDARY,),
+        "a matching that gives one object to two agents gets a verdict",
     ),
     # -- the improvement searches' mask cut ---------------------------------
     Mutant(
@@ -226,6 +272,25 @@ MUTANTS = (
         ("tests/test_audit_masks.py::"
          "test_a_bundle_outside_the_reported_a_and_b_is_an_invariant_error",),
         "a truthful bundle outside the reported A ∪ B gives a verdict",
+    ),
+    # -- PR 16's agent skip and PR 24's verdict sharing ------------------------
+    Mutant(
+        "agent-without-open-prefix-searched",
+        "audits.py",
+        "        if not open_prefixes:\n            continue\n",
+        "",
+        ("tests/test_audit_masks.py::test_a_misreport_search_builds_only_the_rationed_agents_reports",),
+        "the misreport search builds the reports of an agent whose truthful "
+        "bundle no bundle of its size beats",
+    ),
+    Mutant(
+        "dominance-verdict-per-matching",
+        "audits.py",
+        "        if counts not in dominated:\n",
+        "        if True:\n",
+        ("tests/test_audits.py::test_matchings_with_equal_prefix_counts_share_one_dominance_verdict",),
+        "efficient_ir_set asks for a dominance verdict once per CIR matching, "
+        "not once per prefix-count tuple",
     ),
 )
 

@@ -712,6 +712,24 @@ def test_skipped_agents_have_no_profitable_report(monkeypatch):
     assert skipped == {"run_ir_priority": [117, 690], "_contained_scrambled_run": [29, 730]}
 
 
+def test_a_misreport_search_builds_only_the_rationed_agents_reports(monkeypatch):
+    """An agent with no open prefix is skipped before any of its reports is
+    built: on thm4-base, where only agent 2's truthful bundle can be beaten,
+    both searches ask `_report_masks` for agent 2's reports and no others."""
+    fx = load_fixture("thm4-base")
+    built = []
+    report_masks = audits._report_masks
+
+    def recording(instance, i, *args):
+        built.append(instance.agents[i])
+        return report_masks(instance, i, *args)
+
+    monkeypatch.setattr(audits, "_report_masks", recording)
+    assert check_strategy_proofness(fx.instance, fx.prefs) is None
+    assert check_truncation_proofness(fx.instance, fx.prefs) is None
+    assert built == ["2", "2"]
+
+
 def test_a_misreport_search_runs_only_the_rationed_agents_reports(monkeypatch):
     """On thm4-base the truthful bundles of agents 1, 3 and 4 hold every class
     prefix in full, so the strategy-proofness audit looks up agent 2's
