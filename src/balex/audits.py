@@ -42,6 +42,7 @@ from .model import (
     ValidationError,
     matching_masks,
     profile_masks,
+    require_trichotomous,
 )
 # enumerate_matchings lives in optimize; audits re-exports it
 from .optimize import EnumerationLimitError, enumerate_matchings, mask_matchings
@@ -125,11 +126,6 @@ def welfare_vector(instance: Instance, mu: Matching, prefs: Profile) -> tuple[in
     return tuple((m & c[0]).bit_count() for m, c in zip(bundles, profile_masks(instance, prefs)))
 
 
-def _require_trichotomous(prefs: Mapping[str, object], what: str) -> None:
-    if not all(isinstance(p, TrichotomousPreference) for p in prefs.values()):
-        raise ValidationError(f"{what} needs a trichotomous profile")
-
-
 def _counts(mask: int, prefixes: list[int]) -> tuple[int, ...]:
     """The prefix_counts of a bundle mask, from its agent's prefix_masks."""
     return tuple([(mask & p).bit_count() for p in prefixes])
@@ -193,7 +189,6 @@ def unambiguously_efficient(
     scans all matchings.
     """
     if mode == "cycle":
-        _require_trichotomous(prefs, "cycle mode")
         return find_cir_pareto_improving_cycle(instance, mu, prefs) is None
     if mode != "brute":
         raise ValueError(f"unknown efficiency mode {mode!r}")
@@ -403,7 +398,7 @@ def check_strategy_proofness(
     agent's size could hold more, cannot gain, so it is not run; an outcome
     bundle outside its agent's reported A ∪ B is a MechanismInvariantError
     (see _misreport_search)."""
-    _require_trichotomous(prefs, "strategy-proofness audit")
+    require_trichotomous(prefs, "strategy-proofness audit")
     _check_enumeration_bound(instance, bound)
     every = range(1 << len(instance.object_ids))
     return _misreport_search(
@@ -416,7 +411,7 @@ def check_truncation_proofness(
 ) -> ManipulationWitness | None:
     """check_strategy_proofness's search over the reports that keep each agent's
     truthful attractive set and vary only the bearable extras."""
-    _require_trichotomous(prefs, "truncation audit")
+    require_trichotomous(prefs, "truncation audit")
     _check_enumeration_bound(instance, bound)
     return _misreport_search(
         instance, prefs, lambda i, truth: _report_masks(instance, i, [truth[0]])
@@ -438,7 +433,7 @@ def check_obvious_manipulability(
     outcome table that checks it too is built only once the first agent's
     opponent space is known to pass the limit.
     """
-    _require_trichotomous(prefs, "obvious-manipulability audit")
+    require_trichotomous(prefs, "obvious-manipulability audit")
     all_prefixes = prefix_masks(instance, prefs)
     agents = instance.agents
     m = len(instance.object_ids)
@@ -531,7 +526,7 @@ def unambiguously_in_weak_core(
     mu_masks = matching_masks(instance, mu)
     prefixes = prefix_masks(instance, prefs)
     if strict_acceptability:
-        _require_trichotomous(prefs, "strict-acceptability core audit")
+        require_trichotomous(prefs, "strict-acceptability core audit")
         if _cir_violation(instance, mu_masks, prefixes):
             raise ValidationError(
                 "strict-acceptability core audit requires a CIR candidate matching"
@@ -582,7 +577,7 @@ def find_efficient_core_matching(
 
     Candidates are the CIR matchings in canonical order whose attractive-count
     vector no other CIR matching Pareto-dominates."""
-    _require_trichotomous(prefs, "efficient core selection")
+    require_trichotomous(prefs, "efficient core selection")
     _check_enumeration_bound(instance, bound)
     prefixes = prefix_masks(instance, prefs)
     cir_set = [

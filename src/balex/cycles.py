@@ -20,6 +20,7 @@ from .model import (
     TrichotomousPreference,
     ValidationError,
     matching_masks,
+    require_trichotomous,
 )
 from .optimize import WelfareConstraints, max_attractive
 from .responsive import _cir_violation, prefix_masks
@@ -211,9 +212,10 @@ def find_cir_pareto_improving_cycle(
     witness is then shrunk by discarding welfare-neutral subcycles of the
     most-preferred-object graph until the remaining trade is itself a
     Pareto-improving cycle.  `mu` and `prefs` are checked with
-    model.matching_masks and model.profile_masks, and a `mu` that is not CIR
-    is a ValidationError too.
+    model.matching_masks, model.require_trichotomous and model.profile_masks,
+    and a `mu` that is not CIR is a ValidationError too.
     """
+    require_trichotomous(prefs, "the improving-cycle search")
     bundles = matching_masks(instance, mu)
     prefixes = prefix_masks(instance, prefs)
     if _cir_violation(instance, bundles, prefixes):

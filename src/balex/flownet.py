@@ -35,6 +35,18 @@ one of them searches the residual graph with the same shortest-path BFS,
 which takes a tier's object arcs with one big-int operation (the bit-parallel
 search of Alt, Blum, Mehlhorn and Paul, IPL 37(4), 1991).
 
+Most paths are one or two object moves, and two searches find those by mask
+tests before they run the queue.  An improvement cycle through agent i's
+tier edge can close only over its bearable tier's edge back to agent i, and
+it enters that tier only through an object the tier holds.  An extraction
+search with every attractive-tier edge frozen meets agent nodes only as dead
+ends.  Either way the queue reaches its target through an object, first in
+the batch of the source's objects, then in the batches of the tiers that
+batch reached, in the order they were reached, and no node it meets on the
+way holds an object of the target.  So the lowest unpinned object of the
+target that the source allows is the queue's one-move path, and else the
+lowest that the first such tier allows is its two-move path (`_chain`).
+
 Most candidate objects in an extraction cannot be pinned.  Once an agent's
 attractive-tier edge is frozen, a tier of its that holds only pinned objects
 is full: no search can enter it, so its remaining candidates take none.
@@ -284,7 +296,9 @@ class ExchangeFlow:
 
     # -- residual search -----------------------------------------------------
 
-    def _find_path(self, s: int, t: int, skip_pair: int = -1) -> Path | None:
+    def _find_path(
+        self, s: int, t: int, skip_pair: int = -1, all_frozen: bool = False
+    ) -> Path | None:
         """Shortest residual path s -> t (see `Path`), or None.
 
         Breadth-first.  A node expands its explicit arcs in edge-list order and,
@@ -295,7 +309,28 @@ class ExchangeFlow:
         comes off the queue, its objects in index order send the search on to
         their holders.  So nodes are reached in the order, and the path found
         is the one, of a search over every object arc.
+
+        Two searches first try `_chain`, which returns the queue's own path
+        when it is one or two object moves long.  A cycle search (`skip_pair`
+        set: s is the attractive tier of agent t, and skip_pair its tier edge
+        pair) can reach agent t only from its bearable tier, over edge
+        4t + 3, and that tier only through an object it holds; so with that
+        edge open, its path is a chain into the bearable tier and the edge.
+        A search with every attractive-tier edge frozen (`all_frozen`, from
+        extraction) meets agent nodes only as dead ends, so its path is a
+        chain into t.  Otherwise, or when no such chain exists, the queue
+        runs.
         """
+        if skip_pair >= 0:
+            i = skip_pair >> 1
+            if self.cap[4 * i + 3] > 0:
+                moves = self._chain(s, self.tier_b0 + i)
+                if moves:
+                    return [4 * i + 3], moves
+        elif all_frozen:
+            moves = self._chain(s, t)
+            if moves:
+                return [], moves
         to, cap, adj, frozen = self.to, self.cap, self.adj, self.frozen
         allow, held, holder = self.allow, self.held, self.holder
         seen = bytearray(self.nn)
@@ -341,6 +376,36 @@ class ExchangeFlow:
                         return self._path(s, t, parent, entered)
                     queue.append(v)
                     covered |= held[v]
+        return None
+
+    def _chain(self, s: int, target: int) -> list[tuple[int, int]] | None:
+        """The moves of the queue's path from tier s into tier `target` when
+        it is one or two object moves, by mask tests alone; else None.
+
+        Two mask tests, for a search whose explicit arcs near s reach no node
+        that could enter `target` before its object batches do (see
+        `_find_path`).  Such a search enters `target` only through an
+        unpinned object `target` holds.  The first batch is s's, and its
+        objects in index order reach their holders (level 1), each covering
+        what it holds.  So one move takes the lowest unpinned object of
+        `target` that s allows.  Failing that, the level-1 holders' batches
+        come off the queue in the order they were reached, each in index
+        order, and no node reached in between holds an object of `target`:
+        two moves take the lowest such object that the first of them allows.
+        """
+        pinned, allow, held, holder = self.pinned, self.allow, self.held, self.holder
+        goal = held[target] & ~pinned
+        rem = allow[s] & ~(pinned | held[s])
+        hit = rem & goal
+        if hit:
+            return [((hit & -hit).bit_length() - 1, s)]
+        while rem:
+            j = (rem & -rem).bit_length() - 1
+            y = holder[j]
+            hit = allow[y] & goal
+            if hit:
+                return [((hit & -hit).bit_length() - 1, y), (j, s)]
+            rem &= ~held[y]
         return None
 
     def _path(self, s: int, t: int, parent: list[int], entered: dict[int, int]) -> Path:
@@ -458,6 +523,7 @@ class ExchangeFlow:
         if self.held[self.free]:
             raise MechanismInvariantError("canonical extraction needs a feasible flow")
         bundles = [0] * self.n
+        all_frozen = all(self.frozen[::2])
         for i in order:
             need = self.sizes[i]
             got = 0
@@ -473,7 +539,7 @@ class ExchangeFlow:
                     if frozen and not self.held[t_node] & ~self.pinned:
                         rem &= ~self.allow[t_node]  # a full tier: no search can enter it
                         continue
-                    path = self._find_path(src_tier, t_node)
+                    path = self._find_path(src_tier, t_node, all_frozen=all_frozen)
                     if path is None:
                         continue
                     self._push(path)

@@ -42,7 +42,8 @@ Input errors: the public entry points take their masks from
 `model.profile_masks` and `model.matching_masks`, which raise ValidationError
 for a profile or a matching that is not valid for the instance; this module
 checks nothing of its own beyond that, except that a refinement's base
-matching must be CIR.
+matching must be CIR and the mechanism's profile trichotomous
+(`model.require_trichotomous`).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .model import (
     ValidationError,
     matching_masks,
     profile_masks,
+    require_trichotomous,
 )
 from .responsive import _cir_violation, prefix_masks
 
@@ -430,15 +432,16 @@ def run_ir_priority(
 ) -> tuple[Matching, MechanismTrace]:
     """Run the priority mechanism; returns the final matching and a full trace.
 
-    The profile is checked with model.profile_masks, before any network is
-    built.  The outer loop performs at most one
-    elicitation round per agent; failure of the non-improvable set to grow
-    raises MechanismInvariantError with the named states of the finished
-    rounds as its second argument.  The run itself is `_run_masks`; the
+    The profile is checked with model.require_trichotomous and
+    model.profile_masks, before any network is built.  The outer loop
+    performs at most one elicitation round per agent; failure of the
+    non-improvable set to grow raises MechanismInvariantError with the named
+    states of the finished rounds as its second argument.  The run itself is `_run_masks`; the
     rounds stay as it keeps them, and the agent sets bitmasks over agent
     indices, until the trace is read.
     """
     agents = instance.agents
+    require_trichotomous(prefs, "the priority mechanism")
     classes = profile_masks(instance, prefs)
     profile: Profile = tuple((prefs[a].attractive, prefs[a].bearable) for a in agents)
     a_masks = [c[0] for c in classes]

@@ -383,6 +383,13 @@ def _classes(pref: Preference) -> tuple[frozenset[str], ...]:
     return pref.attractive, pref.bearable
 
 
+def require_trichotomous(prefs: Mapping[str, object], what: str) -> None:
+    """Refuse a profile that is not all trichotomous preferences: `what`, a
+    query defined on (A, B) profiles alone, cannot take it."""
+    if not all(isinstance(p, TrichotomousPreference) for p in prefs.values()):
+        raise ValidationError(f"{what} needs a trichotomous profile")
+
+
 def profile_masks(instance: Instance, prefs: AnyProfile) -> list[list[int]]:
     """Per agent in priority order, the masks of its preference's classes,
     [A, B, rest] for a trichotomous one, for a profile that check_profile

@@ -51,6 +51,7 @@ _FLOWNET = "tests/test_flownet.py::"
 _KEPT_COPY = _FLOWNET + "test_a_restart_from_the_kept_matching_reinstalls_only_the_changed_agents"
 _USED_NETWORK = _FLOWNET + "test_restart_installs_what_a_new_network_starts_from"
 _STRONG_COUNTS = _FLOWNET + "test_a_strong_misreport_search_installs_once_and_patches_one_agent"
+_QUEUE_PATHS = _FLOWNET + "test_searches_return_the_queues_own_paths"
 _DIGEST = "tests/test_output_digest.py::test_outputs_match_the_recorded_digests"
 _ENDOWMENT = (
     "tests/test_audits.py::"
@@ -227,6 +228,66 @@ MUTANTS = (
         "                    if not self.held[t_node] & ~self.pinned:\n",
         (_FLOWNET + "test_full_tiers_are_dropped_only_where_no_search_enters_them",),
         "extraction drops the candidates of an unfrozen agent's full tier",
+    ),
+    # -- the residual searches' one- and two-move shortcuts ------------------
+    Mutant(
+        "chain-takes-highest-object",
+        "flownet.py",
+        "                return [((hit & -hit).bit_length() - 1, y), (j, s)]\n",
+        "                return [(hit.bit_length() - 1, y), (j, s)]\n",
+        (_QUEUE_PATHS,),
+        "a two-move path enters its target through the highest object the "
+        "first level-1 holder allows, not the lowest",
+    ),
+    Mutant(
+        "chain-takes-last-holder",
+        "flownet.py",
+        "        while rem:\n"
+        "            j = (rem & -rem).bit_length() - 1\n"
+        "            y = holder[j]\n"
+        "            hit = allow[y] & goal\n"
+        "            if hit:\n"
+        "                return [((hit & -hit).bit_length() - 1, y), (j, s)]\n"
+        "            rem &= ~held[y]\n"
+        "        return None\n",
+        "        last = None\n"
+        "        while rem:\n"
+        "            j = (rem & -rem).bit_length() - 1\n"
+        "            y = holder[j]\n"
+        "            hit = allow[y] & goal\n"
+        "            if hit:\n"
+        "                last = [((hit & -hit).bit_length() - 1, y), (j, s)]\n"
+        "            rem &= ~held[y]\n"
+        "        return last\n",
+        (_QUEUE_PATHS,),
+        "a two-move path goes through the last level-1 holder that allows an "
+        "object of its target, not the first",
+    ),
+    Mutant(
+        "chain-moves-pinned-objects",
+        "flownet.py",
+        "        goal = held[target] & ~pinned\n",
+        "        goal = held[target]\n",
+        (_QUEUE_PATHS,),
+        "a one- or two-move path enters its target through a pinned object",
+    ),
+    Mutant(
+        "chain-with-unfrozen-agents",
+        "flownet.py",
+        "        all_frozen = all(self.frozen[::2])\n",
+        "        all_frozen = True\n",
+        (_QUEUE_PATHS,),
+        "extraction takes one- and two-move paths while an agent node can "
+        "still lead to a shorter path or an earlier one",
+    ),
+    Mutant(
+        "cycle-chain-over-closed-edge",
+        "flownet.py",
+        "            if self.cap[4 * i + 3] > 0:\n",
+        "            if True:\n",
+        (_QUEUE_PATHS,),
+        "a cycle search ends at the agent over its bearable tier's edge "
+        "though the edge has no residual",
     ),
     # -- strongly trichotomous runs in one pass -----------------------------
     Mutant(

@@ -1,8 +1,9 @@
 """Flow network: installing from a known matching versus `solve_feasible`,
 `solve_feasible` against enumerated matchings, canonical extraction against
 a brute-force greedy over them, installs on a used network, the kept-copy
-patch included, against installs on new networks, and improvement searches
-with the mask test against searches without it."""
+patch included, against installs on new networks, improvement searches
+with the mask test against searches without it, and residual searches with
+their one- and two-move shortcuts against the breadth-first queue alone."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import copy
 import random
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balex.audits import check_strategy_proofness
@@ -18,7 +19,7 @@ from balex.fixtures import load_fixture
 from balex.flownet import ExchangeFlow
 from balex.generate import random_market
 from balex.mechanism import run_ir_priority
-from balex.model import DomainSpec, TrichotomousPreference
+from balex.model import DomainSpec, MechanismInvariantError, TrichotomousPreference
 from conftest import make_instance, random_profile
 
 
@@ -37,10 +38,10 @@ def _partition(draw, sizes: list[int]) -> list[int]:
 
 
 @st.composite
-def systems_with_a_matching(draw, max_objects: int = 12):
+def systems_with_a_matching(draw, max_objects: int = 12, max_agents: int = 4):
     """A constraint system, a balanced matching satisfying it and a priority order."""
     sizes = draw(
-        st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+        st.lists(st.integers(1, 3), min_size=1, max_size=max_agents).filter(
             lambda s: sum(s) <= max_objects
         )
     )
@@ -621,6 +622,135 @@ def test_maximize_with_the_mask_test_pushes_the_same_cycles(fast):
         assert count == slow.tier_count(i)
         for name in ("cap", "held", "holder", "allow", "pinned"):
             assert getattr(fast, name) == getattr(slow, name), name
+
+
+def _queue_path(flow: ExchangeFlow, s: int, t: int, skip_pair: int = -1):
+    """`ExchangeFlow._find_path` without the one- and two-move shortcuts:
+    the breadth-first queue alone."""
+    seen = bytearray(flow.nn)
+    covered = flow.pinned | flow.held[s]
+    seen[s] = 1
+    parent = [0] * flow.nn
+    entered: dict[int, int] = {}
+    batches: dict[int, int] = {}
+    queue = [s]
+    for u in queue:
+        if u < 0:
+            u = ~u
+            rem = batches[u] & ~covered
+            while rem:
+                j = (rem & -rem).bit_length() - 1
+                v = flow.holder[j]
+                seen[v] = 1
+                parent[v] = ~j
+                entered[j] = u
+                if v == t:
+                    return flow._path(s, t, parent, entered)
+                queue.append(v)
+                covered |= flow.held[v]
+                rem &= ~covered
+            continue
+        for eid in flow.adj[u]:
+            if eid == -1:  # the object arcs
+                batch = flow.allow[u] & ~covered
+                if batch:
+                    batches[u] = batch
+                    queue.append(~u)
+                continue
+            v = flow.to[eid]
+            if (
+                flow.cap[eid] > 0
+                and not seen[v]
+                and not flow.frozen[eid >> 1]
+                and (eid >> 1) != skip_pair
+            ):
+                seen[v] = 1
+                parent[v] = eid
+                if v == t:
+                    return flow._path(s, t, parent, entered)
+                queue.append(v)
+                covered |= flow.held[v]
+    return None
+
+
+def _recording(search, made: list):
+    """`search`, appending each call's (s, t, path) to `made`."""
+
+    def find_path(s, t, **kwargs):
+        made.append((s, t, search(s, t, **kwargs)))
+        return made[-1][2]
+
+    return find_path
+
+
+@st.composite
+def search_networks(draw):
+    """How to build a network to search: a system installed from a matching,
+    the agents then maximized, the agents then frozen (none, some or all),
+    the pins (perhaps none) and perhaps every explicit edge's residual
+    redrawn, so that the shortcuts meet residual graphs no flow leaves too."""
+    (sizes, attractive, allowed, lo, hi, m), bundles, order = draw(
+        systems_with_a_matching(max_agents=6)
+    )
+    maximized = order[: draw(st.integers(0, len(sizes)))]
+    how = draw(st.sampled_from(["none", "some", "all"]))
+    frozen = [i for i in order if how == "all" or (how == "some" and draw(st.booleans()))]
+    pinned = draw(st.integers(0, (1 << m) - 1)) if draw(st.booleans()) else 0
+    caps = [draw(st.integers(-1, 2)) for _ in range(4 * len(sizes))] if draw(st.booleans()) else None
+    return (sizes, attractive, allowed, lo, hi, m), bundles, order, maximized, frozen, pinned, caps
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(search_networks())
+# No agent frozen: extraction's search from tier B(1) to tier B(0) meets tier
+# A(0) first, so agent 0's node comes off the queue before any level-1 tier's
+# batch and reaches B(0): the path is not the two-move chain through B(3).
+@example((([2, 1, 3, 3], [4, 0, 0, 0], [7, 93, 56, 450], [0] * 4, None, 9),
+          [3, 4, 56, 448], [0, 1, 2, 3], [0], [], 0, None))
+def test_searches_return_the_queues_own_paths(case):
+    """`_find_path` against the queue alone, edges and moves alike: a cycle
+    search through each agent's tier edge, and a search between every two
+    tiers told what extraction tells it.  Then the searches of canonical
+    extraction, which tells them whether every agent is frozen, against
+    those of extraction by the queue alone, from the network with its pins
+    cleared: the same calls, paths and outcome.  (Any paths would give the
+    same outcome; the paths decide which later candidates need a search.)"""
+    (sizes, attractive, allowed, lo, hi, m), bundles, order, maximized, frozen, pinned, caps = case
+    flow = ExchangeFlow(sizes, n_objects=m)
+    assert flow.install(attractive, allowed, lo, hi, bundles)
+    for i in maximized:
+        flow.maximize(i)
+    for i in frozen:
+        flow.freeze(i)
+    flow.pinned = pinned
+    if caps is not None:
+        flow.cap = caps
+    all_frozen = all(flow.frozen[::2])
+    for i in range(flow.n):
+        s, pair = flow.tier_a0 + i, flow.tier_edge_a[i] >> 1
+        assert flow._find_path(s, i, skip_pair=pair) == _queue_path(flow, s, i, pair)
+    tiers = range(flow.tier_a0, flow.free)
+    for s in tiers:
+        for t in tiers:
+            if s != t:
+                assert flow._find_path(s, t, all_frozen=all_frozen) == _queue_path(flow, s, t)
+    flow.pinned = 0
+    slow = copy.deepcopy(flow)
+    runs = []
+    for network, search in (
+        (flow, flow._find_path),
+        (slow, lambda s, t, **_: _queue_path(slow, s, t)),
+    ):
+        made: list = []
+        network._find_path = _recording(search, made)
+        try:
+            outcome = network.extract_canonical(order)
+        except MechanismInvariantError as exc:
+            outcome = str(exc)
+        runs.append((made, outcome))
+    assert runs[0] == runs[1]
+    for name in ("cap", "held", "holder", "pinned"):
+        assert getattr(flow, name) == getattr(slow, name), name
 
 
 def test_a_strong_misreport_search_installs_once_and_patches_one_agent(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balex
+from balex.audits import marginal_profile
 from balex.fixtures import load_fixture
 from balex.generate import random_market
 from balex.model import MarginalPreference, Matching, TrichotomousPreference, ValidationError
@@ -59,6 +60,18 @@ ENTRY_POINTS = {
 }
 # The refinement queries take a profile as (A, B) maps, which hold no classes.
 MAPS = {"non_improvable_set", "serial_refine"}
+# Entry points defined on trichotomous profiles alone: a class-based profile,
+# valid as it is, is a ValidationError there.
+TRICHOTOMOUS_ONLY = {
+    "check_obvious_manipulability",
+    "check_strategy_proofness",
+    "check_truncation_proofness",
+    "find_cir_pareto_improving_cycle",
+    "find_efficient_core_matching",
+    "run_ir_priority",
+    "unambiguously_efficient/cycle",
+    "unambiguously_in_weak_core/strict",
+}
 # Entry points whose parameters name a matching or a profile but that have
 # nothing to check them against, and why.
 UNCHECKED = {
@@ -184,6 +197,21 @@ def test_every_entry_point_accepts_the_unmutated_inputs(name):
         ENTRY_POINTS[name][0](fx.instance, fx.instance.endowment_matching(), fx.prefs)
     except EnumerationLimitError:
         assert name == "check_obvious_manipulability"
+
+
+@pytest.mark.parametrize("name", sorted(set(ENTRY_POINTS) - MAPS))
+def test_a_class_based_profile_is_refused_only_where_a_trichotomous_one_is_needed(name):
+    """thm4-base's profile as [A, B, rest] classes: the entry points in
+    TRICHOTOMOUS_ONLY refuse it with ValidationError, not a bare
+    AttributeError from reading its A, and the others accept it."""
+    fx = load_fixture("thm4-base")
+    call = ENTRY_POINTS[name][0]
+    args = fx.instance, fx.instance.endowment_matching(), marginal_profile(fx.instance, fx.prefs)
+    if name in TRICHOTOMOUS_ONLY:
+        with pytest.raises(ValidationError, match="needs a trichotomous profile$"):
+            call(*args)
+    else:
+        call(*args)
 
 
 def test_the_table_holds_every_entry_point_that_takes_a_matching_or_a_profile():
