@@ -40,13 +40,14 @@ from .model import (
     MechanismInvariantError,
     TrichotomousPreference,
     ValidationError,
+    _matching_from_masks,
     matching_masks,
     profile_masks,
     require_trichotomous,
 )
 # enumerate_matchings lives in optimize; audits re-exports it
 from .optimize import EnumerationLimitError, enumerate_matchings, mask_matchings
-from .optimize import _check_enumeration_bound, _matching_from_masks
+from .optimize import _check_enumeration_bound
 from .responsive import (
     BundleComparison,
     ResponsiveExtension,

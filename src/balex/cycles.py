@@ -12,18 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .mechanism import _non_improvable
+from .mechanism import _from_base
 from .model import (
     Instance,
     Matching,
     MechanismInvariantError,
     TrichotomousPreference,
-    ValidationError,
-    matching_masks,
+    _matching_from_masks,
     require_trichotomous,
 )
-from .optimize import WelfareConstraints, max_attractive
-from .responsive import _cir_violation, prefix_masks
+# the improving-cycle search does not call max_attractive; the name stays
+# bound here for perfbench's tracer
+from .optimize import max_attractive  # noqa: F401
+from .responsive import prefix_masks
 
 
 @dataclass(frozen=True)
@@ -206,36 +207,33 @@ def find_cir_pareto_improving_cycle(
     """Some CIR Pareto-improving cycle of `mu`, or None iff `mu` is unambiguously
     efficient (for component-wise individually rational `mu`).
 
-    One improvability network finds the first agent (in priority order) that
-    some CIR matching weakly improving `mu` makes strictly better off; that
-    agent's maximization query gives a strictly improving witness matching.  The
-    witness is then shrunk by discarding welfare-neutral subcycles of the
+    One network, installed from `mu` (`mechanism._from_base`), holds the CIR
+    matchings that weakly improve `mu`.  On it the search finds the first
+    agent (in priority order) that one of them makes strictly better off,
+    maximizes that agent's attractive count, freezes it and extracts the
+    canonical matching: a strictly improving witness.  The witness is then
+    shrunk by discarding welfare-neutral subcycles of the
     most-preferred-object graph until the remaining trade is itself a
     Pareto-improving cycle.  `mu` and `prefs` are checked with
     model.matching_masks, model.require_trichotomous and model.profile_masks,
     and a `mu` that is not CIR is a ValidationError too.
     """
     require_trichotomous(prefs, "the improving-cycle search")
-    bundles = matching_masks(instance, mu)
-    prefixes = prefix_masks(instance, prefs)
-    if _cir_violation(instance, bundles, prefixes):
-        raise ValidationError("base matching must be component-wise individually rational")
-    stuck = _non_improvable(instance, prefixes, bundles)
-    attractive = {a: prefs[a].attractive for a in instance.agents}
-    target = next((a for a in instance.agents if a not in stuck), None)
+    flow = _from_base(
+        instance, prefix_masks(instance, prefs), mu,
+        "base matching must be component-wise individually rational",
+    )
+    target = next((i for i in flow.order if flow.can_improve(i)), None)
     if target is None:
         return None
-    welfare = {a: len(mu.assignment[a] & attractive[a]) for a in instance.agents}
-    constraints = WelfareConstraints(
-        allowed={a: prefs[a].acceptable() for a in instance.agents},
-        attractive=attractive,
-        min_attractive=welfare,
-    )
-    best, nu = max_attractive(instance, constraints, target)
-    if best <= welfare[target]:
+    welfare = flow.tier_count(target)
+    if flow.maximize(target) <= welfare:
         raise MechanismInvariantError(
-            f"agent {target!r} is improvable but its maximum does not exceed its welfare"
+            f"agent {instance.agents[target]!r} is improvable but its maximum "
+            "does not exceed its welfare"
         )
+    flow.freeze(target)
+    nu = _matching_from_masks(instance, flow.extract_canonical(flow.order))
     while True:
         moved = sorted(a for a in instance.agents if mu.assignment[a] != nu.assignment[a])
         owner_mu = {o: a for a, b in mu.assignment.items() for o in b}

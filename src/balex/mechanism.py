@@ -24,25 +24,26 @@ misreport audits call `_final_masks` on (A, B) masks directly, all runs of
 one search, the truthful one included, on one network; it returns only a
 run's final bundles, and on a strongly trichotomous profile runs the single
 pass those bundles come from, without the elicitation loop and its invariant
-checks (Lemma (b) of `_run_masks`).  A refinement pass (`_refine_masks`)
-likewise runs on the network it is given, so a sweep over many profiles of
-one market shape installs each profile's system on one network.  Each run
-installs its system from the endowment with `ExchangeFlow.install`: one pass
-per agent, or, on a network whose first install was from the endowment too,
-a pass over the agents whose reported masks differ from that install's.
+checks (Lemma (b) of `_run_masks`).  Each run installs its system from the
+endowment with `ExchangeFlow.install`: one pass per agent, or, on a network
+whose first install was from the endowment too, a pass over the agents whose
+reported masks differ from that install's.
 `run_ir_priority` masks the profile, runs it on a new network and names only
 the final matching, the only matching a run extracts.  The trace keeps the
 other rounds as the run kept them, with a snapshot of the reported profile:
 an earlier pass as its bearable masks, its promises and the matching the
-network held after it.  When `MechanismTrace.rounds` is first read, each
-earlier pass's canonical matching is extracted on a new network installed
-from that matching, and the rounds are named.
+network held after it.  When `MechanismTrace.rounds` is first read, the
+earlier passes are extracted on one new network, each installed on it from
+its held matching, and the rounds are named.  The queries from a base
+matching (`serial_refine`, `non_improvable_set` and the improving-cycle
+search in `cycles`) each run on one network, installed from it by
+`_from_base`.
 
 Input errors: the public entry points take their masks from
 `model.profile_masks` and `model.matching_masks`, which raise ValidationError
 for a profile or a matching that is not valid for the instance; this module
-checks nothing of its own beyond that, except that a refinement's base
-matching must be CIR and the mechanism's profile trichotomous
+checks nothing of its own beyond that, except that a base matching must be
+CIR (`_from_base`) and the mechanism's profile trichotomous
 (`model.require_trichotomous`).
 """
 
@@ -59,6 +60,7 @@ from .model import (
     MechanismInvariantError,
     TrichotomousPreference,
     ValidationError,
+    _matching_from_masks,
     matching_masks,
     profile_masks,
     require_trichotomous,
@@ -111,7 +113,9 @@ class MechanismTrace:
     def rounds(self) -> tuple[RoundState, ...]:
         instance = self._instance
         a_masks = [instance.mask(attractive) for attractive, _ in self._profile]
-        masks = _resolve_rounds(instance.sizes, len(instance.object_ids), a_masks, self._rounds)
+        unread = any(kept.bundles is None for kept, _ in self._rounds)
+        flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids)) if unread else None
+        masks = _resolve_rounds(flow, a_masks, self._rounds)
         return tuple(_name_rounds(instance, self._profile, masks, self.final))
 
     def __eq__(self, other: object) -> bool:
@@ -137,10 +141,8 @@ def _name_rounds(
     agents = instance.agents
     named = []
     for t, (bundles, promises, elicited) in enumerate(rounds, start=1):
-        if final is not None and t == len(rounds):
-            mu = final
-        else:
-            mu = Matching({a: instance.unmask(bundles[i]) for i, a in enumerate(agents)})
+        last = final is not None and t == len(rounds)
+        mu = final if last else _matching_from_masks(instance, bundles)
         bearable, outer = {}, {}
         for i, a in enumerate(agents):
             attractive, true = profile[i]
@@ -182,12 +184,22 @@ def _dictatorship(flow: ExchangeFlow) -> list[int]:
     return promises
 
 
-def _refine_masks(
-    flow: ExchangeFlow, a_masks: list[int], allowed: list[int], incumbent: list[int]
-) -> list[int]:
-    """One serial-dictatorship pass from `incumbent` on `flow`, installed
-    under these masks; returns the promises, and `flow` holds the pass."""
-    return _dictatorship(_start(flow, a_masks, allowed, incumbent))
+_NOT_CIR = "base matching must be CIR at the given (A, B) profile"
+
+
+def _from_base(
+    instance: Instance, prefixes: list[list[int]], mu: Matching, fault: str
+) -> ExchangeFlow:
+    """A new network holding the system of the CIR matchings under each
+    agent's `prefixes` (A and A ∪ B are the first two) that give every agent
+    at least as many attractive objects as `mu`, installed from `mu`.  `mu`
+    is checked with model.matching_masks, and one that is not CIR under the
+    prefixes is a ValidationError(`fault`)."""
+    bundles = matching_masks(instance, mu)
+    if _cir_violation(instance, bundles, prefixes):
+        raise ValidationError(fault)
+    flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
+    return _start(flow, [p[0] for p in prefixes], [p[1] for p in prefixes], bundles)
 
 
 def serial_refine(
@@ -203,17 +215,9 @@ def serial_refine(
     model.matching_masks and model.profile_masks, and a `mu` that is not CIR
     under the profile is a ValidationError too.
     """
-    prefixes = _prefixes(instance, attractive, bearable)
-    mu_masks = matching_masks(instance, mu)
-    if _cir_violation(instance, mu_masks, prefixes):
-        raise ValidationError("base matching must be CIR at the given (A, B) profile")
-    flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
-    promises = _refine_masks(flow, *_attractive_allowed(prefixes), mu_masks)
-    bundles = flow.extract_canonical(flow.order)
-    matching = Matching(
-        {a: instance.unmask(bundles[i]) for i, a in enumerate(instance.agents)}
-    )
-    return matching, tuple(promises)
+    flow = _from_base(instance, _prefixes(instance, attractive, bearable), mu, _NOT_CIR)
+    promises = _dictatorship(flow)
+    return _matching_from_masks(instance, flow.extract_canonical(flow.order)), tuple(promises)
 
 
 def non_improvable_set(
@@ -224,9 +228,10 @@ def non_improvable_set(
 ) -> frozenset[str]:
     """Agents whose attractive count cannot rise in any CIR matching weakly
     improving `mu` under the given (maximal) bearable sets.  `mu` and the
-    profile are checked with model.matching_masks and model.profile_masks."""
-    prefixes = _prefixes(instance, attractive, bearable_outer)
-    return _non_improvable(instance, prefixes, matching_masks(instance, mu))
+    profile are checked with model.matching_masks and model.profile_masks,
+    and a `mu` that is not CIR under the profile is a ValidationError too."""
+    flow = _from_base(instance, _prefixes(instance, attractive, bearable_outer), mu, _NOT_CIR)
+    return frozenset(a for i, a in enumerate(instance.agents) if not flow.can_improve(i))
 
 
 def _prefixes(
@@ -241,22 +246,6 @@ def _prefixes(
         if a in attractive and a in bearable
     }
     return prefix_masks(instance, prefs)
-
-
-def _attractive_allowed(prefixes: list[list[int]]) -> tuple[list[int], list[int]]:
-    """The A and A ∪ B masks, the first two prefix masks of a trichotomous
-    preference, per agent."""
-    return [p[0] for p in prefixes], [p[1] for p in prefixes]
-
-
-def _non_improvable(
-    instance: Instance, prefixes: list[list[int]], bundles: list[int]
-) -> frozenset[str]:
-    """non_improvable_set on checked masks: each agent's prefix_masks and the
-    bundle masks of `mu`, in priority order."""
-    flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
-    _start(flow, *_attractive_allowed(prefixes), bundles)
-    return frozenset(a for i, a in enumerate(instance.agents) if not flow.can_improve(i))
 
 
 class _RunFailed(MechanismInvariantError):
@@ -285,20 +274,19 @@ KeptRound = tuple[_Pass, int]
 
 
 def _resolve_rounds(
-    sizes: Sequence[int], m: int, a_masks: list[int], rounds: Sequence[KeptRound]
+    flow: ExchangeFlow | None, a_masks: list[int], rounds: Sequence[KeptRound]
 ) -> list[MaskRound]:
     """Kept rounds as bundle masks, promises and non-improvable masks.
 
-    A pass without bundles gets them here, once: a new network installed
-    from its held matching under its masks has its promises as lower
-    bounds, and with every agent frozen, extraction pins the
-    lexicographically least matching that meets them, as it would have
-    after the pass.
+    A pass without bundles gets them here, once, on `flow` (None only when
+    every pass holds them): its system installed from its held matching has
+    its promises as lower bounds, and with every agent frozen, extraction
+    pins the lexicographically least matching that meets them, as it would
+    have after the pass, whatever the network held before.
     """
     for kept, _ in rounds:
         if kept.bundles is None:
-            allowed = [a | b for a, b in zip(a_masks, kept.bearable)]
-            flow = _start(ExchangeFlow(sizes, n_objects=m), a_masks, allowed, kept.held)
+            _start(flow, a_masks, [a | b for a, b in zip(a_masks, kept.bearable)], kept.held)
             flow.freeze_all()
             kept.bundles = flow.extract_canonical(flow.order)
     return [(kept.bundles, kept.promises, elicited) for kept, elicited in rounds]
@@ -423,7 +411,7 @@ def _final_masks(
         if b != e & ~a:
             return _run_masks(flow, a_masks, b_masks, endow)[0]
         allowed.append(a | b)
-    _refine_masks(flow, a_masks, allowed, endow)  # which freezes every agent
+    _dictatorship(_start(flow, a_masks, allowed, endow))  # which freezes every agent
     return flow.extract_canonical(flow.order)
 
 
@@ -447,16 +435,14 @@ def run_ir_priority(
     a_masks = [c[0] for c in classes]
     b_masks = [c[1] for c in classes]
     endow = list(instance.endowment_masks)
-    sizes, m = instance.sizes, len(instance.object_ids)
+    flow = ExchangeFlow(instance.sizes, n_objects=len(instance.object_ids))
     try:
-        bundles, rounds, elicited, queries = _run_masks(
-            ExchangeFlow(sizes, n_objects=m), a_masks, b_masks, endow
-        )
+        bundles, rounds, elicited, queries = _run_masks(flow, a_masks, b_masks, endow)
     except _RunFailed as exc:
         message, finished = exc.args
-        named = _name_rounds(instance, profile, _resolve_rounds(sizes, m, a_masks, finished))
+        named = _name_rounds(instance, profile, _resolve_rounds(flow, a_masks, finished))
         raise MechanismInvariantError(message, named) from exc
-    final = Matching({a: instance.unmask(bundles[i]) for i, a in enumerate(agents)})
+    final = _matching_from_masks(instance, bundles)
     trace = MechanismTrace(
         final=final,
         elicitation_round={agents[i]: t for i, t in elicited.items()},

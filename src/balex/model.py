@@ -343,6 +343,12 @@ def matching_masks(instance: Instance, mu: Matching) -> list[int]:
     return masks
 
 
+def _matching_from_masks(instance: Instance, masks: Sequence[int]) -> Matching:
+    """The matching whose bundle masks, in priority order, are `masks`: the
+    inverse of matching_masks, on masks known to be valid."""
+    return Matching({a: instance.unmask(masks[i]) for i, a in enumerate(instance.agents)})
+
+
 def check_profile(instance: Instance, prefs: AnyProfile) -> None:
     """The one profile rule: every agent has a preference, and each passes
     _check_preference.  A ValidationError names the first agent at fault, in

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .flownet import ExchangeFlow
-from .model import Instance, Matching
+from .model import Instance, Matching, ValidationError, _matching_from_masks, canon
 
 
 class InfeasibleError(ValueError):
@@ -49,6 +49,14 @@ class WelfareConstraints:
     exact_attractive: Mapping[str, int] = field(default_factory=dict)
 
     def check(self, instance: Instance) -> None:
+        """ValidationError for an agent or an object the instance does not
+        have, ValueError for bounds that no bundle can meet."""
+        agents = {*self.allowed, *self.attractive, *self.min_attractive, *self.exact_attractive}
+        objects = set().union(*self.allowed.values(), *self.attractive.values())
+        unknown = [("agent", agents - set(instance.agents)), ("object", objects - instance.objects)]
+        for kind, stray in unknown:
+            if stray:
+                raise ValidationError(f"constraints name unknown {kind}(s) {canon(stray)}")
         for a in instance.agents:
             size = len(instance.endowment[a])
             if self.min_attractive.get(a, 0) > size:
@@ -59,33 +67,31 @@ class WelfareConstraints:
                 raise ValueError(f"agent {a!r}: exact_attractive below min_attractive")
 
 
-def _matching_from_masks(instance: Instance, masks: Sequence[int]) -> Matching:
-    return Matching(
-        {a: instance.unmask(masks[i]) for i, a in enumerate(instance.agents)}
-    )
-
-
 def feasible(instance: Instance, constraints: WelfareConstraints) -> Matching | None:
     """Some matching satisfying the constraints (canonical witness), or None."""
     flow = _make_flow(instance, constraints)
     if not flow.solve_feasible():
         return None
-    masks = flow.extract_canonical(flow.order)
-    return _matching_from_masks(instance, masks)
+    return _matching_from_masks(instance, flow.extract_canonical(flow.order))
 
 
 def max_attractive(
     instance: Instance, constraints: WelfareConstraints, target: str
 ) -> tuple[int, Matching]:
     """Maximum attainable |bundle(target) ∩ A_target| over the constraint set, with witness."""
+    t = _target_index(instance, target)
     flow = _make_flow(instance, constraints)
     if not flow.solve_feasible():
         raise InfeasibleError("constraint set is empty")
-    t = instance.agent_index[target]
     best = flow.maximize(t)
     flow.freeze(t)
-    masks = flow.extract_canonical(flow.order)
-    return best, _matching_from_masks(instance, masks)
+    return best, _matching_from_masks(instance, flow.extract_canonical(flow.order))
+
+
+def _target_index(instance: Instance, target: str) -> int:
+    if target not in instance.agent_index:
+        raise ValidationError(f"unknown target agent {target!r}")
+    return instance.agent_index[target]
 
 
 def _make_flow(instance: Instance, constraints: WelfareConstraints) -> ExchangeFlow:
@@ -157,6 +163,7 @@ def enumerate_constrained(
     instance: Instance, constraints: WelfareConstraints
 ) -> Iterator[Matching]:
     """All matchings satisfying the constraints, in canonical order."""
+    constraints.check(instance)
     agents = instance.agents
     allowed = [instance.mask(constraints.allowed.get(a, frozenset())) for a in agents]
     attractive = [instance.mask(constraints.attractive.get(a, frozenset())) for a in agents]
@@ -178,6 +185,7 @@ def brute_force_max(
 ) -> tuple[int, Matching]:
     """Oracle twin of max_attractive by exhaustive enumeration (small instances only)."""
     _check_enumeration_bound(instance, bound)
+    _target_index(instance, target)
     a_target = constraints.attractive.get(target, frozenset())
     best = -1
     witness: Matching | None = None

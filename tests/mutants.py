@@ -53,6 +53,7 @@ _USED_NETWORK = _FLOWNET + "test_restart_installs_what_a_new_network_starts_from
 _STRONG_COUNTS = _FLOWNET + "test_a_strong_misreport_search_installs_once_and_patches_one_agent"
 _QUEUE_PATHS = _FLOWNET + "test_searches_return_the_queues_own_paths"
 _DIGEST = "tests/test_output_digest.py::test_outputs_match_the_recorded_digests"
+_CYCLE_WITNESS = "tests/test_cycles.py::test_the_search_maximizes_the_first_agent_that_can_improve"
 _ENDOWMENT = (
     "tests/test_audits.py::"
     "test_an_endowment_outside_the_reported_a_and_b_is_refused_before_any_network"
@@ -288,6 +289,35 @@ MUTANTS = (
         (_QUEUE_PATHS,),
         "a cycle search ends at the agent over its bearable tier's edge "
         "though the edge has no residual",
+    ),
+    # -- one network per query ----------------------------------------------
+    Mutant(
+        "base-matching-cir-unchecked",
+        "mechanism.py",
+        "    if _cir_violation(instance, bundles, prefixes):\n        raise ValidationError(fault)\n",
+        "",
+        ("tests/test_validation_boundary.py::test_a_base_matching_that_is_not_cir_is_bad_input",),
+        "a base matching that is not CIR reaches the installer and is "
+        "reported as a broken invariant",
+    ),
+    Mutant(
+        "cycle-search-maximizes-last-improvable-agent",
+        "cycles.py",
+        "    target = next((i for i in flow.order if flow.can_improve(i)), None)\n",
+        "    target = next((i for i in reversed(flow.order) if flow.can_improve(i)), None)\n",
+        (_CYCLE_WITNESS,),
+        "the improving-cycle search maximizes the last agent that can improve, "
+        "not the first",
+    ),
+    Mutant(
+        "rounds-resolved-unfrozen",
+        "mechanism.py",
+        "            flow.freeze_all()\n            kept.bundles = flow.extract_canonical(flow.order)\n",
+        "            kept.bundles = flow.extract_canonical(flow.order)\n",
+        ("tests/test_mechanism.py::test_reading_a_trace_resolves_its_passes_frozen_on_one_network",),
+        "an earlier pass is extracted with its agents unfrozen, without the "
+        "full-tier rule and the one- and two-move paths; by the pass's "
+        "maxima its matching is the same",
     ),
     # -- strongly trichotomous runs in one pass -----------------------------
     Mutant(

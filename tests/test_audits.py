@@ -30,8 +30,9 @@ from balex.model import (
     Matching,
     TrichotomousPreference,
     ValidationError,
+    _matching_from_masks,
 )
-from balex.optimize import EnumerationLimitError, _matching_from_masks
+from balex.optimize import EnumerationLimitError
 from balex.responsive import cir_trichotomous, prefix_masks
 from conftest import make_instance, on_masks, random_profile, unbeatable
 

@@ -17,7 +17,7 @@ from balex.cycles import (
 )
 from balex.fixtures import load_fixture
 from balex.flownet import ExchangeFlow
-from balex.mechanism import run_ir_priority
+from balex.mechanism import non_improvable_set, run_ir_priority
 from balex.model import Matching, TrichotomousPreference
 from conftest import make_instance, random_matching, random_profile
 
@@ -210,6 +210,39 @@ def test_efficiency_check_builds_one_network_and_extracts_nothing(monkeypatch):
     monkeypatch.setattr(ExchangeFlow, "extract_canonical", counting_extract)
     assert find_cir_pareto_improving_cycle(fx.instance, final, fx.prefs) is None
     assert calls == {"build": 1, "extract": 0}
+
+
+def test_the_search_maximizes_the_first_agent_that_can_improve(monkeypatch):
+    """On a random market's endowment, the search maximizes one agent: the
+    first, in priority order, outside the non-improvable set of the same
+    system, and it finds a cycle exactly when there is such an agent."""
+    maximized = []
+    maximize = ExchangeFlow.maximize
+
+    def spy(self, i):
+        maximized.append(i)
+        return maximize(self, i)
+
+    monkeypatch.setattr(ExchangeFlow, "maximize", spy)
+    rng = random.Random(181)
+    several = 0
+    for _ in range(150):
+        inst = make_instance([rng.randint(1, 2) for _ in range(rng.randint(2, 5))])
+        prefs = random_profile(inst, rng)
+        mu = inst.endowment_matching()
+        stuck = non_improvable_set(
+            inst,
+            {a: p.attractive for a, p in prefs.items()},
+            {a: p.bearable for a, p in prefs.items()},
+            mu,
+        )
+        improvable = [i for i, a in enumerate(inst.agents) if a not in stuck]
+        maximized.clear()
+        cycle = find_cir_pareto_improving_cycle(inst, mu, prefs)
+        assert maximized == improvable[:1]
+        assert (cycle is None) == (not improvable)
+        several += len(improvable) > 1
+    assert several > 30
 
 
 def test_find_improving_cycle_single_agent():

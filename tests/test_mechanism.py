@@ -31,6 +31,13 @@ from balex.model import (
     ValidationError,
     trichotomous_profile,
 )
+from balex.optimize import (
+    EnumerationLimitError,
+    WelfareConstraints,
+    feasible,
+    max_attractive,
+    network_dump,
+)
 from balex.responsive import cir_trichotomous, compare_unambiguous, BundleComparison
 from conftest import (
     make_instance,
@@ -39,6 +46,7 @@ from conftest import (
     oracle_refine,
     random_profile,
 )
+from test_validation_boundary import ENTRY_POINTS
 
 
 def fs(*objs):
@@ -311,20 +319,27 @@ def test_the_trace_keeps_the_profile_it_ran_on():
 
 def test_an_invariant_failure_carries_the_finished_rounds(monkeypatch):
     """Round 1 answers truthfully; from round 2 on every agent claims to
-    improve, so the run fails there with round 1 named."""
+    improve, so the run fails there with round 1 named, on the network the
+    run built."""
     inst, prefs = thm4()
-    _, trace = run_ir_priority(inst, prefs)
-    calls = []
-    can_improve = ExchangeFlow.can_improve
+    round_1 = run_ir_priority(inst, prefs)[1].rounds[0]
+    calls, builds = [], []
+    can_improve, build = ExchangeFlow.can_improve, ExchangeFlow.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
 
     def improvable_after_round_1(self, i):
         calls.append(i)
         return can_improve(self, i) if len(calls) <= len(inst.agents) else True
 
     monkeypatch.setattr(ExchangeFlow, "can_improve", improvable_after_round_1)
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
     with pytest.raises(MechanismInvariantError, match="at round 2") as info:
         run_ir_priority(inst, prefs)
-    assert info.value.args[1] == [trace.rounds[0]]
+    assert info.value.args[1] == [round_1]
+    assert len(builds) == 1
 
 
 def _kernel_cases() -> list[tuple[Instance, dict[str, TrichotomousPreference]]]:
@@ -381,7 +396,8 @@ def _resolved(sizes, m, args, result):
     """A `_run_masks` result on the kernel arguments `args`, its kept rounds
     resolved to bundle masks, promises and non-improvable masks."""
     bundles, rounds, elicited, queries = result
-    return bundles, _resolve_rounds(sizes, m, args[0], rounds), elicited, queries
+    resolved = _resolve_rounds(ExchangeFlow(sizes, n_objects=m), args[0], rounds)
+    return bundles, resolved, elicited, queries
 
 
 def _ref_run_masks(sizes, a_masks, b_masks, endow, m):
@@ -620,8 +636,9 @@ def test_read_rounds_are_the_eagerly_extracted_rounds():
 
 def test_a_failed_run_names_the_rounds_eager_extraction_names(monkeypatch):
     """A run stopped by _RunFailed, once every agent claims to improve after
-    a random number of honest answers, carries finished rounds that resolve
-    to the reference kernel's eagerly extracted ones, with its message."""
+    a random number of honest answers, carries finished rounds that resolve,
+    on the run's own network, to the reference kernel's eagerly extracted
+    ones, with its message."""
     rng = random.Random(89)
     can_improve = ExchangeFlow.can_improve
     failures = with_rounds = 0
@@ -630,9 +647,10 @@ def test_a_failed_run_names_the_rounds_eager_extraction_names(monkeypatch):
         args = _kernel_args(inst, prefs)
         limit = rng.randint(0, 2 * len(sizes))
         outcomes = []
+        flow = ExchangeFlow(sizes, n_objects=m)
         for kernel in (
             lambda: _ref_run_masks(sizes, *args, m),
-            lambda: _run_masks(ExchangeFlow(sizes, n_objects=m), *args),
+            lambda: _run_masks(flow, *args),
         ):
             calls = []
 
@@ -651,7 +669,7 @@ def test_a_failed_run_names_the_rounds_eager_extraction_names(monkeypatch):
         assert len(outcomes) == 2  # both kernels fail, or neither
         (want_message, want), (message, finished) = outcomes
         assert message == want_message
-        assert _resolve_rounds(sizes, m, args[0], finished) == want
+        assert _resolve_rounds(flow, args[0], finished) == want
         failures += 1
         with_rounds += bool(want)
     assert failures > 100 and with_rounds > 30
@@ -682,6 +700,111 @@ def test_an_unread_trace_costs_one_extraction_on_one_network(monkeypatch):
     trace_to_json(inst, trace)
     trace_to_json(inst, trace)
     assert (len(builds), len(extractions)) == (2, 2)
+
+
+def test_reading_a_trace_resolves_its_passes_frozen_on_one_network(monkeypatch):
+    """Reading `rounds` resolves every earlier pass on one new network, and
+    builds none when every pass already holds its bundles, as the one pass
+    of a strongly trichotomous run does.  Each pass is extracted with every
+    agent frozen, as the pass left them, so extraction drops full tiers and
+    takes one- and two-move paths as it would have after the pass."""
+    builds, frozen = [], []
+    build, extract = ExchangeFlow.__init__, ExchangeFlow.extract_canonical
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    def noting_extract(self, order):
+        frozen.append(all(self.frozen[::2]))
+        return extract(self, order)
+
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
+    monkeypatch.setattr(ExchangeFlow, "extract_canonical", noting_extract)
+    seen = {0: 0, 1: 0, "several": 0}
+    for inst, prefs in _kernel_cases() + _strong_cases():
+        _, trace = run_ir_priority(inst, prefs)
+        earlier = {id(kept) for kept, _ in trace._rounds if kept.bundles is None}
+        builds.clear()
+        trace.rounds
+        assert len(builds) == min(len(earlier), 1)
+        seen[len(builds)] += 1
+        seen["several"] += len(earlier) > 1
+    assert min(seen.values()) > 5, seen
+    assert all(frozen) and len(frozen) > 100
+
+
+def _strong_cases() -> list[tuple[Instance, dict[str, TrichotomousPreference]]]:
+    """20 random strongly trichotomous markets: each agent's bearable set is
+    its endowment outside its attractive set."""
+    rng = random.Random(72)
+    cases = []
+    for _ in range(20):
+        inst = make_instance([rng.randint(1, 3) for _ in range(rng.randint(1, 4))])
+        prefs = random_profile(inst, rng)
+        cases.append((inst, {
+            a: TrichotomousPreference(a, p.attractive, inst.endowment[a] - p.attractive)
+            for a, p in prefs.items()
+        }))
+    return cases
+
+
+def test_every_query_builds_at_most_one_network(monkeypatch):
+    """Every entry point of the validation-boundary table, and `feasible`,
+    `max_attractive` and `network_dump` on the CIR system of the matching,
+    builds at most one network on each trichotomous fixture, from the
+    endowment and from the mechanism's outcome.  The improving-cycle search
+    starts that network from the matching, never with `solve_feasible`."""
+    builds, solves = [], []
+    build, solve = ExchangeFlow.__init__, ExchangeFlow.solve_feasible
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    def counting_solve(self):
+        solves.append(1)
+        return solve(self)
+
+    def cir_system(inst, mu, prefs):
+        return WelfareConstraints(
+            allowed={a: prefs[a].acceptable() for a in inst.agents},
+            attractive={a: prefs[a].attractive for a in inst.agents},
+            min_attractive={a: len(mu.assignment[a] & prefs[a].attractive) for a in inst.agents},
+        )
+
+    queries = dict(ENTRY_POINTS)
+    queries["feasible"] = (lambda i, mu, p: feasible(i, cir_system(i, mu, p)), True)
+    queries["max_attractive"] = (
+        lambda i, mu, p: max_attractive(i, cir_system(i, mu, p), i.agents[-1]), True
+    )
+    queries["network_dump"] = (lambda i, mu, p: network_dump(i, cir_system(i, mu, p)), True)
+    searches = {"find_cir_pareto_improving_cycle", "unambiguously_efficient/cycle"}
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
+    monkeypatch.setattr(ExchangeFlow, "solve_feasible", counting_solve)
+    fixtures = improving = 0
+    for name in FIXTURE_NAMES:
+        fx = load_fixture(name)
+        try:
+            prefs = trichotomous_profile(fx.instance, fx.prefs)
+        except NotTrichotomousError:
+            continue
+        inst = fx.instance
+        fixtures += 1
+        for mu in (inst.endowment_matching(), run_ir_priority(inst, prefs)[0]):
+            for query, (call, takes_matching) in sorted(queries.items()):
+                if not takes_matching and mu != inst.endowment_matching():
+                    continue
+                builds.clear(), solves.clear()
+                try:
+                    call(inst, mu, prefs)
+                except EnumerationLimitError:
+                    assert query == "check_obvious_manipulability"
+                assert len(builds) <= 1, (name, query)
+                if query in searches:
+                    assert solves == [], (name, query)
+            improving += find_cir_pareto_improving_cycle(inst, mu, prefs) is not None
+    assert fixtures == 7 and improving >= 7
 
 
 def test_a_bad_profile_raises_a_typed_error_before_any_network(monkeypatch):

@@ -16,8 +16,9 @@ import balex
 from balex.audits import marginal_profile
 from balex.fixtures import load_fixture
 from balex.generate import random_market
+from balex.flownet import ExchangeFlow
 from balex.model import MarginalPreference, Matching, TrichotomousPreference, ValidationError
-from balex.optimize import EnumerationLimitError
+from balex.optimize import EnumerationLimitError, WelfareConstraints, enumerate_constrained
 
 
 def fs(*objs):
@@ -228,20 +229,75 @@ def test_the_table_holds_every_entry_point_that_takes_a_matching_or_a_profile():
 
 
 def test_a_base_matching_that_is_not_cir_is_bad_input():
-    """The three entry points that need a CIR base matching refuse another one
+    """The four entry points that need a CIR base matching refuse another one
     with ValidationError, which callers catch as bad input."""
     fx = load_fixture("thm4-base")  # 1: o, 2: p, 3: q1 q2, 4: r
     inst, prefs = fx.instance, fx.prefs
     swapped = Matching({**inst.endowment, "1": fs("p"), "2": fs("o")})  # p is unacceptable to 1
-    calls = {
-        "^base matching must be CIR at the given \\(A, B\\) profile$": ENTRY_POINTS["serial_refine"][0],
-        "^base matching must be component-wise individually rational$": (
-            balex.find_cir_pareto_improving_cycle
+    refine = "^base matching must be CIR at the given \\(A, B\\) profile$"
+    calls = [
+        ("serial_refine", refine),
+        ("non_improvable_set", refine),
+        ("find_cir_pareto_improving_cycle", "^base matching must be component-wise individually rational$"),
+        (
+            "unambiguously_in_weak_core/strict",
+            "^strict-acceptability core audit requires a CIR candidate matching$",
         ),
-        "^strict-acceptability core audit requires a CIR candidate matching$": (
-            ENTRY_POINTS["unambiguously_in_weak_core/strict"][0]
-        ),
-    }
-    for message, call in calls.items():
+    ]
+    for name, message in calls:
         with pytest.raises(ValidationError, match=message):
-            call(inst, swapped, prefs)
+            ENTRY_POINTS[name][0](inst, swapped, prefs)
+
+
+# The constraint queries of `optimize`, by name, on (instance, constraints,
+# target); they take a WelfareConstraints, not a matching or a profile.
+CONSTRAINT_QUERIES = {
+    "brute_force_max": balex.brute_force_max,
+    "enumerate_constrained": lambda i, c, t: list(enumerate_constrained(i, c)),
+    "feasible": lambda i, c, t: balex.feasible(i, c),
+    "max_attractive": balex.max_attractive,
+    "network_dump": lambda i, c, t: balex.network_dump(i, c),
+}
+
+
+def _thm4_constraints(inst, prefs, **change):
+    """The CIR system of thm4-base's endowment, with `change` merged in."""
+    fields = {
+        "allowed": {a: prefs[a].acceptable() for a in inst.agents},
+        "attractive": {a: prefs[a].attractive for a in inst.agents},
+        "min_attractive": {a: len(inst.endowment[a] & prefs[a].attractive) for a in inst.agents},
+    }
+    for name, entries in change.items():
+        fields[name] = {**fields[name], **entries}
+    return WelfareConstraints(**fields)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRAINT_QUERIES))
+def test_a_constraint_query_refuses_an_unknown_agent_object_or_target(name, monkeypatch):
+    """Constraints naming an object or an agent the instance does not have,
+    and a target it does not have, are a ValidationError, never a bare
+    KeyError, and no network is built for them; the unchanged query runs."""
+    fx = load_fixture("thm4-base")
+    inst, prefs = fx.instance, fx.prefs
+    call = CONSTRAINT_QUERIES[name]
+    call(inst, _thm4_constraints(inst, prefs), "1")
+    builds = []
+    build = ExchangeFlow.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExchangeFlow, "__init__", counting_build)
+    bad = {
+        r"object\(s\) \('zz',\)": {"allowed": {"2": prefs["2"].acceptable() | {"zz"}}},
+        r"object\(s\) \('yy', 'zz'\)": {"attractive": {"3": fs("zz"), "4": fs("yy")}},
+        r"agent\(s\) \('9',\)": {"min_attractive": {"9": 0}},
+    }
+    for unknown, change in bad.items():
+        with pytest.raises(ValidationError, match="^constraints name unknown " + unknown):
+            call(inst, _thm4_constraints(inst, prefs, **change), "1")
+    if name in ("brute_force_max", "max_attractive"):
+        with pytest.raises(ValidationError, match="unknown target agent '9'"):
+            call(inst, _thm4_constraints(inst, prefs), "9")
+    assert builds == []
